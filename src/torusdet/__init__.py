@@ -31,8 +31,7 @@ from .euler_maclaurin import (EMParts, bernoulli_number,
                               homogeneous_components, inv_power_derivative,
                               periodic_bernoulli, poly_evaluator,
                               remainder_uniformity_scan, scaled_bulk_term)
-from .smooth import (ContinuumTorus, ConvergenceReport, ThetaParams,
-                     convergence_check, eigenproduct_reglimit,
+from .smooth import (ConvergenceReport, convergence_check, eigenproduct_reglimit,
                      lattice_trace_sum, log_det_zeta, logdet_zeta_via_regint,
                      partial_log_product, resolvent_trace_continuum,
                      theta1, theta_function, zeta_continued)

@@ -37,12 +37,15 @@ def parse_grid(spec: str, *, integer: bool = True):
     parts = spec.split(":")
     if len(parts) != 3 or not parts[2].startswith("x"):
         raise InputError(f"grid must look like 16:4096:x2, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    ratio = float(parts[2][1:])
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        ratio = float(parts[2][1:])
+    except ValueError:
+        raise InputError(f"grid entries must be numbers, got {spec!r}") from None
     if ratio < 1.2:
         raise InputError(f"grid ratio must be >= 1.2, got {ratio}")
-    if not (0 < start <= stop):
-        raise InputError(f"need 0 < start <= stop in grid {spec!r}")
+    if not (0 < start <= stop < math.inf):
+        raise InputError(f"need 0 < start <= stop < inf in grid {spec!r}")
     out = []
     v = start
     while v <= stop * 1.0000001:
@@ -57,8 +60,12 @@ def parse_basis(spec: str) -> BasisSpec:
     """Parse 'alpha,k;alpha,k;...' into a basis."""
     pairs = []
     for chunk in spec.split(";"):
-        a, k = chunk.split(",")
-        pairs.append((float(a), int(k)))
+        try:
+            a, k = chunk.split(",")
+            pairs.append((float(a), int(k)))
+        except ValueError:
+            raise InputError(
+                f"basis must look like 1,1;0,0, got {spec!r}") from None
     return BasisSpec(tuple(pairs))
 
 
@@ -131,6 +138,8 @@ def cmd_logdet(args, t0):
         if args.csv_out:
             emit_series(args.csv_out, samples, cfg)
     else:
+        if args.n is None:
+            raise InputError("logdet needs --n or --n-grid")
         t = discrete.DiscreteTorus(args.m, args.n)
         fn = discrete.log_det_rescaled if args.rescaled else discrete.log_det
         report["value"] = fn(t)

@@ -3,17 +3,23 @@
 The discrete torus with n points per axis in m dimensions carries a
 difference Laplacian whose one-axis eigenvalues are
 ``(n^2/pi^2) sin^2(pi k / n)``, k = 0..n-1; the m-dimensional eigenvalues
-are sums over axes.  Spectral sums (log-determinants, resolvent traces)
-are streamed over the reduced half-spectrum with multiplicity weights, so
-no ``n^m`` eigenvalue array is ever materialized, and chunk partials are
-combined with an exact fsum in a fixed order for reproducibility.
+are sums over axes.  That axis formula lives in one kernel,
+``_axis_eigenvalues``, which every spectral quantity here and in the
+Euler-Maclaurin module evaluates.  Spectral sums (log-determinants,
+resolvent traces, the extended-grid sums of the inclusion-exclusion
+route) are streamed by ``_lattice_sum`` over the half-axis table
+``_half_axis`` (distinct eigenvalues k = 0..n//2 with multiplicity
+weights), so no ``n^m`` eigenvalue array is ever materialized, and chunk
+partials are combined with an exact fsum in a fixed order for
+reproducibility.
 
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
 an exact integer cross-check of the rescaled log-determinant:
-``exp(log_det_rescaled) = n^m * #spanning trees``.  For n = 2 the circle
-degenerates to a doubled edge, which keeps the one-axis eigenvalue 4 and
-the tree count 2.
+``exp(log_det_rescaled) = n^m * #spanning trees``.  Both exact
+determinant routines read the reduced Laplacian from one row generator,
+``_reduced_laplacian_rows``.  For n = 2 the circle degenerates to a
+doubled edge, which keeps the one-axis eigenvalue 4 and the tree count 2.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import (InputError, NumericalError, check_dimension,
+                     check_resolvent_parameter)
 from .expansion import BasisSpec, Samples, extract_reglimit
 from .sums import fsum_chunks
 
@@ -42,8 +49,7 @@ class DiscreteTorus:
     n: int
 
     def __post_init__(self):
-        if not (1 <= self.m <= 4):
-            raise InputError(f"dimension m must be in 1..4, got {self.m}")
+        check_dimension(self.m)
         if self.n < 2:
             raise InputError(f"need at least 2 points per axis, got {self.n}")
 
@@ -52,38 +58,29 @@ class DiscreteTorus:
         return self.n ** self.m
 
 
-def spectrum_1d(n: int) -> np.ndarray:
-    """One-axis eigenvalues ``(n^2/pi^2) sin^2(pi k/n)``, k = 0..n-1.
+def _axis_eigenvalues(n: int, x):
+    """One-axis eigenvalue function ``(n^2/pi^2) sin^2(pi x/n)``.
 
-    Computed through ``min(k, n-k)`` so the symmetry ``s_k == s_{n-k}`` is
-    exact in floating point.
+    Evaluated through ``min(x, n-x)`` so the reflection ``x -> n-x`` is an
+    exact symmetry in floating point and the value is exactly 0 at both
+    x = 0 and x = n.
     """
-    k = np.arange(n)
-    kk = np.minimum(k, n - k)
-    return (n * n / math.pi ** 2) * np.sin(math.pi * kk / n) ** 2
+    return (n * n / math.pi ** 2) * np.sin(math.pi * np.minimum(x, n - x) / n) ** 2
 
 
-def _reduced_axis(n: int):
+def spectrum_1d(n: int) -> np.ndarray:
+    """One-axis eigenvalues ``(n^2/pi^2) sin^2(pi k/n)``, k = 0..n-1."""
+    return _axis_eigenvalues(n, np.arange(n))
+
+
+def _half_axis(n: int):
     """Distinct one-axis eigenvalues over k=0..n-1 with multiplicities."""
     half = n // 2
-    k = np.arange(half + 1)
-    s = (n * n / math.pi ** 2) * np.sin(math.pi * k / n) ** 2
     w = np.full(half + 1, 2.0)
     w[0] = 1.0
     if n % 2 == 0:
         w[half] = 1.0
-    return s, w
-
-
-def _extended_axis(n: int):
-    """Same, for the extended grid k=0..n (both endpoints present)."""
-    half = n // 2
-    k = np.arange(half + 1)
-    s = (n * n / math.pi ** 2) * np.sin(math.pi * k / n) ** 2
-    w = np.full(half + 1, 2.0)
-    if n % 2 == 0:
-        w[half] = 1.0
-    return s, w
+    return _axis_eigenvalues(n, np.arange(half + 1)), w
 
 
 def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
@@ -126,23 +123,32 @@ def omega(t: DiscreteTorus, x) -> float:
     The reflection ``x_i -> n - x_i`` is an exact symmetry of the float
     result.
     """
-    xs = tuple(float(v) for v in x)
+    xs = np.array([float(v) for v in x])
     if len(xs) != t.m:
         raise InputError(f"expected {t.m} coordinates, got {len(xs)}")
-    n = t.n
-    total = 0.0
     for v in xs:
-        if not (0.0 <= v <= n):
-            raise InputError(f"coordinate {v} outside [0, {n}]")
-        total += math.sin(math.pi * min(v, n - v) / n) ** 2
-    return (n * n / math.pi ** 2) * total
+        if not (0.0 <= v <= t.n):
+            raise InputError(f"coordinate {v} outside [0, {t.n}]")
+    return float(np.sum(_axis_eigenvalues(t.n, xs)))
+
+
+def _extended_trace_sum(n: int, dims: int, z: float, alpha: int) -> float:
+    """``sum (omega + z^2)^(-alpha)`` over the extended grid {0..n}^dims.
+
+    On the half-axis table the endpoints k = 0 and k = n share eigenvalue 0,
+    so the k = 0 weight becomes 2.
+    """
+    s, w = _half_axis(n)
+    w[0] = 2.0
+    z2 = z * z
+    return _lattice_sum([(s, w)] * dims, lambda v: (v + z2) ** (-float(alpha)),
+                        skip_zero_mode=False)
 
 
 def log_det(t: DiscreteTorus) -> float:
     """Sum of ``log`` over the nonzero spectrum of the rescaled Laplacian."""
     _check_sum_size(t)
-    axes = [_reduced_axis(t.n)] * t.m
-    return _lattice_sum(axes, np.log, skip_zero_mode=True)
+    return _lattice_sum([_half_axis(t.n)] * t.m, np.log, skip_zero_mode=True)
 
 
 def log_det_rescaled(t: DiscreteTorus) -> float:
@@ -155,22 +161,15 @@ def log_det_rescaled(t: DiscreteTorus) -> float:
     return log_det(t) - (t.points - 1) * scale
 
 
-def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1, *,
-                    use_symmetry: bool = True) -> float:
+def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
     """``sum over the full lattice of (omega + z^2)^(-alpha)``, kernel included."""
-    if z <= 0:
-        raise InputError("resolvent parameter z must be positive")
+    check_resolvent_parameter(z)
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
     _check_sum_size(t)
-    if use_symmetry:
-        axes = [_reduced_axis(t.n)] * t.m
-    else:
-        s = spectrum_1d(t.n)
-        axes = [(s, np.ones(t.n))] * t.m
     z2 = z * z
-    return _lattice_sum(axes, lambda v: (v + z2) ** (-alpha),
-                        skip_zero_mode=False)
+    return _lattice_sum([_half_axis(t.n)] * t.m,
+                        lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
 
 
 def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
@@ -181,19 +180,15 @@ def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
     coordinates pinned to 0.  Equals ``resolvent_trace(t, z, m)`` up to
     floating-point accumulation.
     """
-    if z <= 0:
-        raise InputError("resolvent parameter z must be positive")
+    check_resolvent_parameter(z)
     _check_sum_size(t)
-    z2 = z * z
     m = t.m
     total = []
     for k in range(m + 1):
         if k == m:
-            tk = z2 ** (-m)
+            tk = (z * z) ** (-m)
         else:
-            axes = [_extended_axis(t.n)] * (m - k)
-            tk = _lattice_sum(axes, lambda v: (v + z2) ** (-m),
-                              skip_zero_mode=False)
+            tk = _extended_trace_sum(t.n, m - k, z, m)
         total.append((-1.0) ** k * math.comb(m, k) * tk)
     return math.fsum(total)
 
@@ -211,27 +206,24 @@ def sorted_spectrum(t: DiscreteTorus) -> np.ndarray:
 
 # -- integer matrix-tree machinery ------------------------------------------
 
-def _neighbor_offsets(t: DiscreteTorus):
-    """Adjacency multiplicities of the torus graph; n = 2 doubles each edge."""
+def _reduced_laplacian_rows(t: DiscreteTorus):
+    """Rows of the graph Laplacian with vertex 0 deleted, as ``{col: entry}``.
+
+    Vertices are numbered lexicographically and row/column ``v - 1`` belongs
+    to vertex v.  For n = 2 both neighbours along an axis coincide, so the
+    doubled edge gives the entry -2.
+    """
     n, m = t.n, t.m
     strides = [n ** (m - 1 - a) for a in range(m)]
-
-    def neighbors(v):
-        coords = []
-        r = v
-        for a in range(m):
-            coords.append(r // strides[a])
-            r %= strides[a]
-        out = {}
-        for a in range(m):
+    for v in range(1, t.points):
+        row = {v - 1: 2 * m}
+        for s in strides:
+            c = v // s % n
             for d in (1, -1):
-                c = list(coords)
-                c[a] = (c[a] + d) % n
-                u = sum(ci * si for ci, si in zip(c, strides))
-                out[u] = out.get(u, 0) + 1
-        return out
-
-    return neighbors
+                u = v + ((c + d) % n - c) * s
+                if u != 0:
+                    row[u - 1] = row.get(u - 1, 0) - 1
+        yield row
 
 
 def spanning_tree_count(t: DiscreteTorus) -> int:
@@ -262,15 +254,8 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
             d_prev, d = d, 2 * d - off2 * d_prev
         return d
 
-    neighbors = _neighbor_offsets(t)
-    rows = []
-    for v in range(1, nverts):
-        nb = neighbors(v)
-        row = {v - 1: Fraction(2 * t.m)}
-        for u, mult in nb.items():
-            if u != 0:
-                row[u - 1] = row.get(u - 1, Fraction(0)) - mult
-        rows.append(row)
+    rows = [{j: Fraction(x) for j, x in row.items()}
+            for row in _reduced_laplacian_rows(t)]
 
     col_rows = [set() for _ in range(size)]
     for i, row in enumerate(rows):
@@ -314,15 +299,11 @@ def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
     each step, so this stays fast at thousands of vertices.  Used to certify
     large tree counts without full big-integer elimination.
     """
-    nverts = t.points
-    size = nverts - 1
-    neighbors = _neighbor_offsets(t)
+    size = t.points - 1
     mat = np.zeros((size, size), dtype=np.int64)
-    for v in range(1, nverts):
-        mat[v - 1, v - 1] = 2 * t.m
-        for u, mult in neighbors(v).items():
-            if u != 0:
-                mat[v - 1, u - 1] -= mult
+    for i, row in enumerate(_reduced_laplacian_rows(t)):
+        for j, x in row.items():
+            mat[i, j] = x
     mat %= p
 
     det = 1

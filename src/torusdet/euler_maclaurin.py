@@ -33,10 +33,13 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import InputError
-from .discrete import DiscreteTorus, _extended_axis, _lattice_sum, resolvent_trace
+from .errors import InputError, check_resolvent_parameter
+from .discrete import (DiscreteTorus, _axis_eigenvalues, _extended_trace_sum,
+                       resolvent_trace)
 
 BERNOULLI_CAP = 250
+GL_ORDER_1D = 24          # Gauss-Legendre nodes per cell, one-axis formula
+GL_ORDER_PATTERNS = 32    # the same for the operator-pattern decomposition
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -122,7 +125,7 @@ def _gl_nodes(n_cells: int, order: int):
 
 
 def em_sum_1d(u: Callable[[float, int], float], n: int, M: int, *,
-              quad_tol: float = 1e-12, gl_order: int = 24) -> EMParts:
+              quad_tol: float = 1e-12) -> EMParts:
     """One-axis Euler-Maclaurin decomposition of ``sum_{x=0}^{n} u(x)``.
 
     ``u(x, order)`` must return the order-th derivative up to order 2M+1.
@@ -139,7 +142,7 @@ def em_sum_1d(u: Callable[[float, int], float], n: int, M: int, *,
         * (u(float(n), 2 * k - 1) - u(0.0, 2 * k - 1))
         for k in range(1, M + 1))
     avg = 0.5 * (u(0.0, 0) + u(float(n), 0))
-    xs, ws = _gl_nodes(n, gl_order)
+    xs, ws = _gl_nodes(n, GL_ORDER_1D)
     bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
     dvals = np.array([u(float(x), 2 * M + 1) for x in xs])
     remainder = float(ws @ (bw * dvals)) / math.factorial(2 * M + 1)
@@ -212,17 +215,11 @@ def h_coefficient(k: int, ell: int, n: int, x: float, alpha: int) -> float:
     return float(_h_eval(k, ell, alpha, jets)[0])
 
 
-def _s_values(n: int, xs: np.ndarray) -> np.ndarray:
-    """One-axis eigenvalue function ``(n^2/pi^2) sin^2(pi x/n)``, exact at 0, n."""
-    u = (np.asarray(xs, dtype=float) / n) % 1.0
-    return (n * n / math.pi ** 2) * np.sin(math.pi * u) ** 2
-
-
 def inv_power_derivative(k: int, n: int, x: float, z: float, alpha: int) -> float:
     """``d^k/dx^k (omega_1(n, x) + z^2)^(-alpha)`` from the exact recursion."""
     if k < 1:
         raise InputError("derivative order must be >= 1")
-    f = float(_s_values(n, np.array([x]))[0]) + z * z
+    f = float(_axis_eigenvalues(n, x)) + z * z
     jets = _jet_matrix(n, np.array([x]), k - 1)
     return math.fsum(
         float(_h_eval(k, ell, alpha, jets)[0]) * f ** (-alpha - ell - 1)
@@ -244,7 +241,7 @@ def _mixed_deriv_grid(n, z, alpha, coords, orders, chain=None):
     operators commute; both orders must agree).
     """
     z2 = z * z
-    svals = [_s_values(n, c) for c in coords]
+    svals = [_axis_eigenvalues(n, c) for c in coords]
     if len(coords) == 1:
         F = svals[0] + z2
     else:
@@ -300,8 +297,8 @@ def _axis_atoms(beta: int, n: int, M: int):
     raise InputError(f"operator label must be in 1..4, got {beta}")
 
 
-def _pattern_value(n, z, alpha, M, betas, gl_order, chain=None) -> float:
-    xs_int, ws_int = _gl_nodes(n, gl_order)
+def _pattern_value(n, z, alpha, M, betas, chain=None) -> float:
+    xs_int, ws_int = _gl_nodes(n, GL_ORDER_PATTERNS)
     bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs_int % 1.0)
     pt0 = np.array([0.0])
     ptn = np.array([float(n)])
@@ -338,15 +335,12 @@ def _pattern_value(n, z, alpha, M, betas, gl_order, chain=None) -> float:
 def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
                                    alpha: int) -> float:
     """Direct reference sum over the extended grid {0..n}^m."""
-    z2 = z * z
-    axes = [_extended_axis(t.n)] * t.m
-    return _lattice_sum(axes, lambda v: (v + z2) ** (-float(alpha)),
-                        skip_zero_mode=False)
+    check_resolvent_parameter(z)
+    return _extended_trace_sum(t.n, t.m, z, alpha)
 
 
 def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
-                 M: int | None = None, *, gl_order: int = 32,
-                 chain=None):
+                 M: int | None = None, *, chain=None):
     """All 4^m operator-pattern values and their total.
 
     The total equals ``boundary_inclusive_lattice_sum(t, z, alpha)`` up to
@@ -355,8 +349,7 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
     """
     if t.m > 2:
         raise InputError("full decomposition implemented for m <= 2")
-    if z <= 0:
-        raise InputError("resolvent parameter z must be positive")
+    check_resolvent_parameter(z)
     alpha = t.m if alpha is None else int(alpha)
     floor = default_truncation(t.m)
     M = floor if M is None else int(M)
@@ -366,8 +359,7 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
             f"m = {t.m}, got {M}")
     values = {}
     for betas in itertools.product((1, 2, 3, 4), repeat=t.m):
-        values[betas] = _pattern_value(t.n, z, alpha, M, betas, gl_order,
-                                       chain=chain)
+        values[betas] = _pattern_value(t.n, z, alpha, M, betas, chain=chain)
     total = math.fsum(values[k] for k in sorted(values))
     return values, total
 
@@ -426,21 +418,21 @@ def homogeneous_components(m: int, z: float, n: float) -> dict:
     return out
 
 
-def corner_term_cancellation(m: int, *, z_values=(0.5, 1.0, 2.0)):
+def corner_term_cancellation(m: int):
     """Exact cancellation of the fully endpoint-pinned contributions.
 
     Returns ``(binomial_sum, numeric_residual)``: the alternating binomial
     sum (always 0) and the largest floating-point residual of the level
-    sum of the corner values ``(omega_at_corner + z^2)^(-m)`` across the
-    sampled z.
+    sum of the corner values ``(omega_at_corner + z^2)^(-m)`` across
+    z in {0.5, 1, 2}.
     """
     if m < 1:
         raise InputError("dimension must be >= 1")
     binomial_sum = sum((-1) ** k * math.comb(m, k) for k in range(m + 1))
     worst = 0.0
-    for z in z_values:
-        # omega vanishes exactly at every lattice corner
-        corner_omega = float(_s_values(8, np.array([0.0, 8.0])).max())
+    # omega vanishes exactly at every lattice corner
+    corner_omega = float(_axis_eigenvalues(8, np.array([0.0, 8.0])).max())
+    for z in (0.5, 1.0, 2.0):
         v = (corner_omega + z * z) ** (-float(m))
         resid = abs(math.fsum((-1) ** k * math.comb(m, k) * v
                               for k in range(m + 1)))

@@ -81,12 +81,6 @@ class Expansion:
                         "remainder exponent must lie beyond all term exponents")
             object.__setattr__(self, "remainder", (a_n, int(self.remainder[1])))
 
-    def evaluate(self, x: float) -> float:
-        return eval_expansion(self, x)
-
-    def basis_pairs(self) -> list[tuple[float, int]]:
-        return [(t.alpha, t.k) for t in self.terms]
-
 
 def eval_expansion(e: Expansion, x: float) -> float:
     """Evaluate the expansion's term sum at ``x > 0``."""
@@ -109,7 +103,6 @@ class BasisSpec:
     """A declared set of ``(alpha, k)`` basis pairs for fitting."""
 
     pairs: tuple[tuple[float, int], ...]
-    must_contain_constant: bool = False
 
     def __post_init__(self):
         pairs = tuple((float(a), int(k)) for a, k in self.pairs)
@@ -119,8 +112,6 @@ class BasisSpec:
             if k < 0:
                 raise InputError("log powers in a basis must be non-negative")
         object.__setattr__(self, "pairs", pairs)
-        if self.must_contain_constant and (0.0, 0) not in pairs:
-            raise InputError("basis declared must_contain_constant lacks (0, 0)")
 
     def __len__(self):
         return len(self.pairs)

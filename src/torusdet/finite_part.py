@@ -145,30 +145,28 @@ def _quad(f, a, b, tol, *, points=None):
 
 
 def fit_tail(f: Callable[[float], float], side: str, anchor: float,
-             basis: BasisSpec, *, ratio: float = TAIL_SAMPLE_RATIO,
-             extra: int = TAIL_EXTRA_POINTS,
-             residual_rel: float = TAIL_RESIDUAL_REL):
+             basis: BasisSpec):
     """Fit a tail basis to f sampled at geometric points beyond the anchor.
 
     Returns ``(coefficients, rms_residual)``.  Raises TailModelError when
-    the relative residual exceeds ``residual_rel``, which signals that the
-    declared basis cannot represent the actual tail.
+    the relative residual exceeds ``TAIL_RESIDUAL_REL``, which signals that
+    the declared basis cannot represent the actual tail.
     """
-    npts = len(basis) + extra
+    npts = len(basis) + TAIL_EXTRA_POINTS
     if side == "infinity":
-        xs = anchor * ratio ** np.arange(1, npts + 1)
+        xs = anchor * TAIL_SAMPLE_RATIO ** np.arange(1, npts + 1)
     elif side == "zero":
-        xs = anchor / ratio ** np.arange(npts, 0, -1)
+        xs = anchor / TAIL_SAMPLE_RATIO ** np.arange(npts, 0, -1)
     else:
         raise InputError(f"unknown tail side {side!r}")
     ys = np.array([f(float(x)) for x in xs], dtype=float)
     samples = Samples(xs, ys)
     coeffs, report = fit_expansion(samples, basis, cond_cap=math.inf)
     scale = float(np.max(np.abs(ys))) if len(ys) else 0.0
-    if scale > 0 and report.rms_residual > residual_rel * scale:
+    if scale > 0 and report.rms_residual > TAIL_RESIDUAL_REL * scale:
         raise TailModelError(
             f"tail fit residual {report.rms_residual:.3g} exceeds "
-            f"{residual_rel:.1g} of sample scale {scale:.3g} on side {side!r}")
+            f"{TAIL_RESIDUAL_REL:.1g} of sample scale {scale:.3g} on side {side!r}")
     return coeffs, report.rms_residual
 
 
@@ -224,9 +222,8 @@ def default_logdet_tail_basis(m: int) -> BasisSpec:
     return BasisSpec(tuple(pairs))
 
 
-def logdet_via_regint(trace, m: int, kernel_dim: int, *, split: float = 1.0,
+def logdet_via_regint(trace, m: int, kernel_dim: int, *,
                       window_end: float = 64.0,
-                      tail_basis: BasisSpec | None = None,
                       nonzero_modes: float | None = None,
                       quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Log-determinant from the finite-part resolvent-trace integral.
@@ -234,9 +231,9 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *, split: float = 1.0,
     Evaluates ``-2 * fp-integral of z**(2m-1) * trace(z, m) over (0, inf)``
     where ``trace(z, alpha)`` returns the resolvent trace and behaves like
     ``kernel_dim * z**(-2m)`` as z -> 0.  The kernel contribution is
-    subtracted on (0, split], its own finite part ``kernel_dim * log(split)``
-    is added back in closed form, and the tail beyond ``window_end`` is
-    fitted and integrated term by term.
+    subtracted on (0, 1], where its own finite part ``kernel_dim * log(1)``
+    is exactly 0, and the tail beyond ``window_end`` is fitted with
+    ``default_logdet_tail_basis`` and integrated term by term.
 
     For m >= 2 the iterated integration by parts that raises the trace
     power from 1 to m leaves boundary terms: per nonzero eigenvalue the
@@ -252,10 +249,8 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *, split: float = 1.0,
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
         raise InputError("kernel dimension must be >= 0")
-    if not (0 < split < window_end):
-        raise InputError("need 0 < split < window_end")
-    if tail_basis is None:
-        tail_basis = default_logdet_tail_basis(m)
+    if not window_end > 1.0:
+        raise InputError("need window_end > 1")
 
     kd = float(kernel_dim)
     p = 2 * m - 1
@@ -270,13 +265,13 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *, split: float = 1.0,
     # contribution is negligible at quad_tol and quadrature noise from the
     # kernel cancellation would dominate there
     eps0 = 1e-6
-    core_zero, err0 = _quad(g_reduced, eps0, split, quad_tol)
-    kernel_fp = kd * finite_part_tail_zero(-1.0, 0, split)
-    core_main, err1 = _quad(g, split, window_end, quad_tol)
-    coeffs, rms = fit_tail(g, "infinity", window_end, tail_basis)
+    core_zero, err0 = _quad(g_reduced, eps0, 1.0, quad_tol)
+    core_main, err1 = _quad(g, 1.0, window_end, quad_tol)
+    coeffs, rms = fit_tail(g, "infinity", window_end,
+                           default_logdet_tail_basis(m))
     tail = math.fsum(c * finite_part_tail_inf(a, k, window_end)
                      for (a, k), c in coeffs.items())
-    raw = -2.0 * (core_zero + kernel_fp + core_main + tail)
+    raw = -2.0 * (core_zero + core_main + tail)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
     s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)
     return raw - harmonic * s0

@@ -18,62 +18,40 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .errors import InputError
+from .errors import InputError, check_dimension, check_resolvent_parameter
 from .expansion import BasisSpec, Samples, extract_reglimit
+from .discrete import _lattice_sum
 from . import finite_part
 
 EULER_GAMMA = float(np.euler_gamma)
+THETA_LOG_EPS = 40.0     # theta sums drop Gaussian terms below exp(-40)
+SMOOTH_POINTS = 41       # cutoffs per eigenproduct smoothing window
+SMOOTH_HALFWIDTH = 1.2   # the window spans [Lambda/1.2, Lambda*1.2]
 
 
-@dataclass(frozen=True)
-class ContinuumTorus:
-    m: int
-
-    def __post_init__(self):
-        if not (1 <= self.m <= 4):
-            raise InputError(f"dimension m must be in 1..4, got {self.m}")
-
-
-@dataclass(frozen=True)
-class ThetaParams:
-    """Tuning constants for theta-function evaluation.
-
-    ``log_eps`` controls the Gaussian truncation (terms below
-    ``exp(-log_eps)`` are dropped); ``modular_threshold`` is the argument
-    below which the modular transform ``t -> pi^2/t`` is applied.
-    """
-
-    log_eps: float = 40.0
-    modular_threshold: float = 1.0
-
-
-_DEFAULT_THETA = ThetaParams()
-
-
-def _theta1_direct(t: float, params: ThetaParams) -> float:
-    j_max = int(math.ceil(math.sqrt(params.log_eps / t)))
+def _theta1_direct(t: float) -> float:
+    j_max = int(math.ceil(math.sqrt(THETA_LOG_EPS / t)))
     j = np.arange(1, j_max + 1)
     return 1.0 + 2.0 * float(np.sum(np.exp(-t * j * j)))
 
 
-def theta1(t: float, params: ThetaParams = _DEFAULT_THETA) -> float:
+def theta1(t: float) -> float:
     """One-dimensional Gaussian lattice sum ``sum_j exp(-t j^2)``.
 
-    For small t the modular identity ``theta1(t) = sqrt(pi/t) theta1(pi^2/t)``
+    For t < 1 the modular identity ``theta1(t) = sqrt(pi/t) theta1(pi^2/t)``
     turns the slowly converging sum into a rapidly converging one.
     """
     if t <= 0:
         raise InputError("theta argument must be positive")
-    if t < params.modular_threshold:
-        return math.sqrt(math.pi / t) * _theta1_direct(math.pi ** 2 / t, params)
-    return _theta1_direct(t, params)
+    if t < 1.0:
+        return math.sqrt(math.pi / t) * _theta1_direct(math.pi ** 2 / t)
+    return _theta1_direct(t)
 
 
-def theta_function(m: int, t: float, params: ThetaParams = _DEFAULT_THETA) -> float:
+def theta_function(m: int, t: float) -> float:
     """Heat trace of the m-torus, ``theta1(t)**m``."""
-    if not (1 <= m <= 4):
-        raise InputError("dimension m must be in 1..4")
-    return theta1(t, params) ** m
+    check_dimension(m)
+    return theta1(t) ** m
 
 
 def _theta_deficit(m: int, t: float) -> float:
@@ -85,8 +63,8 @@ def _theta_deficit(m: int, t: float) -> float:
     """
     if t < math.pi:
         u = math.pi ** 2 / t
-        return (math.pi / t) ** (m / 2.0) * (_theta1_direct(u, _DEFAULT_THETA) ** m - 1.0)
-    return _theta1_direct(t, _DEFAULT_THETA) ** m - (math.pi / t) ** (m / 2.0)
+        return (math.pi / t) ** (m / 2.0) * (_theta1_direct(u) ** m - 1.0)
+    return _theta1_direct(t) ** m - (math.pi / t) ** (m / 2.0)
 
 
 def _min_alpha(m: int) -> int:
@@ -104,8 +82,8 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int, *,
     small theta deficit; this stays accurate to ~1e-12 relative for all z.
     For m = 1, alpha = 1 the closed form ``pi coth(pi z)/z`` is used.
     """
-    if z <= 0:
-        raise InputError("resolvent parameter z must be positive")
+    check_dimension(m)
+    check_resolvent_parameter(z)
     if alpha < _min_alpha(m):
         raise InputError(
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
@@ -160,15 +138,12 @@ def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
     if alpha < _min_alpha(m):
         raise InputError("divergent parameters")
     z2 = z * z
-    if m == 1:
-        k = np.arange(-box, box + 1)
-        core = float(np.sum((k * k + z2) ** (-float(alpha))))
-    else:
-        total = []
-        k2 = np.arange(-box, box + 1)
-        for k1 in range(-box, box + 1):
-            total.append(np.sum((k1 * k1 + k2 * k2 + z2) ** (-float(alpha))))
-        core = math.fsum(total)
+    # half axis k = 0..box: k^2 with weight 1 at k = 0 and 2 for +-k
+    w = np.full(box + 1, 2.0)
+    w[0] = 1.0
+    axis = (np.arange(box + 1, dtype=float) ** 2, w)
+    core = _lattice_sum([axis] * m, lambda v: (v + z2) ** (-float(alpha)),
+                        skip_zero_mode=False)
 
     whole = (math.pi ** (m / 2.0) * math.gamma(alpha - m / 2.0)
              / math.gamma(alpha) * z ** (m - 2 * alpha))
@@ -208,7 +183,7 @@ def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
 def _g_integral(m: int, s: float, quad_tol: float = 1e-13) -> float:
     """``int_{pi^2}^inf u^(m/2 - s - 1) (theta1(u)^m - 1) du``."""
     def f(u):
-        return u ** (m / 2.0 - s - 1.0) * (_theta1_direct(u, _DEFAULT_THETA) ** m - 1.0)
+        return u ** (m / 2.0 - s - 1.0) * (_theta1_direct(u) ** m - 1.0)
     val, _ = integrate.quad(f, math.pi ** 2, np.inf, epsabs=quad_tol,
                             epsrel=quad_tol, limit=300)
     return val
@@ -217,7 +192,7 @@ def _g_integral(m: int, s: float, quad_tol: float = 1e-13) -> float:
 def _e_integral(m: int, s: float, quad_tol: float = 1e-13) -> float:
     """``int_1^inf t^(s-1) (theta1(t)^m - 1) dt``."""
     def f(t):
-        return t ** (s - 1.0) * (_theta1_direct(t, _DEFAULT_THETA) ** m - 1.0)
+        return t ** (s - 1.0) * (_theta1_direct(t) ** m - 1.0)
     val, _ = integrate.quad(f, 1.0, np.inf, epsabs=quad_tol, epsrel=quad_tol,
                             limit=300)
     return val
@@ -239,8 +214,7 @@ def zeta_continued(m: int, s: float) -> float:
     integral.  Valid for real s != m/2; at s = 0 the value is the analytic
     limit ``-1 + s h(s)`` evaluated through ``Gamma(s+1)``.
     """
-    if not (1 <= m <= 4):
-        raise InputError("dimension m must be in 1..4")
+    check_dimension(m)
     if s == m / 2.0:
         raise InputError(f"s = m/2 = {s} is the pole of the zeta function")
     return (-1.0 + s * _h_analytic(m, s)) / math.gamma(s + 1.0)
@@ -253,8 +227,7 @@ def log_det_zeta(m: int) -> float:
     With ``Gamma(s) zeta(s) = -1/s + h(s)`` and h analytic at 0,
     ``zeta'(0) = h(0) - EulerGamma``.
     """
-    if not (1 <= m <= 4):
-        raise InputError("dimension m must be in 1..4")
+    check_dimension(m)
     return EULER_GAMMA - _h_analytic(m, 0.0)
 
 
@@ -316,6 +289,7 @@ def partial_log_product(m: int, mode: str, parameter) -> float:
     ascending order (ties within an eigenvalue shell are norm-equal, so the
     documented lexicographic tie-break does not change the value).
     """
+    check_dimension(m)
     if mode == "by_cutoff":
         lam = float(parameter)
         if lam < 1:
@@ -340,9 +314,7 @@ def _ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
-def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec, *,
-                          smooth_points: int = 41,
-                          smooth_halfwidth: float = 1.2):
+def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
     """Regularized limit of partial eigenvalue products.
 
     Returns ``(constant, uncertainty, reference)`` with the zeta
@@ -356,16 +328,17 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec, *,
     nonzero eigenvalues, V_m is the unit-ball volume); by Abel summation
     this removes the dominant oscillation and shifts only the ``log``
     coefficient, never the constant.  Second, each sample is averaged over
-    a centered log-symmetric window of ``smooth_points`` cutoffs spanning
-    ``[Lambda/smooth_halfwidth, Lambda*smooth_halfwidth]``; a log-symmetric
+    a centered log-symmetric window of ``SMOOTH_POINTS`` cutoffs spanning
+    ``[Lambda/SMOOTH_HALFWIDTH, Lambda*SMOOTH_HALFWIDTH]``; a log-symmetric
     window remixes each smooth basis group within itself and leaves the
     constant coefficient intact.
     """
+    check_dimension(m)
     grid = [float(g) for g in grid]
     if mode == "by_cutoff" and m >= 2:
-        half = smooth_points // 2
-        ratio = smooth_halfwidth ** (1.0 / max(half, 1))
-        lam_max = max(grid) * smooth_halfwidth
+        half = SMOOTH_POINTS // 2
+        ratio = SMOOTH_HALFWIDTH ** (1.0 / half)
+        lam_max = max(grid) * SMOOTH_HALFWIDTH
         norms = _lattice_norms_sq(m, int(math.floor(lam_max * lam_max)) + 1)
         flt = norms.astype(float)
         prefix = np.concatenate([[0.0], np.cumsum(np.log(flt))])

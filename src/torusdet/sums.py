@@ -1,4 +1,4 @@
-"""Compensated and deterministic accumulation helpers.
+"""Deterministic accumulation of chunked lattice sums.
 
 Lattice sums in this package are reduced in a fixed order: vectorized
 partial sums per outermost-axis chunk (numpy pairwise summation), then an
@@ -12,20 +12,6 @@ import math
 from typing import Iterable
 
 import numpy as np
-
-
-def neumaier_sum(values: Iterable[float]) -> float:
-    """Kahan summation with Neumaier's correction for large addends."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
 
 
 def fsum_chunks(chunks: Iterable[np.ndarray | float]) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -129,6 +130,32 @@ class TestCommands:
 class TestExitCodes:
     def test_invalid_grid_is_input_error(self):
         assert main(["main-theorem", "--m", "1", "--n-grid", "16:64:x1.05"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["logdet", "--m", "2"],
+        ["main-theorem", "--basis", "garbage"],
+        ["main-theorem", "--n-grid", "16:4096:xabc"],
+        ["trace", "--m", "2", "--n", "4", "--z-grid", "0.5:inf:x2"],
+        ["trace", "--n", "4", "--z", "nan"],
+        ["trace", "--n", "4", "--z", "inf"],
+        ["em-check", "--z", "nan"],
+        ["trace-continuum", "--z", "nan"],
+        ["trace-continuum", "--z", "inf"],
+    ])
+    def test_bad_input_is_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["eigenproduct", "--m", "5"],
+        ["trace-continuum", "--m", "7", "--z", "1", "--alpha", "4"],
+    ])
+    def test_unsupported_dimension_exits_at_once(self, argv):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
 
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2

@@ -62,7 +62,8 @@ class TestSpectrum:
         assert vals[0] == 0.0
         assert vals[1] > 0.0
 
-    @pytest.mark.parametrize("m,n", [(2, 9), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("m,n", [(1, 9), (2, 6), (2, 7), (2, 9), (3, 5),
+                                     (4, 3)])
     def test_streamed_sums_match_materialized_spectrum(self, m, n):
         # the streaming reduction must agree with brute force over the
         # materialized eigenvalue array
@@ -140,12 +141,18 @@ class TestResolventTrace:
             assert resolvent_trace(t, z, 1) * z * z == pytest.approx(
                 t.points, rel=1e-9)
 
-    def test_symmetry_reduction_consistent(self):
-        for (m, n, z) in [(1, 9, 0.7), (2, 6, 1.3), (2, 7, 2.0)]:
-            t = DiscreteTorus(m, n)
-            a = resolvent_trace(t, z, m, use_symmetry=True)
-            b = resolvent_trace(t, z, m, use_symmetry=False)
-            assert a == pytest.approx(b, rel=1e-13)
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+    def test_z_must_be_finite_and_positive(self, z):
+        from torusdet import (boundary_inclusive_lattice_sum, em_decompose,
+                              resolvent_trace_continuum)
+        t = DiscreteTorus(2, 4)
+        for call in (lambda: resolvent_trace(t, z, 2),
+                     lambda: trace_inclusion_exclusion(t, z),
+                     lambda: boundary_inclusive_lattice_sum(t, z, 2),
+                     lambda: em_decompose(t, z),
+                     lambda: resolvent_trace_continuum(2, z, 2)):
+            with pytest.raises(InputError):
+                call()
 
     def test_z_derivative_identity(self):
         # d/dz Tr(.+z^2)^(-a) = -2 a z Tr(.+z^2)^(-a-1)
@@ -205,19 +212,13 @@ class TestSpanningTrees:
         # the tridiagonal recurrence must agree with the generic sparse
         # elimination run on the same reduced Laplacian
         from fractions import Fraction
-        from torusdet.discrete import _neighbor_offsets
+        from torusdet.discrete import _reduced_laplacian_rows
 
         for n in (2, 3, 4, 9, 16):
             t = DiscreteTorus(1, n)
-            neighbors = _neighbor_offsets(t)
             size = t.points - 1
-            rows = []
-            for v in range(1, t.points):
-                row = {v - 1: Fraction(2)}
-                for u, mult in neighbors(v).items():
-                    if u != 0:
-                        row[u - 1] = row.get(u - 1, Fraction(0)) - mult
-                rows.append(row)
+            rows = [{j: Fraction(x) for j, x in row.items()}
+                    for row in _reduced_laplacian_rows(t)]
             det = Fraction(1)
             for p in range(size):
                 piv = rows[p][p]

@@ -1,21 +1,8 @@
-"""Tests for compensated accumulation helpers."""
-
-import math
+"""Tests for the deterministic chunked accumulation."""
 
 import numpy as np
 
-from torusdet.sums import fsum_chunks, neumaier_sum
-
-
-def test_neumaier_handles_cancellation():
-    vals = [1e16, 1.0, -1e16]
-    assert neumaier_sum(vals) == 1.0
-
-
-def test_neumaier_matches_fsum_on_random_data():
-    rng = np.random.default_rng(3)
-    vals = list(rng.normal(scale=1e6, size=2000))
-    assert abs(neumaier_sum(vals) - math.fsum(vals)) <= 1e-9
+from torusdet.sums import fsum_chunks
 
 
 def test_fsum_chunks_deterministic_and_chunking_stable():
