@@ -193,6 +193,8 @@ def cmd_regint(args, t0):
     report = _report_skeleton("regint", cfg, ["AC5"])
     if args.integrand == "log-kernel":
         lam = args.lam
+        if not (math.isfinite(lam) and lam > 0):
+            raise InputError(f"--lam must be finite and positive, got {lam}")
         f = lambda z: z / (lam + z * z)
         _, bz, bi, _ = INTEGRAND_PRESETS["log-kernel"]
         expected = -0.5 * math.log(lam)

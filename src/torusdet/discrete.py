@@ -16,10 +16,10 @@ reproducibility.
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
 an exact integer cross-check of the rescaled log-determinant:
-``exp(log_det_rescaled) = n^m * #spanning trees``.  Both exact
-determinant routines read the reduced Laplacian from one row generator,
-``_reduced_laplacian_rows``.  For n = 2 the circle degenerates to a
-doubled edge, which keeps the one-axis eigenvalue 4 and the tree count 2.
+``exp(log_det_rescaled) = n^m * #spanning trees``.  One banded GF(p)
+elimination, ``_det_mod_primes``, computes every cofactor residue; tree
+counts for m >= 2 are their CRT reconstruction.  For n = 2 the circle
+degenerates to a doubled edge (eigenvalue 4, tree count 2).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .sums import fsum_chunks
 
 MAX_SUM_LATTICE = 1 << 25     # iteration cap for spectral sums
 MAX_TREE_VERTICES = 4096      # cap for exact integer determinants
+MAX_MODULUS = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63: GF(p) updates fit int64
 MAX_SORTED = 1 << 22
 
 
@@ -206,34 +206,106 @@ def sorted_spectrum(t: DiscreteTorus) -> np.ndarray:
 
 # -- integer matrix-tree machinery ------------------------------------------
 
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for p < 3 215 031 751."""
+    if p < 11 or any(p % a == 0 for a in (2, 3, 5, 7)):
+        return p in (2, 3, 5, 7)
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d 2^s with d odd
+    xs = [pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7)]
+    return all(x == 1 or any(pow(x, 1 << r, p) == p - 1 for r in range(s))
+               for x in xs)
+
+
 def _reduced_laplacian_rows(t: DiscreteTorus):
     """Rows of the graph Laplacian with vertex 0 deleted, as ``{col: entry}``.
 
-    Vertices are numbered lexicographically and row/column ``v - 1`` belongs
-    to vertex v.  For n = 2 both neighbours along an axis coincide, so the
-    doubled edge gives the entry -2.
+    Each axis is numbered zig-zag (positions 0, 1, 2, 3, ... hold the
+    coordinates 0, n-1, 1, n-2, ...), which removes the periodic wrap: the
+    bandwidth is at most ``2 n^(m-1)``.  Vertex v, numbered lexicographically
+    in positions, owns row/column ``v - 1``.  For n = 2 both neighbours
+    along an axis coincide, so the doubled edge gives the entry -2.
     """
     n, m = t.n, t.m
+    coord = [q // 2 if q % 2 == 0 else n - 1 - q // 2 for q in range(n)]
+    pos = [2 * c if 2 * c < n else 2 * (n - 1 - c) + 1 for c in range(n)]
     strides = [n ** (m - 1 - a) for a in range(m)]
     for v in range(1, t.points):
         row = {v - 1: 2 * m}
         for s in strides:
-            c = v // s % n
+            q = v // s % n
             for d in (1, -1):
-                u = v + ((c + d) % n - c) * s
+                u = v + (pos[(coord[q] + d) % n] - q) * s
                 if u != 0:
                     row[u - 1] = row.get(u - 1, 0) - 1
         yield row
 
 
+def _det_mod_primes(t: DiscreteTorus, primes) -> list:
+    """Cofactor determinant of the graph Laplacian modulo each prime.
+
+    GF(p) elimination with partial pivoting (a leading minor can vanish mod
+    p) on band storage: row i keeps columns ``i-b .. i+2b``, as a row swap
+    widens the upper band to 2b.  A strided view shows the band as a dense
+    matrix; each pivot step updates one window of it for a batch of primes.
+    An update lies in ``(-p^2, p)`` and is reduced once, as ``x - x // p * p``
+    (numpy's libdivide floor division is twice as fast as its ``%``).
+    Batches keep the band storage below the dense ``size x size`` matrix.
+    """
+    rows = list(_reduced_laplacian_rows(t))
+    size = len(rows)
+    b = max(abs(i - j) for i, row in enumerate(rows) for j in row)
+    batch = max(1, size * size // ((size + b) * (3 * b + 1)))
+    out = []
+    for lo in range(0, len(primes), batch):
+        chunk = primes[lo:lo + batch]
+        ps = np.array(chunk, dtype=np.int64)[:, None, None]
+        band = np.zeros((len(chunk), size + b, 3 * b + 1), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                band[:, i, j - i + b] = x
+        band %= ps
+        s0, s1, s2 = band.strides   # dense[:, i, j] is band[:, i, j - i + b]
+        dense = np.lib.stride_tricks.as_strided(
+            band[:, :, b:], (len(chunk), size + b, size + 2 * b),
+            (s0, s1 - s2, s2))
+        det = [1] * len(chunk)
+        reach = 0   # last column a swapped-in row can reach
+        for k in range(size):
+            piv = dense[:, k, k].tolist()
+            for q in [q for q, x in enumerate(piv) if x == 0]:
+                # swap in the first nonzero below; if none, det mod p is 0
+                r = int(np.argmax(dense[q, k:k + b + 1, k] != 0))
+                cols = slice(k, k + 2 * b + 1)
+                dense[q, [k, k + r], cols] = dense[q, [k + r, k], cols]
+                piv[q], det[q] = int(dense[q, k, k]), -det[q]
+                reach = max(reach, k + r + b)
+            det = [d * x % p for d, x, p in zip(det, piv, chunk)]
+            inv = [pow(x, -1, p) if x else 0 for x, p in zip(piv, chunk)]
+            hi = max(k + b, reach) + 1
+            below = dense[:, k + 1:k + b + 1, k:hi]
+            below -= below[:, :, :1] * np.array(inv)[:, None, None] % ps \
+                * dense[:, k:k + 1, k:hi]
+            below -= below // ps * ps
+        out += det
+    return out
+
+
+def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
+    """Graph-Laplacian cofactor determinant mod a prime int p <= MAX_MODULUS."""
+    if not (isinstance(p, int) and p <= MAX_MODULUS and _is_prime(p)):
+        raise InputError(
+            f"modulus must be a prime int <= {MAX_MODULUS}, got {p}")
+    return _det_mod_primes(t, [p])[0]
+
+
 def spanning_tree_count(t: DiscreteTorus) -> int:
     """Exact number of spanning trees via an integer cofactor determinant.
 
-    The reduced graph Laplacian (vertex 0 deleted) is eliminated with exact
-    rational arithmetic on sparse rows; pivots are the ratios of leading
-    minors and their product is the integer determinant.  Positive
-    definiteness of the reduced Laplacian guarantees nonzero pivots, so no
-    pivoting is needed.
+    m = 1: the lexicographic reduced circle Laplacian is tridiagonal
+    (diagonal 2, off-diagonal -1; [2] for the doubled-edge 2-circle), so
+    its determinant is a continuant, evaluated as a 2x2 matrix power.
+    m >= 2: CRT over residues modulo primes below 2^31 whose product
+    exceeds Hadamard's bound ``(2m)^(N-1)`` on the positive-definite cofactor.
     """
     nverts = t.points
     if nverts > MAX_TREE_VERTICES:
@@ -241,92 +313,18 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
             f"{nverts} vertices exceed the exact-determinant cap "
             f"{MAX_TREE_VERTICES}")
     size = nverts - 1  # vertex 0 deleted
-
     if t.m == 1:
-        # the reduced circle Laplacian is purely tridiagonal (both wrap
-        # edges meet the deleted vertex): diagonal 2, off-diagonal -1 for
-        # n >= 3, and the single entry [2] for the doubled-edge 2-circle;
-        # fraction-free elimination on a tridiagonal matrix is the integer
-        # continuant recurrence on its entries
-        d_prev, d = 0, 1
-        for i in range(size):
-            off2 = 1 if i else 0  # (-1) * (-1)
-            d_prev, d = d, 2 * d - off2 * d_prev
-        return d
-
-    rows = [{j: Fraction(x) for j, x in row.items()}
-            for row in _reduced_laplacian_rows(t)]
-
-    col_rows = [set() for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
-
-    det = Fraction(1)
-    for p in range(size):
-        piv = rows[p][p]
-        det *= piv
-        touched = [i for i in col_rows[p] if i > p]
-        for i in touched:
-            factor = rows[i][p] / piv
-            ri = rows[i]
-            for j, v in rows[p].items():
-                if j < p:
-                    continue
-                new = ri.get(j, Fraction(0)) - factor * v
-                if new == 0:
-                    if j in ri:
-                        del ri[j]
-                        col_rows[j].discard(i)
-                else:
-                    if j not in ri:
-                        col_rows[j].add(i)
-                    ri[j] = new
-            if p in ri:
-                del ri[p]
-            col_rows[p].discard(i)
-
-    if det.denominator != 1:
-        raise RuntimeError("integer determinant came out non-integral")
-    return int(det)
-
-
-def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
-    """Cofactor determinant of the graph Laplacian modulo a prime.
-
-    Banded elimination over GF(p) on the dense reduced Laplacian; only the
-    active rows and columns (band plus periodic wrap block) are updated at
-    each step, so this stays fast at thousands of vertices.  Used to certify
-    large tree counts without full big-integer elimination.
-    """
-    size = t.points - 1
-    mat = np.zeros((size, size), dtype=np.int64)
-    for i, row in enumerate(_reduced_laplacian_rows(t)):
-        for j, x in row.items():
-            mat[i, j] = x
-    mat %= p
-
-    det = 1
-    for k in range(size):
-        if mat[k, k] == 0:
-            nz = np.nonzero(mat[k + 1:, k])[0]
-            if len(nz) == 0:
-                return 0
-            swap = k + 1 + int(nz[0])
-            mat[[k, swap]] = mat[[swap, k]]
-            det = (-det) % p
-        piv = int(mat[k, k])
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        rows_nz = np.nonzero(mat[k + 1:, k])[0] + k + 1
-        if len(rows_nz) == 0:
-            continue
-        cols_nz = np.nonzero(mat[k, k:])[0] + k
-        factors = mat[np.ix_(rows_nz, [k])] * inv % p
-        block = mat[np.ix_(rows_nz, cols_nz)]
-        block = (block - factors * mat[k, cols_nz]) % p
-        mat[np.ix_(rows_nz, cols_nz)] = block
-    return det % p
+        step = np.array([[2, -1], [1, 0]], dtype=object)  # exact integers
+        (a, b), _ = np.linalg.matrix_power(step, size - 1)
+        return int(2 * a + b)
+    primes = []
+    for p in filter(_is_prime, itertools.count(2 ** 31 - 1, -2)):
+        if math.prod(primes) > (2 * t.m) ** size:
+            break
+        primes.append(p)
+    modulus = math.prod(primes)
+    return sum(r * (modulus // p) * pow(modulus // p, -1, p)
+               for r, p in zip(_det_mod_primes(t, primes), primes)) % modulus
 
 
 def eigenvalue_product_integer(t: DiscreteTorus) -> int:
@@ -346,11 +344,8 @@ def eigenvalue_product_integer(t: DiscreteTorus) -> int:
     digits = max(int(log_det_rescaled(t) / math.log(10.0)), 0) + 30
     with mp.workdps(digits):
         s = [4 * mp.sinpi(mp.mpf(k) / t.n) ** 2 for k in range(t.n)]
-        prod = mp.mpf(1)
-        for idx in itertools.product(range(t.n), repeat=t.m):
-            if all(i == 0 for i in idx):
-                continue
-            prod *= sum(s[i] for i in idx)
+        prod = mp.fprod(sum(s[i] for i in idx) for idx in
+                        itertools.product(range(t.n), repeat=t.m) if any(idx))
         nearest = mp.nint(prod)
         if abs(prod - nearest) > 0.25:
             raise NumericalError("eigenvalue product failed to round cleanly")

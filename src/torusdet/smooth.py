@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .errors import InputError, check_dimension, check_resolvent_parameter
+from .errors import (InputError, NumericalError, check_dimension,
+                     check_resolvent_parameter)
 from .expansion import BasisSpec, Samples, extract_reglimit
 from .discrete import _lattice_sum
 from . import finite_part
@@ -88,7 +89,9 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int, *,
         raise InputError(
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
-
+    # the k = 0 term z^(-2 alpha), times Gamma(alpha) mid-evaluation
+    if math.lgamma(alpha) - 2 * alpha * math.log(z) > 708.0:
+        raise NumericalError(f"trace at z = {z} exceeds the float range")
     if method == "auto":
         method = "closed" if (m == 1 and alpha == 1) else "mellin"
     if method == "closed":

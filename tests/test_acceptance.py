@@ -251,9 +251,10 @@ def test_ac13_matrix_tree_oracle():
         if td.eigenvalue_product_integer(t) != t.points * td.spanning_tree_count(t):
             exact_ok = False
             break
-    # m=2, 17 <= n <= 64: exact elimination exceeds the suite budget, so the
-    # reconstructed integer is certified against the reduced-Laplacian
-    # determinant modulo two 31-bit primes (three at the largest size)
+    # m=2, 17 <= n <= 64: an exact CRT count needs about n^2/15 primes
+    # (over two minutes at n = 64), so the reconstructed integer is
+    # certified against the reduced-Laplacian determinant modulo two 31-bit
+    # primes (three at the largest size)
     mod_ok = True
     for n in range(17, 65):
         t = DiscreteTorus(2, n)

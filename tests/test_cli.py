@@ -68,6 +68,16 @@ class TestCommands:
         assert main(["trees", "--m", "2", "--n", "3"]) == 0
         assert "11664" in capsys.readouterr().out
 
+    def test_trees_m2_n24_matches_spectral_product(self, tmp_path):
+        from torusdet import DiscreteTorus, eigenvalue_product_integer
+
+        out = tmp_path / "t.json"
+        assert main(["trees", "--m", "2", "--n", "24",
+                     "--json-out", str(out)]) == 0
+        product = eigenvalue_product_integer(DiscreteTorus(2, 24))
+        assert product % 576 == 0
+        assert json.loads(out.read_text())["count"] == product // 576
+
     def test_trace(self, capsys):
         assert main(["trace", "--m", "1", "--n", "4", "--z", "1.0"]) == 0
         val = 1 + 2 / (1 + 8 / math.pi ** 2) + 1 / (1 + 16 / math.pi ** 2)
@@ -141,6 +151,9 @@ class TestExitCodes:
         ["em-check", "--z", "nan"],
         ["trace-continuum", "--z", "nan"],
         ["trace-continuum", "--z", "inf"],
+        ["regint", "--integrand", "log-kernel", "--lam", "-1"],
+        ["regint", "--integrand", "log-kernel", "--lam", "0"],
+        ["regint", "--integrand", "log-kernel", "--lam", "nan"],
     ])
     def test_bad_input_is_input_error(self, argv, capsys):
         assert main(argv) == 2
@@ -156,6 +169,16 @@ class TestExitCodes:
         t0 = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["trace-continuum", "--z", "1e-300"],
+        ["trace-continuum", "--m", "2", "--alpha", "2", "--z", "1e-300"],
+    ])
+    def test_unrepresentable_trace_is_numerical_failure(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:")
+        assert captured.out == ""
 
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2

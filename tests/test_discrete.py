@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import isprime
 
 from torusdet import (DiscreteTorus, InputError, eigenvalue_product_integer,
                       log_det, log_det_rescaled, omega,
@@ -250,6 +252,49 @@ class TestSpanningTrees:
         count = spanning_tree_count(t)
         for p in (2 ** 31 - 1, 2 ** 31 - 19):
             assert reduced_laplacian_det_mod(t, p) == count % p
+
+
+SMALL_PRIMES = [p for p in range(2, 60) if isprime(p)]
+ZERO_PIVOT_TORI = [(2, n) for n in range(2, 9)] + [(3, 3), (3, 4), (4, 2),
+                                                    (4, 3)]
+
+
+class TestModularDeterminant:
+    @pytest.mark.parametrize("m,n", ZERO_PIVOT_TORI)
+    def test_small_primes_force_pivoting(self, m, n):
+        # leading minors vanish modulo small primes, so the elimination has
+        # to swap rows; the residue must still be the tree count mod p
+        t = DiscreteTorus(m, n)
+        count = spanning_tree_count(t)
+        for p in SMALL_PRIMES:
+            assert reduced_laplacian_det_mod(t, p) == count % p
+
+    @given(st.sampled_from([(1, 7), (1, 30), (2, 2), (2, 5), (2, 9), (3, 3),
+                            (4, 2)]),
+           st.integers(2 ** 30, 2 ** 31 - 1))
+    @settings(deadline=None, max_examples=25)
+    def test_random_31_bit_primes(self, torus, start):
+        p = start | 1
+        while not isprime(p):
+            p += 2
+        t = DiscreteTorus(*torus)
+        assert reduced_laplacian_det_mod(t, p) == spanning_tree_count(t) % p
+
+    @pytest.mark.parametrize("p", [4294967291, 2 ** 61 - 1, 0, -7, 1, 15,
+                                   2 ** 31, 2.0 ** 31 - 1])
+    def test_modulus_must_be_an_int64_safe_prime(self, p):
+        # 4294967291 and 2^61 - 1 are primes whose squares overflow int64
+        with pytest.raises(InputError):
+            reduced_laplacian_det_mod(DiscreteTorus(2, 6), p)
+
+    def test_largest_modulus(self):
+        from torusdet.discrete import MAX_MODULUS
+
+        # the largest admissible prime: updates reach -p^2, just above -2^63
+        t = DiscreteTorus(2, 6)
+        p = max(q for q in range(MAX_MODULUS - 200, MAX_MODULUS + 1)
+                if isprime(q))
+        assert reduced_laplacian_det_mod(t, p) == spanning_tree_count(t) % p
 
 
 class TestRescaledBookkeeping:
