@@ -7,11 +7,13 @@ are sums over axes.  That axis formula lives in one kernel,
 ``_axis_eigenvalues``, which every spectral quantity here and in the
 Euler-Maclaurin module evaluates.  Spectral sums (log-determinants,
 resolvent traces, the extended-grid sums of the inclusion-exclusion
-route) are streamed by ``_lattice_sum`` over the half-axis table
+route) are reduced by ``_lattice_sum`` over the half-axis table
 ``_half_axis`` (distinct eigenvalues k = 0..n//2 with multiplicity
-weights), so no ``n^m`` eigenvalue array is ever materialized, and chunk
-partials are combined with an exact fsum in a fixed order for
-reproducibility.
+weights): the innermost axis is a row, the outer axes index the rows, and
+blocks of whole rows are evaluated at once, so no ``n^m`` eigenvalue
+array is ever materialized.  Each row is summed pairwise and the row
+partials are combined with one exact fsum, so the value does not depend
+on the block size and is bit-reproducible.
 
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
@@ -33,12 +35,12 @@ import numpy as np
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
 from .expansion import BasisSpec, Samples, extract_reglimit
-from .sums import fsum_chunks
 
 MAX_SUM_LATTICE = 1 << 25     # iteration cap for spectral sums
 MAX_TREE_VERTICES = 4096      # cap for exact integer determinants
 MAX_MODULUS = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63: GF(p) updates fit int64
 MAX_SORTED = 1 << 22
+LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
 
 
 @dataclass(frozen=True)
@@ -86,28 +88,33 @@ def _half_axis(n: int):
 def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     """Reduce ``term_fn(omega)`` over the weighted product of axis spectra.
 
-    The innermost axis is vectorized; outer axes are looped in
-    lexicographic order and chunk partials are fsum-combined, which fixes
-    the reduction order regardless of how work would be chunked.
+    The innermost axis is a row; the outer axes are flattened once, in
+    lexicographic order, into per-row offsets ``base = 0.0 + s[i] + s[j]
+    ...`` and weights ``wt = 1.0 * w[i] * w[j] ...``, accumulated left to
+    right.
+    Blocks of whole rows, about ``LATTICE_BLOCK`` elements each, are
+    evaluated at once and reduced row by row with numpy's pairwise sum; the
+    row partials are combined with one exact ``math.fsum``, so the result
+    does not depend on the block size and is bit-reproducible.  With
+    ``skip_zero_mode`` the first element of row 0 (the all-zero mode) is
+    left out.
     """
     *outer, (s_in, w_in) = axes
-    chunks = []
+    vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
     if not outer:
-        vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
-        chunks.append(wts * term_fn(vals))
-    else:
-        ranges = [range(len(s)) for s, _ in outer]
-        for idx in itertools.product(*ranges):
-            base = 0.0
-            wt = 1.0
-            for (s, w), i in zip(outer, idx):
-                base += s[i]
-                wt *= w[i]
-            vals, wts = s_in, w_in
-            if skip_zero_mode and all(i == 0 for i in idx):
-                vals, wts = s_in[1:], w_in[1:]
-            chunks.append((wt * wts) * term_fn(base + vals))
-    return fsum_chunks(chunks)
+        return float(np.sum(wts * term_fn(vals)))
+    base = np.array([0.0])
+    wt = np.array([1.0])
+    for s, w in outer:
+        base = np.add.outer(base, s).ravel()
+        wt = np.multiply.outer(wt, w).ravel()
+    partials = [float(np.sum((wt[0] * wts) * term_fn(base[0] + vals)))]
+    step = max(1, LATTICE_BLOCK // len(s_in))
+    for lo in range(1, len(base), step):
+        rows = slice(lo, lo + step)
+        chunk = (wt[rows, None] * w_in) * term_fn(base[rows, None] + s_in)
+        partials.extend(chunk.sum(axis=1).tolist())
+    return math.fsum(partials)
 
 
 def _check_sum_size(t: DiscreteTorus):

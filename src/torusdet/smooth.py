@@ -281,7 +281,10 @@ def _lattice_norms_sq(m: int, r2max: int) -> np.ndarray:
             parts.append(row)
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts))
+    norms = np.concatenate(parts)
+    del parts   # free the rows before sorting
+    norms.sort()
+    return norms
 
 
 def partial_log_product(m: int, mode: str, parameter) -> float:
@@ -343,8 +346,10 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
         ratio = SMOOTH_HALFWIDTH ** (1.0 / half)
         lam_max = max(grid) * SMOOTH_HALFWIDTH
         norms = _lattice_norms_sq(m, int(math.floor(lam_max * lam_max)) + 1)
-        flt = norms.astype(float)
-        prefix = np.concatenate([[0.0], np.cumsum(np.log(flt))])
+        # prefix[i] = sum of log over the i smallest norms, in one buffer
+        prefix = np.empty(len(norms) + 1)
+        prefix[0] = 0.0
+        np.cumsum(np.log(norms, out=prefix[1:]), out=prefix[1:])
         vol = _ball_volume(m)
 
         def corrected(lam):
@@ -386,7 +391,8 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     Tabulates both traces over the grid, checks that the absolute
     difference decreases, and verifies the derivative identity
     ``d/dz Tr(.+z^2)^(-alpha) = -2 alpha z Tr(.+z^2)^(-alpha-1)`` by a
-    fourth-order finite difference on both sides of the limit.
+    fourth-order finite difference with step ``z / 400`` on both sides of
+    the limit.
     """
     from .discrete import DiscreteTorus, resolvent_trace
 
@@ -401,7 +407,7 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     diffs = [abs(r[3]) for r in rows]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
 
-    h = 0.01
+    h = z / 400.0   # the relative truncation error goes as (h/z)^4
     t_big = DiscreteTorus(m, int(n_grid[-1]))
     fd_d = _fd4(lambda s: resolvent_trace(t_big, s, alpha), z, h)
     ident_d = -2.0 * alpha * z * resolvent_trace(t_big, z, alpha + 1)

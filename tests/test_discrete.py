@@ -1,5 +1,6 @@
 """Tests for discrete torus spectra, determinants, traces, and tree counts."""
 
+import itertools
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from torusdet import (DiscreteTorus, InputError, eigenvalue_product_integer,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
+from torusdet.discrete import _half_axis, _lattice_sum
 
 
 def closed_form_logdet_1d(n):
@@ -76,6 +78,43 @@ class TestSpectrum:
         z = 0.8
         assert resolvent_trace(t, z, 2) == pytest.approx(
             float(np.sum((vals + z * z) ** -2.0)), rel=1e-13)
+
+
+def per_row_lattice_sum(axes, term_fn, *, skip_zero_mode):
+    # reference: one numpy pairwise sum per outer index tuple, in
+    # lexicographic order, partials combined by fsum
+    *outer, (s_in, w_in) = axes
+    partials = []
+    for idx in itertools.product(*[range(len(s)) for s, _ in outer]):
+        base = 0.0
+        wt = 1.0
+        for (s, w), i in zip(outer, idx):
+            base += s[i]
+            wt *= w[i]
+        vals, wts = s_in, w_in
+        if skip_zero_mode and not any(idx):
+            vals, wts = s_in[1:], w_in[1:]
+        partials.append(float(np.sum((wt * wts) * term_fn(base + vals))))
+    return math.fsum(partials)
+
+
+class TestBlockedLatticeSum:
+    # with LATTICE_BLOCK = 2^14 the (n//2 + 1)^(m-1) - 1 rows after the zero
+    # row fill several blocks and a partial one at (2, 600), (2, 601),
+    # (3, 64), (3, 65), (4, 40) and (4, 41)
+    @pytest.mark.parametrize("m,n", [(1, 9), (1, 10), (2, 2), (2, 3),
+                                     (2, 600), (2, 601), (3, 4), (3, 7),
+                                     (3, 64), (3, 65), (4, 5), (4, 40),
+                                     (4, 41)])
+    def test_bit_identical_to_per_row_loop(self, m, n):
+        axes = [_half_axis(n)] * m
+        cases = [(np.log, True),
+                 (lambda v: (v + 0.49) ** -float(m), True),
+                 (lambda v: (v + 0.49) ** -float(m), False),
+                 (lambda v: (v + 2.25) ** -1, False)]
+        for term_fn, skip in cases:
+            assert _lattice_sum(axes, term_fn, skip_zero_mode=skip) == \
+                per_row_lattice_sum(axes, term_fn, skip_zero_mode=skip)
 
 
 class TestOmega:

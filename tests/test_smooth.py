@@ -166,6 +166,16 @@ class TestConvergence:
         assert rep.derivative_rel_err_discrete <= 1e-6
         assert rep.derivative_rel_err_continuum <= 1e-6
 
+    @pytest.mark.parametrize("m,z,grid", [(3, 0.5, [8, 16, 32, 64]),
+                                          (3, 1.0, [8, 16, 32, 64]),
+                                          (2, 0.5, [8, 32, 128, 512])])
+    def test_derivative_identity_at_small_z(self, m, z, grid):
+        # a step proportional to z keeps the finite-difference error
+        # below tolerance where a fixed step does not
+        rep = convergence_check(m, grid, z, m)
+        assert rep.derivative_rel_err_discrete <= 1e-6
+        assert rep.derivative_rel_err_continuum <= 1e-6
+
     def test_m1_module_contract_at_largest_n(self):
         rep = convergence_check(1, [512, 1024, 2048, 4096], 1.0, 1)
         assert rep.strictly_decreasing
