@@ -72,6 +72,8 @@ def _axis_eigenvalues(n: int, x):
 
 def spectrum_1d(n: int) -> np.ndarray:
     """One-axis eigenvalues ``(n^2/pi^2) sin^2(pi k/n)``, k = 0..n-1."""
+    if n > MAX_SORTED:
+        raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
     return _axis_eigenvalues(n, np.arange(n))
 
 
@@ -170,9 +172,9 @@ def log_det_rescaled(t: DiscreteTorus) -> float:
 
 def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
     """``sum over the full lattice of (omega + z^2)^(-alpha)``, kernel included."""
-    check_resolvent_parameter(z)
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
+    check_resolvent_parameter(z, alpha)
     _check_sum_size(t)
     z2 = z * z
     return _lattice_sum([_half_axis(t.n)] * t.m,
@@ -187,7 +189,8 @@ def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
     coordinates pinned to 0.  Equals ``resolvent_trace(t, z, m)`` up to
     floating-point accumulation.
     """
-    check_resolvent_parameter(z)
+    # the terms C(m,k) T_k carry the zero mode with weights summing to 3^m
+    check_resolvent_parameter(z, t.m, t.m * math.log(3.0))
     _check_sum_size(t)
     m = t.m
     total = []

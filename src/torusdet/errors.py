@@ -34,8 +34,15 @@ def check_dimension(m: int) -> None:
         raise InputError(f"dimension m must be in 1..4, got {m}")
 
 
-def check_resolvent_parameter(z: float) -> None:
-    """Reject a resolvent parameter z that is not finite and positive."""
+def check_resolvent_parameter(z: float, alpha: int,
+                              log_scale: float = 0.0) -> None:
+    """Reject a resolvent parameter z that is not finite and positive.
+
+    A z whose largest trace term, ``exp(log_scale) z^(-2 alpha)``, leaves
+    the float range is a numerical failure, caught before any evaluation.
+    """
     if not (math.isfinite(z) and z > 0):
         raise InputError(f"resolvent parameter z must be finite and positive, "
                          f"got {z}")
+    if log_scale - 2 * alpha * math.log(z) > 708.0:
+        raise NumericalError(f"trace at z = {z} exceeds the float range")

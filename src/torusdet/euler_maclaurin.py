@@ -335,7 +335,7 @@ def _pattern_value(n, z, alpha, M, betas, chain=None) -> float:
 def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
                                    alpha: int) -> float:
     """Direct reference sum over the extended grid {0..n}^m."""
-    check_resolvent_parameter(z)
+    check_resolvent_parameter(z, alpha, t.m * math.log(2.0))  # zero-mode weight
     return _extended_trace_sum(t.n, t.m, z, alpha)
 
 
@@ -349,7 +349,6 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
     """
     if t.m > 2:
         raise InputError("full decomposition implemented for m <= 2")
-    check_resolvent_parameter(z)
     alpha = t.m if alpha is None else int(alpha)
     floor = default_truncation(t.m)
     M = floor if M is None else int(M)
@@ -357,6 +356,8 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
         raise InputError(
             f"truncation order is configurable upward from {floor} for "
             f"m = {t.m}, got {M}")
+    # a derivative of order 2M+1 per axis raises the resolvent power by as much
+    check_resolvent_parameter(z, alpha + t.m * (2 * M + 1))
     values = {}
     for betas in itertools.product((1, 2, 3, 4), repeat=t.m):
         values[betas] = _pattern_value(t.n, z, alpha, M, betas, chain=chain)

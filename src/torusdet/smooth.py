@@ -18,10 +18,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .errors import (InputError, NumericalError, check_dimension,
-                     check_resolvent_parameter)
+from .errors import InputError, check_dimension, check_resolvent_parameter
 from .expansion import BasisSpec, Samples, extract_reglimit
-from .discrete import _lattice_sum
+from .discrete import MAX_SUM_LATTICE, _lattice_sum
 from . import finite_part
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -84,14 +83,12 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int, *,
     For m = 1, alpha = 1 the closed form ``pi coth(pi z)/z`` is used.
     """
     check_dimension(m)
-    check_resolvent_parameter(z)
     if alpha < _min_alpha(m):
         raise InputError(
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
     # the k = 0 term z^(-2 alpha), times Gamma(alpha) mid-evaluation
-    if math.lgamma(alpha) - 2 * alpha * math.log(z) > 708.0:
-        raise NumericalError(f"trace at z = {z} exceeds the float range")
+    check_resolvent_parameter(z, alpha, math.lgamma(alpha))
     if method == "auto":
         method = "closed" if (m == 1 and alpha == 1) else "mellin"
     if method == "closed":
@@ -300,20 +297,36 @@ def partial_log_product(m: int, mode: str, parameter) -> float:
         lam = float(parameter)
         if lam < 1:
             raise InputError("cutoff must be >= 1")
+        _check_enumeration(m, mode, lam)
         norms = _lattice_norms_sq(m, int(math.floor(lam * lam)))
         return float(np.sum(np.log(norms.astype(float))))
     if mode == "by_count":
         count = int(parameter)
         if count < 1:
             raise InputError("count must be >= 1")
-        r2 = 4
+        _check_enumeration(m, mode, count)
+        # start at the radius whose ball holds about `count` points
+        r2 = int((count / _ball_volume(m)) ** (2.0 / m)) + 4
         while True:
             norms = _lattice_norms_sq(m, r2)
             if len(norms) >= count:
                 break
-            r2 *= 4
+            r2 += r2 // 4
         return float(np.sum(np.log(norms[:count].astype(float))))
     raise InputError(f"unknown mode {mode!r}")
+
+
+def _check_enumeration(m: int, mode: str, parameter: float) -> None:
+    """Reject a partial product too large to enumerate, before allocating.
+
+    A count, or the about ``V_m Lambda^m`` norms below a cutoff Lambda, may
+    not exceed ``MAX_SUM_LATTICE``.
+    """
+    limit = (MAX_SUM_LATTICE if mode == "by_count"
+             else (MAX_SUM_LATTICE / _ball_volume(m)) ** (1.0 / m))
+    if not parameter <= limit:
+        raise InputError(f"{mode} parameter {parameter:g} needs more than "
+                         f"{MAX_SUM_LATTICE} lattice norms")
 
 
 def _ball_volume(m: int) -> float:
@@ -341,11 +354,13 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
     """
     check_dimension(m)
     grid = [float(g) for g in grid]
-    if mode == "by_cutoff" and m >= 2:
+    smoothed = mode == "by_cutoff" and m >= 2
+    largest = max(grid, default=0.0) * (SMOOTH_HALFWIDTH if smoothed else 1.0)
+    _check_enumeration(m, mode, largest)
+    if smoothed:
         half = SMOOTH_POINTS // 2
         ratio = SMOOTH_HALFWIDTH ** (1.0 / half)
-        lam_max = max(grid) * SMOOTH_HALFWIDTH
-        norms = _lattice_norms_sq(m, int(math.floor(lam_max * lam_max)) + 1)
+        norms = _lattice_norms_sq(m, int(math.floor(largest * largest)) + 1)
         # prefix[i] = sum of log over the i smallest norms, in one buffer
         prefix = np.empty(len(norms) + 1)
         prefix[0] = 0.0

@@ -171,14 +171,57 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("argv", [
+        ["eigenproduct", "--m", "1", "--mode", "by_count",
+         "--grid", "1e12:1e12:x2", "--basis", "0,0"],
+        ["eigenproduct", "--m", "2", "--grid", "1e5:1e5:x2", "--basis", "0,0"],
+        ["eigenproduct", "--m", "1", "--grid", "1e300:1e300:x2"],
+        ["spectrum", "--n", str(10 ** 12)],
+    ])
+    def test_oversized_enumeration_exits_at_once(self, argv, capsys):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("argv", [
         ["trace-continuum", "--z", "1e-300"],
         ["trace-continuum", "--m", "2", "--alpha", "2", "--z", "1e-300"],
+        ["trace", "--n", "4", "--z", "1e-200"],
+        ["trace", "--n", "4", "--alpha", "1000", "--z", "0.001"],
+        ["trace", "--n", "4", "--z-grid", "1e-200:1e-100:x1e50"],
+        ["em-check", "--m", "1", "--n", "8", "--z", "1e-200"],
     ])
     def test_unrepresentable_trace_is_numerical_failure(self, argv, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["regint", "--tol", "nan"],
+        ["regint", "--quad-tol", "0"],
+        ["zeta-det", "--tol", "nan"],
+        ["em-check", "--tol", "nan"],
+        ["main-theorem", "--tol", "nan"],
+        ["converge", "--tol=-1e-4"],
+        ["interchange-check", "--all", "--tol", "inf"],
+        ["eigenproduct", "--tol", "nan"],
+        ["eigenproduct", "--tol", "1e-6", "--target", "inf"],
+    ])
+    def test_bad_tolerance_is_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--json-out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trees", "--n", "3"], ["regint"], ["interchange-check"],
+        ["em-check"], ["zeta-det"], ["trace-continuum"], ["converge"],
+        ["eigenproduct"]])
+    def test_csv_out_only_on_series_commands(self, argv, tmp_path):
+        csv = tmp_path / "x.csv"
+        assert main(argv + ["--csv-out", str(csv)]) == 2
+        assert not csv.exists()
 
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2
@@ -196,6 +239,38 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestConfig:
+    @pytest.mark.parametrize("argv,option,values", [
+        (["em-check", "--m", "1", "--n", "8"], "--tol", ("1e-8", "1e-6")),
+        (["converge", "--m", "1", "--n-grid", "8:64:x2"], "--tol",
+         ("1e-4", "1e-3")),
+        (["regint"], "--tol", ("1e-8", "1e-6")),
+        (["eigenproduct", "--m", "1", "--grid", "16:4096:x2", "--tol", "1"],
+         "--target", ("3.6", "3.7")),
+    ])
+    def test_config_hash_tracks_the_verdict_options(self, argv, option, values,
+                                                     tmp_path):
+        reports = []
+        for i, value in enumerate(values):
+            out = tmp_path / f"{i}.json"
+            assert main(argv + [option, value, "--json-out", str(out)]) in (0, 1)
+            reports.append(json.loads(out.read_text()))
+        a, b = reports
+        assert a["config_hash"] != b["config_hash"]
+        key = option[2:]
+        assert (a["config"].pop(key), b["config"].pop(key)) == tuple(
+            map(float, values))
+        assert a["config"] == b["config"]
+
+    def test_config_echoes_every_option_but_output_paths(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["trace", "--m", "2", "--n", "4", "--z", "0.5",
+                     "--csv-out", str(tmp_path / "x.csv"),
+                     "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "m": 2, "n": 4, "alpha": 1, "z": 0.5, "z_grid": None}
+
+
 class TestReproducibility:
     def test_identical_config_identical_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -206,3 +281,23 @@ class TestReproducibility:
         ra.pop("timings")
         rb.pop("timings")
         assert ra == rb
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "8"],
+        ["logdet", "--m", "1", "--n-grid", "8:64:x2"],
+        ["trace", "--m", "1", "--n", "4", "--z-grid", "0.5:4:x2"],
+        ["main-theorem", "--m", "1", "--n-grid", "16:1024:x2"],
+    ])
+    def test_identical_config_identical_series(self, argv, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            report, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert main(argv + ["--json-out", str(report),
+                                "--csv-out", str(csv)]) == 0
+            rep = json.loads(report.read_text())
+            rep.pop("timings")
+            runs.append((rep, csv.read_text()))
+        (ra, ca), (rb, cb) = runs
+        assert ra == rb
+        assert ca == cb
+        assert ca.startswith(f"# config {ra['config_hash']}\nx,value\n")

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import isprime
 
-from torusdet import (DiscreteTorus, InputError, eigenvalue_product_integer,
-                      log_det, log_det_rescaled, omega,
+from torusdet import (DiscreteTorus, InputError, NumericalError,
+                      eigenvalue_product_integer, log_det, log_det_rescaled, omega,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
@@ -58,6 +58,12 @@ class TestSpectrum:
                 val = spectrum_1d(n)[k]
                 assert prev <= val <= k * k + 1e-12
                 prev = val
+
+    def test_one_axis_spectrum_cap(self):
+        from torusdet.discrete import MAX_SORTED
+        assert len(spectrum_1d(MAX_SORTED)) == MAX_SORTED
+        with pytest.raises(InputError):
+            spectrum_1d(MAX_SORTED + 1)
 
     def test_sorted_spectrum_kernel(self):
         t = DiscreteTorus(2, 6)
@@ -194,6 +200,34 @@ class TestResolventTrace:
                      lambda: resolvent_trace_continuum(2, z, 2)):
             with pytest.raises(InputError):
                 call()
+
+    @pytest.mark.parametrize("m,alpha", [(1, 1), (2, 1), (2, 2), (3, 3),
+                                         (4, 1), (4, 4)])
+    def test_tiny_z_is_finite_or_numerical_error(self, m, alpha):
+        # scan z across the float-range threshold of the largest term of each
+        # entry point; no term may be evaluated past it (an overflow would
+        # raise FloatingPointError here) and no answer may be inf or nan
+        from torusdet import boundary_inclusive_lattice_sum, em_decompose
+        t = DiscreteTorus(m, 3)
+        calls = [lambda z: resolvent_trace(t, z, alpha),
+                 lambda z: boundary_inclusive_lattice_sum(t, z, alpha)]
+        if alpha == m:
+            calls.append(lambda z: trace_inclusion_exclusion(t, z))
+        if m <= 2:
+            calls.append(lambda z: em_decompose(t, z, alpha)[1])
+        outcomes = set()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for call in calls:
+                for z in np.geomspace(1e-200, 1e-10, 1500):
+                    try:
+                        outcomes.add(math.isfinite(call(float(z))))
+                    except NumericalError:
+                        outcomes.add("numerical error")
+        assert outcomes == {True, "numerical error"}
+
+    def test_large_power_at_unit_z(self):
+        # the zero mode contributes exactly 1, every other term underflows
+        assert resolvent_trace(DiscreteTorus(1, 4), 1.0, 1000) == 1.0
 
     def test_z_derivative_identity(self):
         # d/dz Tr(.+z^2)^(-a) = -2 a z Tr(.+z^2)^(-a-1)

@@ -122,6 +122,17 @@ class TestPartialProducts:
         # eigenvalue 1 with multiplicity 4
         assert partial_log_product(2, "by_cutoff", 1) == 0.0
 
+    @pytest.mark.parametrize("m,mode,parameter", [
+        (1, "by_count", 10 ** 12), (4, "by_count", 2 ** 25 + 1),
+        (1, "by_cutoff", 1e12), (2, "by_cutoff", 1e4), (4, "by_cutoff", 1e300),
+        (1, "by_cutoff", math.inf)])
+    def test_enumeration_cap(self, m, mode, parameter):
+        with pytest.raises(InputError):
+            partial_log_product(m, mode, parameter)
+        with pytest.raises(InputError):
+            eigenproduct_reglimit(m, mode, [16.0, parameter],
+                                  BasisSpec(((0.0, 0),)))
+
     def test_shell_complete_count_matches_cutoff(self):
         for (m, lam) in [(1, 7), (2, 5), (2, 11)]:
             from torusdet.smooth import _lattice_norms_sq
