@@ -35,12 +35,14 @@ import numpy as np
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
 from .expansion import BasisSpec, Samples, extract_reglimit
+from .finite_part import _quad
 
 MAX_SUM_LATTICE = 1 << 25     # iteration cap for spectral sums
 MAX_TREE_VERTICES = 4096      # cap for exact integer determinants
 MAX_MODULUS = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63: GF(p) updates fit int64
 MAX_SORTED = 1 << 22
 LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
+DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
 
 
 @dataclass(frozen=True)
@@ -364,7 +366,7 @@ def eigenvalue_product_integer(t: DiscreteTorus) -> int:
 
 # -- oracles and pipelines ---------------------------------------------------
 
-def square_lattice_logdet_density(m: int, *, tol: float = 1e-12) -> float:
+def square_lattice_logdet_density(m: int) -> float:
     """Bulk log-determinant density of the m-dimensional lattice Laplacian.
 
     The per-site limit ``(2 pi)^{-m} int log(2m - 2 sum_i cos u_i) d^m u``
@@ -376,15 +378,14 @@ def square_lattice_logdet_density(m: int, *, tol: float = 1e-12) -> float:
         return 0.0
     if m != 2:
         raise InputError("bulk density implemented for m in {1, 2}")
-    from scipy import integrate
 
     def inner(v):
         a = 4.0 - 2.0 * math.cos(v)
         x = (a + math.sqrt(max(a * a - 4.0, 0.0))) / 2.0
         return math.log(x)
 
-    val, _ = integrate.quad(inner, 0.0, 2.0 * math.pi, epsabs=tol,
-                            epsrel=tol, limit=400, points=[0.0, 2 * math.pi])
+    val, _ = _quad(inner, 0.0, 2.0 * math.pi, DENSITY_QUAD_TOL,
+                   points=[0.0, 2 * math.pi])
     return val / (2.0 * math.pi)
 
 

@@ -132,6 +132,10 @@ class RegIntResult:
 
 
 def _quad(f, a, b, tol, *, points=None):
+    """The package's one adaptive quadrature, ``tol`` absolute and relative.
+
+    An IntegrationWarning or a non-finite value raises NumericalError.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -224,8 +228,7 @@ def default_logdet_tail_basis(m: int) -> BasisSpec:
 
 def logdet_via_regint(trace, m: int, kernel_dim: int, *,
                       window_end: float = 64.0,
-                      nonzero_modes: float | None = None,
-                      quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+                      nonzero_modes: float | None = None) -> float:
     """Log-determinant from the finite-part resolvent-trace integral.
 
     Evaluates ``-2 * fp-integral of z**(2m-1) * trace(z, m) over (0, inf)``
@@ -262,11 +265,11 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
         return z ** p * (trace(z, m) - kd * z ** (-2 * m))
 
     # below eps0 the kernel-subtracted integrand is O(z**(2m-1)); its exact
-    # contribution is negligible at quad_tol and quadrature noise from the
-    # kernel cancellation would dominate there
+    # contribution is negligible at DEFAULT_QUAD_TOL and quadrature noise
+    # from the kernel cancellation would dominate there
     eps0 = 1e-6
-    core_zero, err0 = _quad(g_reduced, eps0, 1.0, quad_tol)
-    core_main, err1 = _quad(g, 1.0, window_end, quad_tol)
+    core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
+    core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
     coeffs, rms = fit_tail(g, "infinity", window_end,
                            default_logdet_tail_basis(m))
     tail = math.fsum(c * finite_part_tail_inf(a, k, window_end)

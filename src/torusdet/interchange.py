@@ -29,6 +29,7 @@ from .finite_part import (IntegrandHandle, finite_part_tail_inf, fit_tail,
                           reg_integral, _quad)
 
 DEGREE_TOL = 1e-12
+QUAD_TOL = 1e-11        # adaptive quadratures, absolute and relative
 HOMOGENEITY_RTOL = 1e-12
 
 
@@ -110,7 +111,7 @@ def _zero_side_expansion(f: HomogeneousFn) -> Expansion:
     return Expansion(direction=TO_ZERO, terms=tuple(terms))
 
 
-def correction_term(f: HomogeneousFn, *, quad_tol: float = 1e-11) -> float:
+def correction_term(f: HomogeneousFn) -> float:
     """The interchange correction: fp-integral of f(., 1) over (0, inf)
     when the degree is -1 (within tolerance), zero otherwise."""
     if abs(f.degree + 1.0) > DEGREE_TOL:
@@ -120,7 +121,7 @@ def correction_term(f: HomogeneousFn, *, quad_tol: float = 1e-11) -> float:
         tail_zero=_zero_side_expansion(f),
         tail_inf=f.expansion_z,
     )
-    return reg_integral(handle, quad_tol=quad_tol).value
+    return reg_integral(handle, quad_tol=QUAD_TOL).value
 
 
 def _z_tail_basis(f: HomogeneousFn) -> BasisSpec:
@@ -135,8 +136,7 @@ def _z_tail_basis(f: HomogeneousFn) -> BasisSpec:
     return BasisSpec(tuple(ordered))
 
 
-def fp_integral_from_one(f: HomogeneousFn, n: float, *,
-                         quad_tol: float = 1e-11) -> float:
+def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
     """Finite-part integral of f(., n) over [1, inf).
 
     Quadrature runs to the window end ``max(32, 16 n)``, which scales with
@@ -149,7 +149,7 @@ def fp_integral_from_one(f: HomogeneousFn, n: float, *,
     def g(z):
         return f.evaluator(z, n)
 
-    core, _ = _quad(g, 1.0, window_end, quad_tol)
+    core, _ = _quad(g, 1.0, window_end, QUAD_TOL)
     basis = _z_tail_basis(f)
     coeffs, _ = fit_tail(g, "infinity", window_end, basis)
     tail = math.fsum(c * finite_part_tail_inf(a, k, window_end)
@@ -175,10 +175,10 @@ def _default_basis_n(f: HomogeneousFn) -> BasisSpec:
     return BasisSpec(tuple(ordered))
 
 
-def lhs_interchange(f: HomogeneousFn, *, quad_tol: float = 1e-11) -> float:
+def lhs_interchange(f: HomogeneousFn) -> float:
     """Regularized limit over n of the finite-part integrals from 1."""
     grid = default_n_grid()
-    vals = [fp_integral_from_one(f, n, quad_tol=quad_tol) for n in grid]
+    vals = [fp_integral_from_one(f, n) for n in grid]
     samples = Samples(np.array(grid, dtype=float), np.array(vals))
     constant, _ = extract_reglimit(samples, _default_basis_n(f))
     return constant

@@ -4,9 +4,11 @@ products, and convergence of the discrete resolvent traces.
 The flat m-torus (product of unit circles) has Laplace spectrum
 ``|k|^2, k in Z^m`` with a one-dimensional kernel.  Two independent routes
 to its log-determinant are provided: the Mellin/theta continuation of the
-spectral zeta function (the reference oracle), and the finite-part
-resolvent-trace integral evaluated with the same machinery used for the
-discrete tori.
+spectral zeta function (the reference oracle, whose two tails are lattice
+series of incomplete gamma functions), and the finite-part resolvent-trace
+integral evaluated with the same machinery used for the discrete tori.
+Every quadrature here goes through ``finite_part._quad``, so quadrature
+trouble raises NumericalError.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
-from .errors import InputError, check_dimension, check_resolvent_parameter
+from .errors import (InputError, NumericalError, check_dimension,
+                     check_resolvent_parameter)
 from .expansion import BasisSpec, Samples, extract_reglimit
 from .discrete import MAX_SUM_LATTICE, _lattice_sum
 from . import finite_part
@@ -27,6 +30,16 @@ EULER_GAMMA = float(np.euler_gamma)
 THETA_LOG_EPS = 40.0     # theta sums drop Gaussian terms below exp(-40)
 SMOOTH_POINTS = 41       # cutoffs per eigenproduct smoothing window
 SMOOTH_HALFWIDTH = 1.2   # the window spans [Lambda/1.2, Lambda*1.2]
+TRACE_QUAD_TOL = 1e-13   # continuum trace quadratures, absolute and relative
+MELLIN_END = 60.0        # last break of the trace's Mellin integral, unless
+MELLIN_TAIL = 1e-17      # the Gamma(alpha) weight beyond it exceeds this
+# Up to this alpha the trace's Mellin weight is the plain u^(alpha-1) e^(-u),
+# accurate to 2e-16.  Above it the weight is divided by Gamma(alpha) in logs
+# (3e-15): the plain weight's size makes the absolute tolerance unreachable
+# (roundoff at alpha = 6..8, z near 3..7), and Gamma(alpha) overflows.
+PLAIN_WEIGHT_ALPHA = 5
+ZETA_SHELLS = 60         # squared norms kept in the zeta lattice series
+GAMMA_OVERFLOW = 171.0   # Gamma(x) overflows a double just above x = 171.6
 
 
 def _theta1_direct(t: float) -> float:
@@ -62,8 +75,9 @@ def _theta_deficit(m: int, t: float) -> float:
     quantity computed directly.
     """
     if t < math.pi:
-        u = math.pi ** 2 / t
-        return (math.pi / t) ** (m / 2.0) * (_theta1_direct(u) ** m - 1.0)
+        d = _theta1_direct(math.pi ** 2 / max(t, 1e-300)) ** m - 1.0
+        # d vanishes long before the prefactor can overflow
+        return (math.pi / t) ** (m / 2.0) * d if d else 0.0
     return _theta1_direct(t) ** m - (math.pi / t) ** (m / 2.0)
 
 
@@ -71,12 +85,10 @@ def _min_alpha(m: int) -> int:
     return (m + 2) // 2  # smallest integer alpha with alpha > m/2
 
 
-def resolvent_trace_continuum(m: int, z: float, alpha: int, *,
-                              method: str = "auto",
-                              quad_tol: float = 1e-13) -> float:
+def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
     """``sum over Z^m of (|k|^2 + z^2)^(-alpha)``.
 
-    The default evaluation writes the sum as its exact continuum integral
+    The sum is its exact continuum integral
     ``pi^(m/2) Gamma(alpha-m/2)/Gamma(alpha) z^(m-2 alpha)`` plus a heat-trace
     correction integral whose integrand involves only the superexponentially
     small theta deficit; this stays accurate to ~1e-12 relative for all z.
@@ -87,40 +99,47 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int, *,
         raise InputError(
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
-    # the k = 0 term z^(-2 alpha), times Gamma(alpha) mid-evaluation
-    check_resolvent_parameter(z, alpha, math.lgamma(alpha))
-    if method == "auto":
-        method = "closed" if (m == 1 and alpha == 1) else "mellin"
-    if method == "closed":
-        if not (m == 1 and alpha == 1):
-            raise InputError("closed form available only for m=1, alpha=1")
+    plain = alpha <= PLAIN_WEIGHT_ALPHA
+    # the k = 0 term z^(-2 alpha), times Gamma(alpha) in the plain form's sum
+    check_resolvent_parameter(z, alpha, math.lgamma(alpha) if plain else 0.0)
+    if m == 1 and alpha == 1:
         x = math.pi * z
         if x > 350.0:
             return math.pi / z
         return math.pi / (math.tanh(x) * z)
-    if method != "mellin":
-        raise InputError(f"unknown method {method!r}")
 
-    lead = (math.pi ** (m / 2.0) * math.gamma(alpha - m / 2.0)
-            / math.gamma(alpha) * z ** (m - 2 * alpha))
+    # the Mellin weight u^(alpha-1) e^(-u) peaks at u = alpha; stop where
+    # its normalized tail falls below MELLIN_TAIL
+    end = max(MELLIN_END, float(special.gammainccinv(alpha, MELLIN_TAIL)))
+    if plain:
+        g_lead, g_alpha = math.gamma(alpha - m / 2.0), math.gamma(alpha)
+
+        def weight(u):
+            return u ** (alpha - 1) * math.exp(-u)
+    else:   # the weight normalized by Gamma(alpha), formed in logs
+        log_g = math.lgamma(alpha)
+        g_lead, g_alpha = math.exp(math.lgamma(alpha - m / 2.0) - log_g), 1.0
+
+        def weight(u):
+            return math.exp((alpha - 1) * math.log(u) - u - log_g)
+
+    lead = math.pi ** (m / 2.0) * g_lead / g_alpha * z ** (m - 2 * alpha)
     z2 = z * z
 
     def integrand(u):
         if u <= 0.0:
             return 0.0
-        return u ** (alpha - 1) * math.exp(-u) * _theta_deficit(m, u / z2)
+        return weight(u) * _theta_deficit(m, u / z2)
 
     # the theta deficit switches from superexponentially small to O(1)
     # around u = pi * z^2
     breaks = sorted({min(math.pi * z2, 50.0), 1.0, 10.0})
     pieces = []
     lo = 0.0
-    for b in [x for x in breaks if 0.0 < x < 60.0] + [60.0]:
-        val, _ = integrate.quad(integrand, lo, b, epsabs=quad_tol,
-                                epsrel=quad_tol, limit=300)
-        pieces.append(val)
+    for b in [x for x in breaks if 0.0 < x < end] + [end]:
+        pieces.append(finite_part._quad(integrand, lo, b, TRACE_QUAD_TOL)[0])
         lo = b
-    corr = math.fsum(pieces) * z ** (-2 * alpha) / math.gamma(alpha)
+    corr = math.fsum(pieces) * z ** (-2 * alpha) / g_alpha
     return lead + corr
 
 
@@ -149,9 +168,9 @@ def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
              / math.gamma(alpha) * z ** (m - 2 * alpha))
     half = box + 0.5
     if m == 1:
-        inside, _ = integrate.quad(lambda x: (x * x + z2) ** (-float(alpha)),
-                                   -half, half, epsabs=1e-14, epsrel=1e-13,
-                                   limit=200)
+        inside, _ = finite_part._quad(
+            lambda x: (x * x + z2) ** (-float(alpha)), -half, half,
+            TRACE_QUAD_TOL)
     else:
         def inner(x):
             c2 = x * x + z2
@@ -159,11 +178,9 @@ def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
                 c = math.sqrt(c2)
                 return (half / (2 * c2 * (half * half + c2))
                         + math.atan(half / c) / (2 * c2 * c))
-            val, _ = integrate.quad(lambda y: (y * y + c2) ** (-float(alpha)),
-                                    0.0, half, epsabs=1e-14, epsrel=1e-13)
-            return val
-        row, _ = integrate.quad(inner, 0.0, half, epsabs=1e-14, epsrel=1e-13,
-                                limit=200)
+            return finite_part._quad(lambda y: (y * y + c2) ** (-float(alpha)),
+                                     0.0, half, TRACE_QUAD_TOL)[0]
+        row, _ = finite_part._quad(inner, 0.0, half, TRACE_QUAD_TOL)
         inside = 4.0 * row
     tail_integral = whole - inside
 
@@ -180,29 +197,43 @@ def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
 
 # -- zeta function and determinant ------------------------------------------
 
-def _g_integral(m: int, s: float, quad_tol: float = 1e-13) -> float:
-    """``int_{pi^2}^inf u^(m/2 - s - 1) (theta1(u)^m - 1) du``."""
-    def f(u):
-        return u ** (m / 2.0 - s - 1.0) * (_theta1_direct(u) ** m - 1.0)
-    val, _ = integrate.quad(f, math.pi ** 2, np.inf, epsabs=quad_tol,
-                            epsrel=quad_tol, limit=300)
-    return val
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """The upper incomplete gamma function ``Gamma(a, x)`` for real a, x > 0.
+
+    Below a = 0 it steps down from ``[0, 1)`` by the recurrence
+    ``Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a``.
+    """
+    steps = max(0, math.ceil(-a))
+    base = a + steps
+    g = (special.exp1(x) if base == 0 else
+         special.gammaincc(base, x) * special.gamma(base))
+    for j in range(steps - 1, -1, -1):
+        g = (g - x ** (a + j) * np.exp(-x)) / (a + j)
+    return g
 
 
-def _e_integral(m: int, s: float, quad_tol: float = 1e-13) -> float:
-    """``int_1^inf t^(s-1) (theta1(t)^m - 1) dt``."""
-    def f(t):
-        return t ** (s - 1.0) * (_theta1_direct(t) ** m - 1.0)
-    val, _ = integrate.quad(f, 1.0, np.inf, epsabs=quad_tol, epsrel=quad_tol,
-                            limit=300)
-    return val
+@lru_cache(maxsize=None)
+def _shells(m: int):
+    """Nonzero squared norms up to ``ZETA_SHELLS`` and their multiplicities."""
+    return np.unique(_lattice_norms_sq(m, ZETA_SHELLS), return_counts=True)
+
+
+def _gamma_series(m: int, a: float, c: float) -> float:
+    """``sum over nonzero k of |k|^(-2a) Gamma(a, c |k|^2)``.
+
+    The Mellin tail ``int_c^inf t^(a-1) (theta1(t)^m - 1) dt``, summed
+    Gaussian by Gaussian (Crandall 1998); shells beyond ``ZETA_SHELLS``
+    weigh less than ``exp(-c ZETA_SHELLS)``.
+    """
+    norms, counts = _shells(m)
+    return math.fsum(counts * norms ** -float(a) * _upper_gamma(a, c * norms))
 
 
 def _h_analytic(m: int, s: float) -> float:
     """The regular part of ``Gamma(s) zeta(s)`` after removing the -1/s pole."""
-    g = math.pi ** (2 * s - m) * _g_integral(m, s)
+    g = math.pi ** (2 * s - m) * _gamma_series(m, m / 2.0 - s, math.pi ** 2)
     return (math.pi ** (m / 2.0) / (s - m / 2.0)
-            + math.pi ** (m / 2.0) * g + _e_integral(m, s))
+            + math.pi ** (m / 2.0) * g + _gamma_series(m, s, 1.0))
 
 
 def zeta_continued(m: int, s: float) -> float:
@@ -210,14 +241,21 @@ def zeta_continued(m: int, s: float) -> float:
 
     Splits the heat-trace Mellin transform at t = 1 and applies the modular
     transform on (0, 1), which isolates the single pole at s = m/2 and the
-    kernel pole at s = 0 analytically; everything else is an entire
-    integral.  Valid for real s != m/2; at s = 0 the value is the analytic
-    limit ``-1 + s h(s)`` evaluated through ``Gamma(s+1)``.
+    kernel pole at s = 0 analytically; both remaining tails are entire
+    lattice series.  Valid for real s != m/2; the factor ``1/Gamma(s+1)``
+    gives the analytic limit -1 at s = 0 and the zeros at negative
+    integers.  An s whose evaluation leaves the float range (about
+    ``|s| > 171``) raises NumericalError.
     """
     check_dimension(m)
     if s == m / 2.0:
         raise InputError(f"s = m/2 = {s} is the pole of the zeta function")
-    return (-1.0 + s * _h_analytic(m, s)) / math.gamma(s + 1.0)
+    value = math.nan     # beyond it the series overflows and its recurrence
+    if abs(s) < GAMMA_OVERFLOW:     # would take about |s| steps
+        value = (-1.0 + s * _h_analytic(m, s)) * float(special.rgamma(s + 1.0))
+    if not math.isfinite(value):
+        raise NumericalError(f"zeta at s = {s} leaves the float range")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -231,8 +269,7 @@ def log_det_zeta(m: int) -> float:
     return EULER_GAMMA - _h_analytic(m, 0.0)
 
 
-def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0,
-                           quad_tol: float = 1e-10) -> float:
+def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     """Log-determinant via the finite-part resolvent-trace integral.
 
     Independent route: must agree with ``log_det_zeta(m)``.
@@ -244,8 +281,7 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0,
         return resolvent_trace_continuum(m, z, int(alpha))
 
     return finite_part.logdet_via_regint(trace, m, kernel_dim=1,
-                                         window_end=window_end,
-                                         quad_tol=quad_tol)
+                                         window_end=window_end)
 
 
 # -- eigenvalue enumeration and partial products -----------------------------

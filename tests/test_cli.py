@@ -1,10 +1,14 @@
 """CLI behaviour: subcommands, reports, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusdet.cli import main, parse_basis, parse_grid
 from torusdet.errors import InputError
@@ -176,6 +180,7 @@ class TestExitCodes:
         ["eigenproduct", "--m", "2", "--grid", "1e5:1e5:x2", "--basis", "0,0"],
         ["eigenproduct", "--m", "1", "--grid", "1e300:1e300:x2"],
         ["spectrum", "--n", str(10 ** 12)],
+        ["em-check", "--M", "1000"],
     ])
     def test_oversized_enumeration_exits_at_once(self, argv, capsys):
         t0 = time.perf_counter()
@@ -301,3 +306,43 @@ class TestReproducibility:
         assert ra == rb
         assert ca == cb
         assert ca.startswith(f"# config {ra['config_hash']}\nx,value\n")
+
+
+def _z_text(exponent: float) -> str:
+    return repr(10.0 ** exponent)
+
+
+class TestExitContract:
+    """Every input ends in a documented exit code, never in a traceback or
+    a non-finite value reported as success."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)   # an uncaught exception fails the test
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.integers(1, 4), alpha=st.integers(1, 250),
+           exponent=st.floats(-300.0, 300.0))
+    def test_trace_continuum(self, m, alpha, exponent):
+        self.check(["trace-continuum", "--m", str(m), "--alpha", str(alpha),
+                    "--z", _z_text(exponent)])
+
+    @settings(deadline=None, max_examples=10)
+    @given(m=st.integers(-1, 6), tol_exponent=st.floats(-20.0, 1.0))
+    def test_zeta_det(self, m, tol_exponent):
+        self.check(["zeta-det", "--m", str(m), "--tol", _z_text(tol_exponent)])
+
+    @settings(deadline=None, max_examples=15)
+    @given(m=st.integers(0, 3), n=st.integers(0, 4),
+           exponent=st.floats(-300.0, 300.0),
+           order=st.one_of(st.none(), st.integers(-2, 1000)))
+    def test_em_check(self, m, n, exponent, order):
+        argv = ["em-check", "--m", str(m), "--n", str(n),
+                "--z", _z_text(exponent)]
+        self.check(argv + ([] if order is None else ["--M", str(order)]))

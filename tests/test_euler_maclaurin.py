@@ -15,7 +15,7 @@ from torusdet import (DiscreteTorus, InputError, bernoulli_number,
                       homogeneous_components, inv_power_derivative,
                       periodic_bernoulli, poly_evaluator,
                       remainder_uniformity_scan, scaled_bulk_term)
-from torusdet.euler_maclaurin import _h_monomials
+from torusdet.euler_maclaurin import EM_MAX_ORDER, _h_monomials
 
 
 class TestBernoulli:
@@ -207,6 +207,16 @@ class TestDecomposition:
         _, total = em_decompose(t, 1.0, M=4)
         direct = boundary_inclusive_lattice_sum(t, 1.0, 1)
         assert total == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_truncation_order_is_capped(self, m):
+        # the summation formula is asymptotic: past the cap the error grows
+        t = DiscreteTorus(m, 4)
+        with pytest.raises(InputError):
+            em_decompose(t, 1.0, M=EM_MAX_ORDER + 1)
+        _, total = em_decompose(t, 1.0, M=EM_MAX_ORDER)
+        direct = boundary_inclusive_lattice_sum(t, 1.0, m)
+        assert total == pytest.approx(direct, rel=1e-12)
 
 
 class TestHomogeneousStructure:

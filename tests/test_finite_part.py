@@ -1,13 +1,16 @@
 """Tests for antiderivatives, finite parts, and regularized integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import torusdet as td
 from torusdet import (BasisSpec, Expansion, IntegrandHandle, InputError,
-                      TO_INFINITY, TO_ZERO, TailModel, TailModelError,
+                      NumericalError, TO_INFINITY, TO_ZERO, TailModel,
+                      TailModelError,
                       antiderivative_term, finite_part_tail_inf,
                       finite_part_tail_zero, integral_term, logdet_via_regint,
                       reg_integral)
@@ -191,3 +194,23 @@ class TestLogdetRoute:
         v = logdet_via_regint(lambda z, a: resolvent_trace(t, z, int(a)),
                               2, 1, nonzero_modes=t.points - 1)
         assert v == pytest.approx(log_det(t), abs=1e-8)
+
+
+class TestQuadratureChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: td.resolvent_trace_continuum(2, 1.0, 2),
+        lambda: td.em_sum_1d(td.poly_evaluator([1.0, 2.0]), 4, 2),
+        lambda: td.scaled_bulk_term(2, 2, 1.0, 8.0),
+        lambda: td.square_lattice_logdet_density(2),
+        lambda: td.lattice_trace_sum(2, 1.0, 3, 10),
+    ], ids=["continuum trace", "em_sum_1d", "bulk term", "bulk density",
+            "box oracle"])
+    def test_integration_warning_is_numerical_error(self, call, monkeypatch):
+        # every quadrature goes through one checked call
+        def troubled_quad(*args, **kwargs):
+            warnings.warn("roundoff", integrate.IntegrationWarning)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(integrate, "quad", troubled_quad)
+        with pytest.raises(NumericalError):
+            call()

@@ -1,18 +1,28 @@
 """Tests for continuum-torus references: theta, zeta, traces, products."""
 
+import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from torusdet import (BasisSpec, DiscreteTorus, InputError, convergence_check,
-                      eigenproduct_reglimit, lattice_trace_sum, log_det_zeta,
+from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
+                      convergence_check, eigenproduct_reglimit,
+                      lattice_trace_sum, log_det_zeta,
                       logdet_zeta_via_regint, partial_log_product,
                       resolvent_trace_continuum, theta1, theta_function,
                       zeta_continued)
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
+
+
+def box_trace(m, z, alpha, box):
+    """``sum over |k_i| <= box of (|k|^2 + z^2)^(-alpha)``, in logs."""
+    k2 = np.arange(-box, box + 1, dtype=float) ** 2
+    r2 = sum(np.meshgrid(*[k2] * m, indexing="ij")).ravel()
+    return math.fsum(np.exp(-alpha * np.log(r2 + z * z)))
 
 
 class TestTheta:
@@ -38,14 +48,36 @@ class TestTheta:
 
 class TestContinuumTrace:
     def test_m1_closed_form(self):
+        # alpha = 2 is -(1/2z) d/dz of the alpha = 1 form pi coth(pi z)/z
         for z in np.geomspace(0.1, 50.0, 25):
-            closed = math.pi / (math.tanh(math.pi * z) * z)
-            mellin = resolvent_trace_continuum(1, float(z), 1, method="mellin")
+            x = math.pi * z
+            closed = (math.pi / (2 * math.tanh(x) * z ** 3)
+                      + math.pi ** 2 / (2 * math.sinh(x) ** 2 * z ** 2))
+            mellin = resolvent_trace_continuum(1, float(z), 2)
             assert mellin == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,z", [(16, 1.0), (20, 1.0), (30, 1.0),
+                                         (30, 0.5), (60, 1.0), (60, 2.0),
+                                         (100, 1.0), (200, 1.0), (250, 2.0)])
+    def test_large_alpha_against_shell_sum(self, m, alpha, z):
+        # the Mellin weight peaks at u = alpha, beyond a fixed cut at 60;
+        # Gamma(200) overflows a double
+        assert resolvent_trace_continuum(m, z, alpha) == pytest.approx(
+            box_trace(m, z, alpha, 12), rel=1e-12)
+
+    @pytest.mark.parametrize("m,alpha,z", [(2, 8, 5.0), (3, 7, 4.0),
+                                           (3, 8, 5.0)])
+    def test_mid_alpha_without_roundoff(self, m, alpha, z):
+        # an unnormalized Mellin weight raises a roundoff IntegrationWarning
+        # here
+        assert resolvent_trace_continuum(m, z, alpha) == pytest.approx(
+            box_trace(m, z, alpha, 60), rel=1e-12)
+
     def test_large_z_kernel_dominates(self):
-        for (m, alpha) in [(1, 1), (2, 2), (3, 2)]:
-            z = 1e5
+        # z^2 overflows at z = 1e200
+        cases = [(1, 1), (2, 2), (3, 2), (4, 3)]
+        for (m, alpha), z in itertools.product(cases, [1e5, 1e200]):
             val = resolvent_trace_continuum(m, z, alpha)
             # the whole-space integral dominates; the k=0 mode alone is the
             # z^(-2 alpha) scale
@@ -90,6 +122,32 @@ class TestZeta:
     def test_pole_rejected(self):
         with pytest.raises(InputError):
             zeta_continued(2, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("s", [-2.0, -1.5, -1.0, -0.5, -0.005, 0.01, 2.5,
+                                   3.0, 3.7, 4.4])
+    def test_against_closed_forms(self, m, s):
+        with mpmath.workdps(30):
+            s_mp = mpmath.mpf(s)
+            if m == 1:
+                ref = 2 * mpmath.zeta(2 * s_mp)
+            elif m == 2:       # 4 zeta(s) beta(s), beta the Dirichlet beta
+                ref = (4 * mpmath.zeta(s_mp)
+                       * mpmath.dirichlet(s_mp, [0, 1, 0, -1]))
+            else:              # r_4(n) = 8 sigma(n) - 32 sigma(n/4)
+                ref = (8 * (1 - mpmath.power(4, 1 - s_mp)) * mpmath.zeta(s_mp)
+                       * mpmath.zeta(s_mp - 1))
+            ref = float(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = zeta_continued(m, s)
+        # the trivial zeros at negative integers come out exactly
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [180.0, -180.0, 1e10, math.inf, math.nan])
+    def test_beyond_the_float_range(self, s):
+        with pytest.raises(NumericalError):
+            zeta_continued(2, s)
 
     def test_logdet_m1(self):
         assert log_det_zeta(1) == pytest.approx(LOG_4PI2, abs=1e-10)
