@@ -45,6 +45,7 @@ EM_QUAD_TOL = 1e-12       # adaptive quadratures, absolute and relative
 # grows past it (4e-10 at M = 7 and 1e-7 at M = 8 for m = 2), and the cost
 # nearly doubles with each order.
 EM_MAX_ORDER = 6
+EM_MAX_GRID = 1 << 22     # nodes of one pattern grid: 32 MB of floats
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -222,11 +223,7 @@ def inv_power_derivative(k: int, n: int, x: float, z: float, alpha: int) -> floa
     """``d^k/dx^k (omega_1(n, x) + z^2)^(-alpha)`` from the exact recursion."""
     if k < 1:
         raise InputError("derivative order must be >= 1")
-    f = float(_axis_eigenvalues(n, x)) + z * z
-    jets = _jet_matrix(n, np.array([x]), k - 1)
-    return math.fsum(
-        float(_h_eval(k, ell, alpha, jets)[0]) * f ** (-alpha - ell - 1)
-        for ell in range(k))
+    return float(_mixed_deriv_grid(n, z, alpha, [np.array([float(x)])], (k,))[0])
 
 
 # -- multi-axis operator decomposition ----------------------------------------
@@ -235,104 +232,49 @@ def default_truncation(m: int) -> int:
     return math.ceil((3 * m + 1) / 2)
 
 
-def _mixed_deriv_grid(n, z, alpha, coords, orders, chain=None):
+def _mixed_deriv_grid(n, z, alpha, coords, orders):
     """``d^orders (omega + z^2)^(-alpha)`` on a tensor grid of coordinates.
 
-    For two active axes the coefficient functionals chain: the first-applied
-    axis uses exponent base alpha, and each of its terms shifts the base for
-    the second axis.  ``chain`` selects which axis is applied first (the
-    operators commute; both orders must agree).
+    ``F = omega + z^2`` is summed over the broadcast axes in axis order.
+    Starting from ``F^(-alpha)``, each active axis, last first (the
+    operators commute), expands every term ``c F^(-a)`` into the terms
+    ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o.  A coefficient is kept as its
+    per-axis factors and multiplied out in the final sum, so one term's
+    grid is held at a time.
     """
-    z2 = z * z
-    svals = [_axis_eigenvalues(n, c) for c in coords]
-    if len(coords) == 1:
-        F = svals[0] + z2
-    else:
-        F = svals[0][:, None] + svals[1][None, :] + z2
-    active = [j for j in range(len(coords)) if orders[j] > 0]
-    if not active:
-        return F ** (-float(alpha))
-    if len(active) == 1:
-        j = active[0]
+    m = len(coords)
+    axes = [_axis_eigenvalues(n, c).reshape((-1,) + (1,) * (m - 1 - j))
+            for j, c in enumerate(coords)]
+    F = sum(axes[1:], axes[0]) + z * z
+    terms = [((), alpha)]
+    for j in reversed([j for j in range(m) if orders[j] > 0]):
         o = orders[j]
         jets = _jet_matrix(n, coords[j], o - 1)
-        out = np.zeros_like(F)
-        for ell in range(o):
-            hv = _h_eval(o, ell, alpha, jets)
-            if len(coords) == 2:
-                hv = hv[:, None] if j == 0 else hv[None, :]
-            out += hv * F ** (-float(alpha + ell + 1))
-        return out
-    first, second = chain if chain is not None else (1, 0)
-    o_f, o_s = orders[first], orders[second]
-    jets_f = _jet_matrix(n, coords[first], o_f - 1)
-    jets_s = _jet_matrix(n, coords[second], o_s - 1)
-    out = np.zeros_like(F)
-    for lf in range(o_f):
-        hf = _h_eval(o_f, lf, alpha, jets_f)
-        hf_b = hf[:, None] if first == 0 else hf[None, :]
-        for ls in range(o_s):
-            hs = _h_eval(o_s, ls, alpha + lf + 1, jets_s)
-            hs_b = hs[:, None] if second == 0 else hs[None, :]
-            out += hf_b * hs_b * F ** (-float(alpha + lf + ls + 2))
-    return out
+        terms = [(c + (_h_eval(o, ell, a, jets).reshape(axes[j].shape),),
+                  a + ell + 1) for c, a in terms for ell in range(o)]
+    return sum(math.prod(c) * F ** -float(a) for c, a in terms)
 
 
-def _axis_atoms(beta: int, n: int, M: int):
-    """Expansion of one summation-formula operator into evaluable atoms.
+def _axis_atoms(n: int, M: int) -> dict:
+    """The four summation-formula operators of one axis as evaluable atoms.
 
-    Each atom is (kind, derivative order, scalar coefficient) with kind in
-    {"int", "bint", "pt0", "ptn"}.
+    Maps each operator label to atoms ``(coords, weights, derivative order,
+    scalar coefficient)``: the integral (1) and the remainder (3) run over
+    the Gauss-Legendre cell nodes, the remainder with the periodic Bernoulli
+    weight; the boundary derivatives (2) and the endpoint average (4) are
+    point evaluations at x = 0 and x = n.
     """
-    if beta == 1:
-        return [("int", 0, 1.0)]
-    if beta == 2:
-        atoms = []
-        for k in range(1, M + 1):
-            c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
-            atoms.append(("ptn", 2 * k - 1, c))
-            atoms.append(("pt0", 2 * k - 1, -c))
-        return atoms
-    if beta == 3:
-        return [("bint", 2 * M + 1, 1.0 / math.factorial(2 * M + 1))]
-    if beta == 4:
-        return [("pt0", 0, 0.5), ("ptn", 0, 0.5)]
-    raise InputError(f"operator label must be in 1..4, got {beta}")
-
-
-def _pattern_value(n, z, alpha, M, betas, chain=None) -> float:
-    xs_int, ws_int = _gl_nodes(n, GL_ORDER_PATTERNS)
-    bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs_int % 1.0)
-    pt0 = np.array([0.0])
-    ptn = np.array([float(n)])
+    xs, ws = _gl_nodes(n, GL_ORDER_PATTERNS)
+    bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
     one = np.array([1.0])
-
-    pieces = []
-    for combo in itertools.product(*[_axis_atoms(b, n, M) for b in betas]):
-        coords, weights, orders = [], [], []
-        scal = 1.0
-        for kind, order, coeff in combo:
-            scal *= coeff
-            orders.append(order)
-            if kind == "int":
-                coords.append(xs_int)
-                weights.append(ws_int)
-            elif kind == "bint":
-                coords.append(xs_int)
-                weights.append(ws_int * bw)
-            elif kind == "pt0":
-                coords.append(pt0)
-                weights.append(one)
-            else:
-                coords.append(ptn)
-                weights.append(one)
-        v = _mixed_deriv_grid(n, z, alpha, coords, tuple(orders), chain=chain)
-        if len(coords) == 1:
-            val = float(weights[0] @ v)
-        else:
-            val = float(weights[0] @ v @ weights[1])
-        pieces.append(scal * val)
-    return math.fsum(pieces)
+    pt0, ptn = np.array([0.0]), np.array([float(n)])
+    boundary = []
+    for k in range(1, M + 1):
+        c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
+        boundary += [(ptn, one, 2 * k - 1, c), (pt0, one, 2 * k - 1, -c)]
+    return {1: [(xs, ws, 0, 1.0)], 2: boundary,
+            3: [(xs, ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
+            4: [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]}
 
 
 def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
@@ -343,15 +285,22 @@ def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
 
 
 def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
-                 M: int | None = None, *, chain=None):
+                 M: int | None = None):
     """All 4^m operator-pattern values and their total.
 
     The total equals ``boundary_inclusive_lattice_sum(t, z, alpha)`` up to
     quadrature tolerance.  Patterns are keyed by their per-axis labels;
     the reduction runs in lexicographic pattern order.
+
+    The 32-node cell rule cannot resolve the peak of width z at x = 0, so
+    the error grows as z falls, whatever n is: at the default M the total
+    meets 1e-8 relative for z >= 0.2 at m = 1 and for z >= 0.4 at m = 2
+    (at z = 0.1 the relative error is 1.6e-6 at m = 1 and 2e9 at m = 2).
     """
-    if t.m > 2:
-        raise InputError("full decomposition implemented for m <= 2")
+    if t.m > 2 or (GL_ORDER_PATTERNS * t.n) ** t.m > EM_MAX_GRID:
+        raise InputError(
+            f"decomposition implemented for m <= 2 and pattern grids of "
+            f"(32 n)^m <= {EM_MAX_GRID} nodes, got m = {t.m}, n = {t.n}")
     alpha = t.m if alpha is None else int(alpha)
     floor = default_truncation(t.m)
     M = floor if M is None else int(M)
@@ -361,9 +310,17 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
             f"m = {t.m}, got {M}")
     # a derivative of order 2M+1 per axis raises the resolvent power by as much
     check_resolvent_parameter(z, alpha + t.m * (2 * M + 1))
+    atoms = _axis_atoms(t.n, M)
     values = {}
-    for betas in itertools.product((1, 2, 3, 4), repeat=t.m):
-        values[betas] = _pattern_value(t.n, z, alpha, M, betas, chain=chain)
+    for betas in itertools.product(atoms, repeat=t.m):
+        pieces = []
+        for combo in itertools.product(*(atoms[b] for b in betas)):
+            coords, weights, orders, coeffs = zip(*combo)
+            val = weights[0] @ _mixed_deriv_grid(t.n, z, alpha, coords, orders)
+            for w in weights[1:]:
+                val = val @ w
+            pieces.append(math.prod(coeffs) * float(val))
+        values[betas] = math.fsum(pieces)
     total = math.fsum(values[k] for k in sorted(values))
     return values, total
 

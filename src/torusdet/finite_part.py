@@ -270,10 +270,8 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     eps0 = 1e-6
     core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
     core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
-    coeffs, rms = fit_tail(g, "infinity", window_end,
-                           default_logdet_tail_basis(m))
-    tail = math.fsum(c * finite_part_tail_inf(a, k, window_end)
-                     for (a, k), c in coeffs.items())
+    tail = _tail_part(g, "infinity", window_end,
+                      default_logdet_tail_basis(m), None)[0]
     raw = -2.0 * (core_zero + core_main + tail)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
     s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)

@@ -16,7 +16,6 @@ small-z behaviour of f(., 1) follows from the declared n-expansion.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,8 +24,8 @@ import numpy as np
 from .errors import InputError
 from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion, ExpTerm,
                         Samples, extract_reglimit)
-from .finite_part import (IntegrandHandle, finite_part_tail_inf, fit_tail,
-                          reg_integral, _quad)
+from .finite_part import (IntegrandHandle, finite_part_tail_inf, reg_integral,
+                          _quad, _tail_part)
 
 DEGREE_TOL = 1e-12
 QUAD_TOL = 1e-11        # adaptive quadratures, absolute and relative
@@ -124,16 +123,13 @@ def correction_term(f: HomogeneousFn) -> float:
     return reg_integral(handle, quad_tol=QUAD_TOL).value
 
 
-def _z_tail_basis(f: HomogeneousFn) -> BasisSpec:
-    """Fit basis for the z-tail of f(., n): pairs from the declared
-    z-expansion, with each log power filled downward (scaling in n mixes
-    log(z/n)^k into lower powers of log z)."""
-    pairs = set()
-    for t in f.expansion_z.terms:
-        for j in range(t.k + 1):
-            pairs.add((t.alpha, j))
-    ordered = sorted(pairs, key=lambda p: (-p[0], p[1]))
-    return BasisSpec(tuple(ordered))
+def _filled_basis(pairs, terms) -> BasisSpec:
+    """``pairs`` plus each term's exponent with its log power filled
+    downward, ordered by descending exponent, then ascending log power."""
+    pairs = set(pairs)
+    for t in terms:
+        pairs.update((t.alpha, j) for j in range(t.k + 1))
+    return BasisSpec(tuple(sorted(pairs, key=lambda p: (-p[0], p[1]))))
 
 
 def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
@@ -142,7 +138,8 @@ def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
     Quadrature runs to the window end ``max(32, 16 n)``, which scales with
     n because the function lives at z of order n by homogeneity; beyond it
     the declared z-exponents are refitted at geometric samples and
-    integrated in closed form.
+    integrated in closed form.  Their log powers are filled downward:
+    scaling in n mixes log(z/n)^k into lower powers of log z.
     """
     window_end = max(32.0, 16.0 * n)
 
@@ -150,11 +147,8 @@ def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
         return f.evaluator(z, n)
 
     core, _ = _quad(g, 1.0, window_end, QUAD_TOL)
-    basis = _z_tail_basis(f)
-    coeffs, _ = fit_tail(g, "infinity", window_end, basis)
-    tail = math.fsum(c * finite_part_tail_inf(a, k, window_end)
-                     for (a, k), c in coeffs.items())
-    return core + tail
+    return core + _tail_part(g, "infinity", window_end,
+                             _filled_basis((), f.expansion_z.terms), None)[0]
 
 
 def default_n_grid():
@@ -167,12 +161,8 @@ def _default_basis_n(f: HomogeneousFn) -> BasisSpec:
     The coordinate-change picture gives exponents ``d + 1`` (with a log),
     the declared n-exponents, and the constant.
     """
-    pairs = {(f.degree + 1.0, 0), (f.degree + 1.0, 1), (0.0, 0)}
-    for t in f.expansion_n.terms:
-        for j in range(t.k + 1):
-            pairs.add((t.alpha, j))
-    ordered = sorted(pairs, key=lambda p: (-p[0], p[1]))
-    return BasisSpec(tuple(ordered))
+    return _filled_basis({(f.degree + 1.0, 0), (f.degree + 1.0, 1), (0.0, 0)},
+                         f.expansion_n.terms)
 
 
 def lhs_interchange(f: HomogeneousFn) -> float:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusdet.cli import main, parse_basis, parse_grid
+from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE, MAX_TREE_VERTICES
 from torusdet.errors import InputError
+from torusdet.euler_maclaurin import EM_MAX_GRID, GL_ORDER_PATTERNS
 
 
 class TestParsers:
@@ -181,6 +183,9 @@ class TestExitCodes:
         ["eigenproduct", "--m", "1", "--grid", "1e300:1e300:x2"],
         ["spectrum", "--n", str(10 ** 12)],
         ["em-check", "--M", "1000"],
+        ["em-check", "--m", "2", "--n", "1024"],
+        ["em-check", "--m", "2", "--n", "65"],
+        ["em-check", "--m", "1", "--n", "131073"],
     ])
     def test_oversized_enumeration_exits_at_once(self, argv, capsys):
         t0 = time.perf_counter()
@@ -312,6 +317,25 @@ def _z_text(exponent: float) -> str:
     return repr(10.0 ** exponent)
 
 
+def _root(v: int, m: int) -> int:
+    """Largest n with n**m <= v."""
+    n = round(v ** (1.0 / m))
+    return n if n ** m <= v else n - 1
+
+
+def _dims_and_sizes(small_points: int, cap_points):
+    """(m, n) with m in -1..6 and n**m at most ``small_points`` or beyond
+    ``cap_points(m)``: every example is cheap or refused before allocating."""
+    def pair(m):
+        if not 1 <= m <= 4:  # the dimension check refuses it before n is used
+            return st.tuples(st.just(m), st.integers(0, 10 ** 6))
+        over = _root(cap_points(m), m) + 1
+        return st.tuples(st.just(m), st.one_of(
+            st.integers(0, _root(small_points, m)),
+            st.integers(over, 4 * over)))
+    return st.integers(-1, 6).flatmap(pair)
+
+
 class TestExitContract:
     """Every input ends in a documented exit code, never in a traceback or
     a non-finite value reported as success."""
@@ -339,10 +363,36 @@ class TestExitContract:
         self.check(["zeta-det", "--m", str(m), "--tol", _z_text(tol_exponent)])
 
     @settings(deadline=None, max_examples=15)
-    @given(m=st.integers(0, 3), n=st.integers(0, 4),
+    @given(mn=_dims_and_sizes(
+               16, lambda m: EM_MAX_GRID // GL_ORDER_PATTERNS ** m),
            exponent=st.floats(-300.0, 300.0),
            order=st.one_of(st.none(), st.integers(-2, 1000)))
-    def test_em_check(self, m, n, exponent, order):
-        argv = ["em-check", "--m", str(m), "--n", str(n),
+    def test_em_check(self, mn, exponent, order):
+        argv = ["em-check", "--m", str(mn[0]), "--n", str(mn[1]),
                 "--z", _z_text(exponent)]
         self.check(argv + ([] if order is None else ["--M", str(order)]))
+
+    # 256 vertices take up to 0.9 s, at (m, n) = (4, 4), so trees stay below
+    @settings(deadline=None, max_examples=30)
+    @given(mn=_dims_and_sizes(255, lambda m: MAX_TREE_VERTICES))
+    def test_trees(self, mn):
+        self.check(["trees", "--m", str(mn[0]), "--n", str(mn[1])])
+
+    @settings(deadline=None, max_examples=30)
+    @given(mn=_dims_and_sizes(256, lambda m: MAX_SUM_LATTICE),
+           rescaled=st.booleans())
+    def test_logdet(self, mn, rescaled):
+        self.check(["logdet", "--m", str(mn[0]), "--n", str(mn[1])]
+                   + (["--rescaled"] if rescaled else []))
+
+    @settings(deadline=None, max_examples=30)
+    @given(mn=_dims_and_sizes(256, lambda m: MAX_SUM_LATTICE),
+           alpha=st.integers(1, 8), exponent=st.floats(-300.0, 300.0))
+    def test_trace(self, mn, alpha, exponent):
+        self.check(["trace", "--m", str(mn[0]), "--n", str(mn[1]),
+                    "--alpha", str(alpha), "--z", _z_text(exponent)])
+
+    @settings(deadline=None, max_examples=15)
+    @given(mn=_dims_and_sizes(256, lambda m: MAX_SORTED ** m))
+    def test_spectrum(self, mn):
+        self.check(["spectrum", "--m", str(mn[0]), "--n", str(mn[1])])
