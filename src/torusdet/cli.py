@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import discrete, euler_maclaurin, finite_part, interchange, smooth
 from .errors import (FitDegenerateError, InputError, NumericalError,
-                     TailModelError)
+                     TailModelError, check_dimension)
 from .expansion import BasisSpec
 
 EXIT_OK = 0
@@ -240,6 +240,9 @@ def cmd_eigenproduct(args, report):
 
 def cmd_main_theorem(args, report):
     grid = parse_grid(args.n_grid)
+    check_dimension(args.m)
+    if args.basis is None:
+        raise InputError("only m = 1, 2 have default bases; give --basis")
     c, u, ref = discrete.logdet_limit_pipeline(args.m, grid,
                                                parse_basis(args.basis))
     report.update(constant=c, uncertainty=u, reference=ref,
@@ -345,7 +348,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     if getattr(args, "basis", "unset") is None:
-        args.basis = DEFAULT_BASES.get(args.m, DEFAULT_BASES[2])
+        args.basis = DEFAULT_BASES.get(args.m)
     row = COMMANDS[args.command]
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("command", "json_out", "csv_out")}

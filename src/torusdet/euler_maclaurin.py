@@ -18,7 +18,9 @@ differentiation enters the main path.
 Odd-order axis derivatives carry a factor ``sin(2 pi x / n)`` and vanish at
 the lattice endpoints, which is why every pattern containing the boundary
 piece is exactly zero; the evaluation preserves this exactly by reducing
-angles modulo the period before the trigonometric calls.
+angles modulo the period before the trigonometric calls.  Axis grids are
+folded to their nodes below n/2 (the pattern integrands are even under
+x -> n - x); derivatives stream one ladder of powers of 1/f.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ EM_QUAD_TOL = 1e-12       # adaptive quadratures, absolute and relative
 # grows past it (4e-10 at M = 7 and 1e-7 at M = 8 for m = 2), and the cost
 # nearly doubles with each order.
 EM_MAX_ORDER = 6
-EM_MAX_GRID = 1 << 22     # nodes of one pattern grid: 32 MB of floats
+EM_MAX_GRID = 1 << 22     # unfolded nodes (32 n)^m of one pattern grid
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -202,13 +204,8 @@ def _jet_matrix(n: int, xs: np.ndarray, max_order: int) -> np.ndarray:
 
 
 def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray) -> np.ndarray:
-    out = np.zeros(jets.shape[1])
-    for mono, coef in _h_monomials(k, ell, alpha):
-        term = np.full(jets.shape[1], float(coef))
-        for o in mono:
-            term = term * jets[o]
-        out += term
-    return out
+    return sum(math.prod((jets[o] for o in mono), start=float(coef))
+               for mono, coef in _h_monomials(k, ell, alpha))
 
 
 def h_coefficient(k: int, ell: int, n: int, x: float, alpha: int) -> float:
@@ -238,21 +235,26 @@ def _mixed_deriv_grid(n, z, alpha, coords, orders):
     ``F = omega + z^2`` is summed over the broadcast axes in axis order.
     Starting from ``F^(-alpha)``, each active axis, last first (the
     operators commute), expands every term ``c F^(-a)`` into the terms
-    ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o.  A coefficient is kept as its
-    per-axis factors and multiplied out in the final sum, so one term's
-    grid is held at a time.
+    ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o.  The sum walks the terms sorted
+    by exponent, raising one power grid by ``R = 1/F``, and adds each
+    ``prod(c) F^(-a)`` pointwise on its own.
     """
     m = len(coords)
     axes = [_axis_eigenvalues(n, c).reshape((-1,) + (1,) * (m - 1 - j))
             for j, c in enumerate(coords)]
     F = sum(axes[1:], axes[0]) + z * z
     terms = [((), alpha)]
-    for j in reversed([j for j in range(m) if orders[j] > 0]):
-        o = orders[j]
+    for j, o in reversed([(j, o) for j, o in enumerate(orders) if o > 0]):
         jets = _jet_matrix(n, coords[j], o - 1)
         terms = [(c + (_h_eval(o, ell, a, jets).reshape(axes[j].shape),),
                   a + ell + 1) for c, a in terms for ell in range(o)]
-    return sum(math.prod(c) * F ** -float(a) for c, a in terms)
+    power, R, out = min(a for _, a in terms), 1.0 / F, 0.0
+    P = F ** -float(power)
+    for c, a in sorted(terms, key=lambda term: term[1]):
+        for power in range(power + 1, a + 1):
+            P *= R
+        out += math.prod(c) * P
+    return out
 
 
 def _axis_atoms(n: int, M: int) -> dict:
@@ -262,9 +264,10 @@ def _axis_atoms(n: int, M: int) -> dict:
     scalar coefficient)``: the integral (1) and the remainder (3) run over
     the Gauss-Legendre cell nodes, the remainder with the periodic Bernoulli
     weight; the boundary derivatives (2) and the endpoint average (4) are
-    point evaluations at x = 0 and x = n.
+    point evaluations at x = 0 and x = n.  Grid atoms keep the 16 n nodes
+    below n/2, doubly weighted: the integrands are even under x -> n - x.
     """
-    xs, ws = _gl_nodes(n, GL_ORDER_PATTERNS)
+    xs, ws = (v[:len(v) // 2] for v in _gl_nodes(n, GL_ORDER_PATTERNS))
     bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
     one = np.array([1.0])
     pt0, ptn = np.array([0.0]), np.array([float(n)])
@@ -272,8 +275,8 @@ def _axis_atoms(n: int, M: int) -> dict:
     for k in range(1, M + 1):
         c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
         boundary += [(ptn, one, 2 * k - 1, c), (pt0, one, 2 * k - 1, -c)]
-    return {1: [(xs, ws, 0, 1.0)], 2: boundary,
-            3: [(xs, ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
+    return {1: [(xs, 2 * ws, 0, 1.0)], 2: boundary,
+            3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
             4: [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]}
 
 
@@ -290,12 +293,16 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
 
     The total equals ``boundary_inclusive_lattice_sum(t, z, alpha)`` up to
     quadrature tolerance.  Patterns are keyed by their per-axis labels;
-    the reduction runs in lexicographic pattern order.
+    the reduction runs in lexicographic pattern order.  Axis grids are
+    folded by x -> n - x; each pattern streams one power ladder.
 
     The 32-node cell rule cannot resolve the peak of width z at x = 0, so
     the error grows as z falls, whatever n is: at the default M the total
     meets 1e-8 relative for z >= 0.2 at m = 1 and for z >= 0.4 at m = 2
     (at z = 0.1 the relative error is 1.6e-6 at m = 1 and 2e9 at m = 2).
+    A single pattern may be less accurate than the total: the (3, 3)
+    remainder cancels about 1e8-fold between its terms, and its relative
+    error stays below 5e-8 at z = 0.4 and 5e-9 at z = 0.5.
     """
     if t.m > 2 or (GL_ORDER_PATTERNS * t.n) ** t.m > EM_MAX_GRID:
         raise InputError(

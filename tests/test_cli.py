@@ -160,6 +160,7 @@ class TestExitCodes:
         ["regint", "--integrand", "log-kernel", "--lam", "-1"],
         ["regint", "--integrand", "log-kernel", "--lam", "0"],
         ["regint", "--integrand", "log-kernel", "--lam", "nan"],
+        ["main-theorem", "--m", "4"],
     ])
     def test_bad_input_is_input_error(self, argv, capsys):
         assert main(argv) == 2
@@ -232,6 +233,16 @@ class TestExitCodes:
         csv = tmp_path / "x.csv"
         assert main(argv + ["--csv-out", str(csv)]) == 2
         assert not csv.exists()
+
+    def test_main_theorem_without_default_basis_names_the_option(self, capsys):
+        # m = 3 and 4 have no default basis; the m = 2 one fits nonsense there
+        argv = ["main-theorem", "--m", "3", "--n-grid", "8:64:x1.2"]
+        assert main(argv) == 2
+        assert "--basis" in capsys.readouterr().err
+        assert main(argv + ["--basis", "0,1;0,0;-2,0;-4,0"]) in (0, 1)
+        # an m outside 1..4 is refused for itself, not for its basis
+        assert main(["main-theorem", "--m", "5"]) == 2
+        assert "dimension m" in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2
@@ -396,3 +407,21 @@ class TestExitContract:
     @given(mn=_dims_and_sizes(256, lambda m: MAX_SORTED ** m))
     def test_spectrum(self, mn):
         self.check(["spectrum", "--m", str(mn[0]), "--n", str(mn[1])])
+
+    # a grid that stops at 64 bounds every log-determinant series
+    @settings(deadline=None, max_examples=40)
+    @given(m=st.integers(-1, 6),
+           grid=st.one_of(
+               st.tuples(st.integers(2, 8), st.integers(32, 64),
+                         st.floats(1.2, 1.5)),
+               st.tuples(st.integers(-2, 64), st.integers(-2, 64),
+                         st.floats(0.5, 4.0))),
+           basis=st.one_of(
+               st.none(), st.text(max_size=12),
+               st.lists(st.tuples(st.integers(-6, 3), st.integers(0, 1)),
+                        unique=True, max_size=4).map(
+                   lambda pairs: ";".join(
+                       f"{a},{k}" for a, k in set(pairs) | {(0, 0)}))))
+    def test_main_theorem(self, m, grid, basis):
+        argv = ["main-theorem", "--m", str(m), "--n-grid={}:{}:x{}".format(*grid)]
+        self.check(argv + ([] if basis is None else [f"--basis={basis}"]))

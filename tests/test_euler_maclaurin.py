@@ -16,7 +16,11 @@ from torusdet import (DiscreteTorus, InputError, bernoulli_number,
                       homogeneous_components, inv_power_derivative,
                       periodic_bernoulli, poly_evaluator,
                       remainder_uniformity_scan, scaled_bulk_term)
-from torusdet.euler_maclaurin import EM_MAX_ORDER, _h_monomials
+from torusdet.discrete import _axis_eigenvalues
+from torusdet.euler_maclaurin import (EM_MAX_ORDER, GL_ORDER_PATTERNS,
+                                      _bernoulli_poly_coeffs,
+                                      _gl_nodes, _h_eval, _h_monomials,
+                                      _jet_matrix)
 
 
 class TestBernoulli:
@@ -218,6 +222,114 @@ class TestDecomposition:
         _, total = em_decompose(t, 1.0, M=EM_MAX_ORDER)
         direct = boundary_inclusive_lattice_sum(t, 1.0, m)
         assert total == pytest.approx(direct, rel=1e-12)
+
+
+def per_term_em_total(m, n, z, M):
+    # reference: every pattern on the unfolded cell grid, each power
+    # F^(-a) taken with a float ** and each derivative term c F^(-a) added
+    # pointwise on its own
+    xs, ws = _gl_nodes(n, GL_ORDER_PATTERNS)
+    bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
+    one, pt0, ptn = np.ones(1), np.zeros(1), np.full(1, float(n))
+    boundary = []
+    for k in range(1, M + 1):
+        c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
+        boundary += [(ptn, one, 2 * k - 1, c), (pt0, one, 2 * k - 1, -c)]
+    atoms = [[(xs, ws, 0, 1.0)], boundary,
+             [(xs, ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
+             [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]]
+    pattern_values = []
+    for labels in itertools.product(atoms, repeat=m):
+        pieces = []
+        for combo in itertools.product(*labels):
+            coords, weights, orders, coeffs = zip(*combo)
+            axes = [_axis_eigenvalues(n, x).reshape((-1,) + (1,) * (m - 1 - j))
+                    for j, x in enumerate(coords)]
+            F = sum(axes[1:], axes[0]) + z * z
+            terms = [((), m)]
+            for j in reversed(range(m)):
+                if orders[j]:
+                    jets = _jet_matrix(n, coords[j], orders[j] - 1)
+                    terms = [(c + (_h_eval(orders[j], ell, a, jets).reshape(
+                        axes[j].shape),), a + ell + 1)
+                        for c, a in terms for ell in range(orders[j])]
+            grid = 0.0
+            for a in sorted({a for _, a in terms}):
+                power = F ** -float(a)
+                for c, b in terms:
+                    if b == a:
+                        grid = grid + math.prod(c) * power
+            val = weights[0] @ grid
+            for w in weights[1:]:
+                val = val @ w
+            pieces.append(math.prod(coeffs) * float(val))
+        pattern_values.append(math.fsum(pieces))
+    return math.fsum(pattern_values)
+
+
+class TestFoldedGrids:
+    def test_cell_nodes_mirror_about_the_midpoint(self):
+        # the fold keeps the first 16 n nodes: it needs them below n/2 and
+        # the rest to be their mirror images, also for odd n
+        for n in range(2, 66):
+            xs, ws = _gl_nodes(n, GL_ORDER_PATTERNS)
+            assert xs[:16 * n].max() < n / 2 < xs[16 * n:].min()
+            assert np.array_equal(ws, ws[::-1])
+            assert np.abs(xs + xs[::-1] - n).max() <= 2e-16 * n
+            for M in range(2, 7):
+                bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
+                assert np.abs(bw + bw[::-1]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_totals_match_the_per_term_unfolded_sum(self, n):
+        t = DiscreteTorus(2, n)
+        for z in (0.5, 1.0, 2.0):
+            _, total = em_decompose(t, z)
+            ref = per_term_em_total(2, n, z, default_truncation(2))
+            assert total == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("m,zs", [(2, (0.4, 0.45)), (1, (0.2,))])
+    def test_stated_domain(self, m, zs):
+        for n in (7, 8, 9, 16, 32):
+            t = DiscreteTorus(m, n)
+            for z in zs:
+                vals, total = em_decompose(t, z)
+                direct = boundary_inclusive_lattice_sum(t, z, m)
+                assert total == pytest.approx(direct, rel=1e-8)
+                assert all(v == 0.0 for k, v in vals.items() if 2 in k)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double")
+    @pytest.mark.parametrize("n,z,bound", [(7, 0.4, 5e-8), (16, 0.5, 5e-9)])
+    def test_remainder_pattern_meets_its_stated_accuracy(self, n, z, bound):
+        # the (3, 3) pattern on the same nodes in long double: the float
+        # value carries the rounding of its 1e8-fold cancellation
+        L, o = np.longdouble, 2 * default_truncation(2) + 1
+        pi = np.arccos(L(-1))
+        xs, ws = _gl_nodes(n, GL_ORDER_PATTERNS)
+        x = xs.astype(L)
+        bern = [comb(o, j) * bernoulli_number(j) for j in range(o + 1)]
+        w = ws.astype(L) * np.polyval(
+            [L(b.numerator) / L(b.denominator) for b in bern], x % 1)
+        eig = n * n / pi ** 2 * np.sin(pi * np.minimum(x, n - x) / n) ** 2
+        theta = 2 * pi * ((x / n) % 1)
+        quarter = (np.sin(theta), np.cos(theta), -np.sin(theta), -np.cos(theta))
+        jets = np.vstack([n / pi * (2 * pi / n) ** i * quarter[i % 4]
+                          for i in range(o)])
+
+        def h(ell, a):
+            return sum(L(c) * math.prod(jets[i] for i in mono)
+                       for mono, c in _h_monomials(o, ell, a))
+
+        R = 1 / (eig[:, None] + eig[None, :] + L(z) ** 2)
+        P, grid = R ** 4, 0
+        for k in range(2 * o - 1):  # the terms of F^-(4 + k), k = l1 + l2
+            grid = grid + P * sum(np.outer(h(k - l2, 3 + l2), h(l2, 2))
+                                  for l2 in range(o) if 0 <= k - l2 < o)
+            P = P * R
+        ref = w @ grid @ w / L(math.factorial(o)) ** 2
+        vals, _ = em_decompose(DiscreteTorus(2, n), z)
+        assert abs(vals[(3, 3)] / ref - 1) < bound
 
 
 class TestHomogeneousStructure:
