@@ -20,13 +20,14 @@ its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
 an exact integer cross-check of the rescaled log-determinant:
 ``exp(log_det_rescaled) = n^m * #spanning trees``.  One banded GF(p)
 elimination, ``_det_mod_primes``, computes every cofactor residue; tree
-counts for m >= 2 are their CRT reconstruction.  For n = 2 the circle
-degenerates to a doubled edge (eigenvalue 4, tree count 2).
+counts for m >= 2 are their CRT reconstruction (``_crt``), as is the
+eigenvalue product from its GF(p) values at an n-th root of unity, p = 1
+(mod n).  For n = 2 the circle degenerates to a doubled edge (eigenvalue
+4, tree count 2).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,9 @@ MAX_SUM_LATTICE = 1 << 25     # iteration cap for spectral sums
 MAX_TREE_VERTICES = 4096      # cap for exact integer determinants
 MAX_MODULUS = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63: GF(p) updates fit int64
 MAX_SORTED = 1 << 22
+SPECTRAL_BATCH = 1 << 16      # int64 elements per batch of spectral primes
+PRODUCT_MARGIN_BITS = 16      # CRT modulus headroom over exp(log_det_rescaled)
+LOGDET_CHECK_RTOL = 1e-9      # exact product against the float log-determinant
 LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
 DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
 
@@ -220,12 +224,29 @@ def sorted_spectrum(t: DiscreteTorus) -> np.ndarray:
 
 def _is_prime(p: int) -> bool:
     """Miller-Rabin with bases 2, 3, 5, 7: exact for p < 3 215 031 751."""
-    if p < 11 or any(p % a == 0 for a in (2, 3, 5, 7)):
-        return p in (2, 3, 5, 7)
+    if p < 31 or math.gcd(p, 6469693230) > 1:   # the primes up to 29
+        return p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d 2^s with d odd
-    xs = [pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7)]
+    xs = (pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7))   # lazy: stop early
     return all(x == 1 or any(pow(x, 1 << r, p) == p - 1 for r in range(s))
                for x in xs)
+
+
+def _crt(residues_mod, step: int, bound: int) -> int:
+    """The integer in [0, modulus) with residues ``residues_mod(primes)``.
+
+    The primes are the descending p = 1 (mod step) below 2^31 up to the
+    first whose running product, the modulus, exceeds bound.
+    """
+    top = 2 ** 31 - 1 - (2 ** 31 - 2) % step   # the largest p = 1 (mod step)
+    primes, modulus = [], 1
+    for p in filter(_is_prime, range(top, 2, -step)):
+        if modulus > bound:
+            break
+        primes.append(p)
+        modulus *= p
+    return sum(r * (modulus // p) * pow(modulus // p, -1, p)
+               for r, p in zip(residues_mod(primes), primes)) % modulus
 
 
 def _reduced_laplacian_rows(t: DiscreteTorus):
@@ -315,7 +336,7 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
 
     m = 1: the lexicographic reduced circle Laplacian is tridiagonal
     (diagonal 2, off-diagonal -1; [2] for the doubled-edge 2-circle), so
-    its determinant is a continuant, evaluated as a 2x2 matrix power.
+    its determinant is a continuant, a 2x2 matrix power in Python ints.
     m >= 2: CRT over residues modulo primes below 2^31 whose product
     exceeds Hadamard's bound ``(2m)^(N-1)`` on the positive-definite cofactor.
     """
@@ -325,43 +346,75 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
             f"{nverts} vertices exceed the exact-determinant cap "
             f"{MAX_TREE_VERTICES}")
     size = nverts - 1  # vertex 0 deleted
-    if t.m == 1:
-        step = np.array([[2, -1], [1, 0]], dtype=object)  # exact integers
-        (a, b), _ = np.linalg.matrix_power(step, size - 1)
-        return int(2 * a + b)
-    primes = []
-    for p in filter(_is_prime, itertools.count(2 ** 31 - 1, -2)):
-        if math.prod(primes) > (2 * t.m) ** size:
-            break
-        primes.append(p)
-    modulus = math.prod(primes)
-    return sum(r * (modulus // p) * pow(modulus // p, -1, p)
-               for r, p in zip(_det_mod_primes(t, primes), primes)) % modulus
+    if t.m == 1:   # top row (a, b) of the power; (p, q; r, s) the squared base
+        (a, b), (p, q, r, s), e = (1, 0), (2, -1, 1, 0), size - 1
+        while e:
+            a, b = (a * p + b * r, a * q + b * s) if e & 1 else (a, b)
+            p, q, r, s, e = p*p + q*r, q*(p + s), r*(p + s), s*s + q*r, e >> 1
+        return 2 * a + b
+    return _crt(lambda primes: _det_mod_primes(t, primes), 2, (2 * t.m) ** size)
+
+
+def _roots_of_unity(n: int, primes) -> list:
+    """A primitive n-th root of unity modulo each prime p = 1 (mod n).
+
+    The first ``g^((p-1)/n)``, g = 2, 3, ..., whose power n/q is not 1 for
+    any prime q dividing n.
+    """
+    qs = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    return [next(z for z in (pow(g, (p - 1) // n, p) for g in range(2, p))
+                 if all(pow(z, n // q, p) != 1 for q in qs)) for p in primes]
+
+
+def _spectral_product_mod(t: DiscreteTorus, primes) -> list:
+    """Nonzero-eigenvalue product modulo each prime p = 1 (mod n).
+
+    Per batch of primes: axis values ``2 - zeta^k - zeta^-k`` from powers
+    of zeta by doubling, their sums over the axes, then a halving product
+    tree (zero mode set to 1, padded with 1s).  Residues are below 2^31, so
+    every product fits int64.
+    """
+    n, size, out = t.n, t.points, []
+    roots, batch = _roots_of_unity(n, primes), max(1, SPECTRAL_BATCH // size)
+    for lo in range(0, len(primes), batch):
+        ps, zeta = np.array([primes[lo:lo + batch], roots[lo:lo + batch]],
+                            dtype=np.int64)[:, :, None]
+        pw = np.ones((len(ps), n), dtype=np.int64)
+        for s in (1 << i for i in range((n - 1).bit_length())):
+            pw[:, s:2 * s] = pw[:, :min(s, n - s)] * zeta % ps   # * zeta^s
+            zeta = zeta * zeta % ps
+        axis = lam = (2 - pw - np.roll(pw[:, ::-1], 1, axis=1)) % ps
+        for _ in range(t.m - 1):
+            lam = (lam[:, :, None] + axis[:, None, :]).reshape(len(ps), -1) % ps
+        prod = np.ones((len(ps), 1 << (size - 1).bit_length()), dtype=np.int64)
+        prod[:, 1:size] = lam[:, 1:]
+        for _ in range((size - 1).bit_length()):
+            prod = prod[:, ::2] * prod[:, 1::2] % ps
+        out += prod[:, 0].tolist()
+    return out
 
 
 def eigenvalue_product_integer(t: DiscreteTorus) -> int:
     """Product of the nonzero graph-Laplacian eigenvalues as an exact integer.
 
-    The product equals ``n^m`` times the spanning-tree count, so it is an
-    integer; it is reconstructed by evaluating the spectral product in
-    extended precision (working digits set from the float log-determinant)
-    and rounding.  This is the spectral side of the matrix-tree identity.
+    The product is ``n^m`` times the spanning-tree count (the spectral side
+    of the matrix-tree identity), rebuilt by CRT from residues modulo primes
+    whose product exceeds ``exp(log_det_rescaled) 2^PRODUCT_MARGIN_BITS``.
+    ``log_det_rescaled`` errs by far less than a bit at every admissible
+    size; a result whose log disagrees with it raises NumericalError.
     """
-    import mpmath as mp
-
     if t.points > MAX_TREE_VERTICES:
         raise InputError(
             f"{t.points} eigenvalues exceed the reconstruction cap "
             f"{MAX_TREE_VERTICES}")
-    digits = max(int(log_det_rescaled(t) / math.log(10.0)), 0) + 30
-    with mp.workdps(digits):
-        s = [4 * mp.sinpi(mp.mpf(k) / t.n) ** 2 for k in range(t.n)]
-        prod = mp.fprod(sum(s[i] for i in idx) for idx in
-                        itertools.product(range(t.n), repeat=t.m) if any(idx))
-        nearest = mp.nint(prod)
-        if abs(prod - nearest) > 0.25:
-            raise NumericalError("eigenvalue product failed to round cleanly")
-        return int(nearest)
+    ldr = log_det_rescaled(t)
+    product = _crt(lambda primes: _spectral_product_mod(t, primes),
+                   t.n * (1 + t.n % 2),   # p odd and p = 1 (mod n)
+                   1 << (int(ldr / math.log(2.0)) + PRODUCT_MARGIN_BITS))
+    if not product or abs(math.log(product) - ldr) > LOGDET_CHECK_RTOL * ldr:
+        raise NumericalError("exact eigenvalue product disagrees with the "
+                             f"float log-determinant {ldr!r}")
+    return product
 
 
 # -- oracles and pipelines ---------------------------------------------------

@@ -238,23 +238,24 @@ def test_ac13_matrix_tree_oracle():
         if round(math.exp(td.log_det_rescaled(t))) != n * trees:
             m1_ok = False
             break
-    # extended-precision reconstruction on sampled m=1 sizes
+    # exact GF(p) spectral products (CRT over primes p = 1 mod n) on
+    # sampled m=1 sizes
     for n in (2, 17, 100, 1024, 4096):
         t = DiscreteTorus(1, n)
         m1_ok = m1_ok and (td.eigenvalue_product_integer(t)
                            == n * td.spanning_tree_count(t))
-    # m=2, n <= 16: exact integer elimination against the reconstructed
-    # spectral product
+    # m=2, n <= 16: exact integer elimination against the exact spectral
+    # product
     exact_ok = True
     for n in range(2, 17):
         t = DiscreteTorus(2, n)
         if td.eigenvalue_product_integer(t) != t.points * td.spanning_tree_count(t):
             exact_ok = False
             break
-    # m=2, 17 <= n <= 64: an exact CRT count needs about n^2/15 primes
-    # (over two minutes at n = 64), so the reconstructed integer is
-    # certified against the reduced-Laplacian determinant modulo two 31-bit
-    # primes (three at the largest size)
+    # m=2, 17 <= n <= 64: an exact CRT tree count needs about n^2/15
+    # eliminations modulo 31-bit primes (0.5 s each, over two minutes in all
+    # at n = 64), so the exact spectral product is certified against the
+    # reduced-Laplacian determinant modulo two such primes (three at n = 64)
     mod_ok = True
     for n in range(17, 65):
         t = DiscreteTorus(2, n)

@@ -14,7 +14,8 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
-from torusdet.discrete import _half_axis, _lattice_sum
+from torusdet.discrete import (_crt, _half_axis, _lattice_sum,
+                               _roots_of_unity)
 
 
 def closed_form_logdet_1d(n):
@@ -312,8 +313,8 @@ class TestSpanningTrees:
     @pytest.mark.parametrize("m,n", [(1, 6), (1, 31), (2, 2), (2, 3),
                                      (2, 5), (2, 8)])
     def test_product_identity(self, m, n):
-        # exp(rescaled log det) equals n^m * tree count: integer comparison
-        # after extended-precision rounding, float agreement to 1e-9
+        # exp(rescaled log det) equals n^m * tree count: the exact GF(p)
+        # spectral product as an integer, float agreement to 1e-9
         t = DiscreteTorus(m, n)
         target = t.points * spanning_tree_count(t)
         assert eigenvalue_product_integer(t) == target
@@ -325,6 +326,75 @@ class TestSpanningTrees:
         count = spanning_tree_count(t)
         for p in (2 ** 31 - 1, 2 ** 31 - 19):
             assert reduced_laplacian_det_mod(t, p) == count % p
+
+
+def mpmath_eigenvalue_product(t):
+    """Reference: walk all n^m eigenvalues in extended precision and round."""
+    digits = max(int(log_det_rescaled(t) / math.log(10.0)), 0) + 30
+    with mpmath.workdps(digits):
+        s = [4 * mpmath.sinpi(mpmath.mpf(k) / t.n) ** 2 for k in range(t.n)]
+        prod = mpmath.fprod(sum(s[i] for i in idx) for idx in
+                            itertools.product(range(t.n), repeat=t.m)
+                            if any(idx))
+        nearest = mpmath.nint(prod)
+        assert abs(prod - nearest) <= 0.25
+        return int(nearest)
+
+
+class TestSpectralProduct:
+    @pytest.mark.parametrize("m,n", [(1, 2), (1, 17), (1, 4093), (1, 4096),
+                                     (2, 2), (2, 3), (2, 12), (2, 37),
+                                     (2, 64), (3, 8), (4, 3)])
+    def test_matches_extended_precision_walk(self, m, n):
+        t = DiscreteTorus(m, n)
+        assert eigenvalue_product_integer(t) == mpmath_eigenvalue_product(t)
+
+    @given(st.sampled_from([(m, n) for m in range(1, 5) for n in range(2, 257)
+                            if n ** m <= 256]))
+    @settings(deadline=None, max_examples=30)
+    def test_matrix_tree_identity(self, torus):
+        t = DiscreteTorus(*torus)
+        assert eigenvalue_product_integer(t) == t.points * spanning_tree_count(t)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12, 17, 64, 97, 4093, 4096])
+    def test_roots_are_primitive(self, n):
+        primes = list(itertools.islice(
+            (p for p in range(2 ** 31 - 1, 0, -2) if p % n == 1 and isprime(p)),
+            20))
+        divisors = [d for d in range(1, n) if n % d == 0]
+        for p, zeta in zip(primes, _roots_of_unity(n, primes), strict=True):
+            assert pow(zeta, n, p) == 1
+            assert all(pow(zeta, d, p) != 1 for d in divisors)
+
+    @pytest.mark.parametrize("step,bound", [(2, 4 ** 15), (2, 6 ** 63),
+                                            (64, 2 ** 400), (34, 10 ** 50)])
+    def test_crt_takes_the_shortest_prime_prefix(self, step, bound):
+        # every prime = 1 (mod step) from 2^31 down, stopping as soon as the
+        # product exceeds the bound; residues of x come back as x
+        seen = []
+        x = bound // 3
+
+        def residues(primes):
+            seen.extend(primes)
+            return [x % p for p in primes]
+
+        assert _crt(residues, step, bound) == x
+        assert math.prod(seen) > bound >= math.prod(seen[:-1])
+        top = 2 ** 31 - 1 - (2 ** 31 - 2) % step
+        assert seen == [q for q in range(top, seen[-1] - 1, -step)
+                        if isprime(q)]
+
+    @pytest.mark.parametrize("m,n", [(2, 12), (2, 64), (3, 4), (4, 3)])
+    def test_short_prime_list_fails_the_logdet_check(self, m, n, monkeypatch):
+        # primes up to the square root of the bound only: the CRT returns a
+        # wrong representative, which the float log-determinant must refuse
+        import torusdet.discrete as discrete
+
+        full = discrete._crt
+        monkeypatch.setattr(discrete, "_crt", lambda residues_mod, step, bound:
+                            full(residues_mod, step, math.isqrt(bound)))
+        with pytest.raises(NumericalError):
+            eigenvalue_product_integer(DiscreteTorus(m, n))
 
 
 SMALL_PRIMES = [p for p in range(2, 60) if isprime(p)]

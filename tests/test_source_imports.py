@@ -1,0 +1,42 @@
+"""What the library modules may import.
+
+The library computes exact integers in GF(p) and needs no extended
+precision, so no module imports mpmath; ``finite_part._quad`` is the one
+checked quadrature path, so only ``finite_part.py`` imports
+``scipy.integrate``.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "torusdet").glob("*.py"))
+
+
+def imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")   # e.g. scipy.integrate
+    return names
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"discrete.py", "finite_part.py"}
+
+
+def test_no_module_imports_mpmath():
+    for path in SOURCES:
+        assert not any(name.split(".")[0] == "mpmath"
+                       for name in imported_modules(path)), path.name
+
+
+def test_only_finite_part_imports_scipy_integrate():
+    users = {path.name for path in SOURCES
+             if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+                    for name in imported_modules(path))}
+    assert users == {"finite_part.py"}
