@@ -10,12 +10,10 @@ discrete log-determinants reproduces the zeta-regularized determinant.
 from .errors import (FitDegenerateError, InputError, NumericalError,
                      TailModelError, TorusdetError)
 from .expansion import (BasisSpec, Expansion, ExpTerm, FitReport, Samples,
-                        TO_INFINITY, TO_ZERO, eval_expansion, expansion_from_json,
-                        expansion_to_json, extract_reglimit, fit_expansion,
-                        fit_report_to_json,
-                        regularized_limit, samples_from_csv, samples_to_csv)
-from .finite_part import (IntegrandHandle, RegIntResult, TailModel,
-                          antiderivative_term, default_logdet_tail_basis,
+                        TO_INFINITY, TO_ZERO, eval_expansion, extract_reglimit,
+                        fit_expansion, regularized_limit)
+from .finite_part import (RegIntResult, antiderivative_term,
+                          default_logdet_tail_basis,
                           finite_part_tail_inf, finite_part_tail_zero,
                           integral_term, logdet_via_regint, reg_integral)
 from .discrete import (DiscreteTorus, eigenvalue_product_integer, log_det,

@@ -185,7 +185,11 @@ def cmd_regint(args, report):
 def cmd_interchange(args, report):
     reps = [interchange.check_interchange(f, tol=args.tol)
             for f in interchange.builtin_registry()]
-    report["results"] = [json.loads(rep.to_json()) for rep in reps]
+    report["results"] = []
+    for rep in reps:
+        result = dataclasses.asdict(rep)
+        result["pass"] = result.pop("passed")
+        report["results"].append(result)
     report["max_abs_diff"] = max(r["abs_diff"] for r in report["results"])
     return all(rep.passed for rep in reps)
 

@@ -451,8 +451,7 @@ class RemainderReport:
     anchor_per_z: dict          # z -> value at the smallest n
 
 
-def remainder_uniformity_scan(m: int, M: int | None = None, *,
-                              z_grid=(4.0, 8.0, 16.0),
+def remainder_uniformity_scan(m: int, *, z_grid=(4.0, 8.0, 16.0),
                               n_grid=(8, 16, 32, 64, 128)) -> RemainderReport:
     """Size of the non-homogeneous remainder across the (z, n) grid.
 

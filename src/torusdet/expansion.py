@@ -1,7 +1,7 @@
 """Polyhomogeneous asymptotic expansions and regularized limits.
 
-An expansion here is a finite sum of terms ``c * x**alpha * log(x)**k``
-plus a remainder order, taken either as ``x -> infinity`` or ``x -> 0``.
+An expansion here is a finite sum of terms ``c * x**alpha * log(x)**k``,
+taken either as ``x -> infinity`` or ``x -> 0``.
 The regularized limit of a function admitting such an expansion is the
 coefficient of the ``x**0 log(x)**0`` term (the finite part of the limit);
 it is extracted numerically by least-squares fitting a declared basis of
@@ -17,9 +17,8 @@ internal consistency is available.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDegenerateError, InputError
@@ -45,17 +44,15 @@ class ExpTerm:
 
 @dataclass(frozen=True)
 class Expansion:
-    """A finite polyhomogeneous expansion with a remainder order.
+    """A finite polyhomogeneous expansion.
 
-    ``direction`` is ``"to-infinity"`` or ``"to-zero"``.  Distinct exponents
-    must be strictly decreasing (to-infinity) or strictly increasing
-    (to-zero), and the remainder exponent, when given, must lie beyond every
-    term exponent in that ordering.
+    ``direction`` is ``"to-infinity"`` or ``"to-zero"``.  Terms are stored
+    leading term first: distinct exponents strictly decreasing (to-infinity)
+    or strictly increasing (to-zero).
     """
 
     direction: str
     terms: tuple[ExpTerm, ...]
-    remainder: tuple[float, int] | None = None
 
     def __post_init__(self):
         if self.direction not in (TO_INFINITY, TO_ZERO):
@@ -68,18 +65,11 @@ class Expansion:
             if key in seen:
                 raise InputError(f"duplicate expansion term (alpha, k) = {key}")
             seen.add(key)
-        # normalize term order so distinct exponents run strictly toward the
-        # remainder (decreasing for to-infinity, increasing for to-zero)
+        # normalize term order so the leading term comes first (exponents
+        # decreasing for to-infinity, increasing for to-zero)
         sign = -1.0 if self.direction == TO_INFINITY else 1.0
         object.__setattr__(self, "terms", tuple(sorted(
             self.terms, key=lambda t: (sign * t.alpha, t.k))))
-        if self.remainder is not None:
-            a_n = float(self.remainder[0])
-            for t in self.terms:
-                if sign * a_n <= sign * t.alpha:
-                    raise InputError(
-                        "remainder exponent must lie beyond all term exponents")
-            object.__setattr__(self, "remainder", (a_n, int(self.remainder[1])))
 
 
 def eval_expansion(e: Expansion, x: float) -> float:
@@ -145,7 +135,6 @@ class Samples:
 
 @dataclass
 class FitReport:
-    coefficients: dict = field(default_factory=dict)
     rms_residual: float = 0.0
     condition_estimate: float = 1.0
     stability_delta: float = 0.0
@@ -204,79 +193,18 @@ def fit_expansion(s: Samples, b: BasisSpec, *,
             idx = pairs.index((0.0, 0))
             delta = float(ce[idx] - co[idx])
 
-    report = FitReport(coefficients=coeff_map, rms_residual=rms,
-                       condition_estimate=max(cond, 1.0),
+    report = FitReport(rms_residual=rms, condition_estimate=max(cond, 1.0),
                        stability_delta=delta)
     return coeff_map, report
 
 
-def extract_reglimit(s: Samples, b: BasisSpec, *,
-                     cond_cap: float = DEFAULT_COND_CAP):
+def extract_reglimit(s: Samples, b: BasisSpec):
     """Fitted constant coefficient and its uncertainty.
 
     The uncertainty is ``max(rms_residual, |stability_delta|)``.
     """
     if (0.0, 0) not in b.pairs:
         raise InputError("regularized-limit extraction needs (0, 0) in the basis")
-    coeffs, report = fit_expansion(s, b, cond_cap=cond_cap)
+    coeffs, report = fit_expansion(s, b)
     return coeffs[(0.0, 0)], max(report.rms_residual, abs(report.stability_delta))
 
-
-# -- serialization ----------------------------------------------------------
-
-def expansion_to_json(e: Expansion) -> str:
-    obj = {
-        "direction": e.direction,
-        "terms": [[t.alpha, t.k, t.coeff] for t in e.terms],
-        "remainder": list(e.remainder) if e.remainder is not None else None,
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def expansion_from_json(text: str) -> Expansion:
-    obj = json.loads(text)
-    rem = obj.get("remainder")
-    return Expansion(
-        direction=obj["direction"],
-        terms=tuple(ExpTerm(float(a), int(k), float(c)) for a, k, c in obj["terms"]),
-        remainder=(float(rem[0]), int(rem[1])) if rem is not None else None,
-    )
-
-
-def fit_report_to_json(report: FitReport) -> str:
-    obj = {
-        "coefficients": [[a, k, c] for (a, k), c in
-                         sorted(report.coefficients.items())],
-        "rms_residual": report.rms_residual,
-        "condition_estimate": report.condition_estimate,
-        "stability_delta": report.stability_delta,
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def samples_from_csv(path) -> Samples:
-    """Load two-column (x, y) samples; '#' lines and a header row are skipped."""
-    xs, ys = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise InputError(f"bad CSV row: {line!r}")
-            try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError:
-                continue  # header row
-    return Samples(np.asarray(xs), np.asarray(ys))
-
-
-def samples_to_csv(s: Samples, path, *, header: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("x,value\n")
-        for xv, yv in zip(s.x, s.y):
-            fh.write(f"{float(xv)!r},{float(yv)!r}\n")

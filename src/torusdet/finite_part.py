@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
 from .errors import InputError, NumericalError, TailModelError
-from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion, ExpTerm,
-                        Samples, fit_expansion)
+from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion, Samples,
+                        fit_expansion)
 
 DEFAULT_WINDOW = (1e-3, 64.0)
 DEFAULT_QUAD_TOL = 1e-10
@@ -81,39 +81,6 @@ def finite_part_tail_zero(alpha: float, k: int, a: float) -> float:
     coefficient as eps -> 0, leaving ``F(a)``.
     """
     return antiderivative_term(alpha, k, a)
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """A tail expansion anchored at a window endpoint."""
-
-    side: str  # "zero" | "infinity"
-    expansion: Expansion
-    anchor: float
-
-    def __post_init__(self):
-        if self.side not in ("zero", "infinity"):
-            raise InputError(f"unknown tail side {self.side!r}")
-        want = TO_ZERO if self.side == "zero" else TO_INFINITY
-        if self.expansion.direction != want:
-            raise InputError(
-                f"tail on side {self.side!r} needs a {want} expansion")
-        if self.anchor <= 0:
-            raise InputError("tail anchor must be positive")
-
-    def finite_part(self) -> float:
-        fp = finite_part_tail_zero if self.side == "zero" else finite_part_tail_inf
-        return math.fsum(
-            t.coeff * fp(t.alpha, t.k, self.anchor) for t in self.expansion.terms)
-
-
-@dataclass
-class IntegrandHandle:
-    """A positive-axis integrand with optional declared tail expansions."""
-
-    evaluator: Callable[[float], float]
-    tail_zero: Expansion | None = None
-    tail_inf: Expansion | None = None
 
 
 @dataclass
@@ -174,40 +141,48 @@ def fit_tail(f: Callable[[float], float], side: str, anchor: float,
     return coeffs, report.rms_residual
 
 
-def _tail_part(f, side, anchor, basis, declared):
-    """Tail finite part plus a residual-based error term."""
-    if declared is not None:
-        model = TailModel(side=side, expansion=declared, anchor=anchor)
-        return model.finite_part(), 0.0
-    if basis is None:
+def _tail_part(f, side, anchor, tail):
+    """Tail finite part plus an error term.
+
+    ``tail`` is a declared ``Expansion``, which must point toward the
+    side's limit point and carries no error, or a ``BasisSpec`` fitted by
+    ``fit_tail``, whose error is the fit residual scaled by the anchor.
+    """
+    if isinstance(tail, Expansion):
+        want = TO_ZERO if side == "zero" else TO_INFINITY
+        if tail.direction != want:
+            raise InputError(f"tail on side {side!r} needs a {want} expansion")
+        coeffs = {(t.alpha, t.k): t.coeff for t in tail.terms}
+        err = 0.0
+    elif tail is None:
         raise InputError(
-            f"no tail treatment on side {side!r}: pass a basis or declare an "
-            "expansion on the integrand handle")
+            f"no tail treatment on side {side!r}: pass a basis or a declared "
+            "expansion")
+    else:
+        coeffs, rms = fit_tail(f, side, anchor, tail)
+        err = rms * anchor
     fp = finite_part_tail_zero if side == "zero" else finite_part_tail_inf
-    coeffs, rms = fit_tail(f, side, anchor, basis)
-    part = math.fsum(c * fp(a, k, anchor) for (a, k), c in coeffs.items())
-    return part, rms * anchor
+    return math.fsum(c * fp(a, k, anchor) for (a, k), c in coeffs.items()), err
 
 
-def reg_integral(f, window=DEFAULT_WINDOW, basis_zero: BasisSpec | None = None,
-                 basis_inf: BasisSpec | None = None,
+def reg_integral(f: Callable[[float], float], window=DEFAULT_WINDOW,
+                 basis_zero: BasisSpec | Expansion | None = None,
+                 basis_inf: BasisSpec | Expansion | None = None,
                  quad_tol: float = DEFAULT_QUAD_TOL) -> RegIntResult:
     """Finite-part integral of f over (0, inf).
 
-    ``f`` is an IntegrandHandle or a plain callable.  The core on
-    ``window = [a, A]`` is adaptive quadrature; tails use declared
-    expansions when present on the handle, otherwise fits of the given
-    bases at geometric sample points outside the window.
+    The core on ``window = [a, A]``, ``0 < a < A < inf``, is adaptive
+    quadrature.  Each tail is a declared ``Expansion`` integrated term by
+    term, or a ``BasisSpec`` fitted at geometric sample points outside the
+    window and integrated likewise.
     """
-    if not isinstance(f, IntegrandHandle):
-        f = IntegrandHandle(evaluator=f)
     a, A = float(window[0]), float(window[1])
-    if not (0 < a < A):
-        raise InputError(f"window must satisfy 0 < a < A, got {window}")
+    if not (0 < a < A < math.inf):
+        raise InputError(f"window must satisfy 0 < a < A < inf, got {window}")
 
-    core, quad_err = _quad(f.evaluator, a, A, quad_tol)
-    tz, tz_err = _tail_part(f.evaluator, "zero", a, basis_zero, f.tail_zero)
-    ti, ti_err = _tail_part(f.evaluator, "infinity", A, basis_inf, f.tail_inf)
+    core, quad_err = _quad(f, a, A, quad_tol)
+    tz, tz_err = _tail_part(f, "zero", a, basis_zero)
+    ti, ti_err = _tail_part(f, "infinity", A, basis_inf)
     value = core + tz + ti
     return RegIntResult(value=value, core_part=core, tail_zero_part=tz,
                         tail_inf_part=ti,
@@ -271,7 +246,7 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
     core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
     tail = _tail_part(g, "infinity", window_end,
-                      default_logdet_tail_basis(m), None)[0]
+                      default_logdet_tail_basis(m))[0]
     raw = -2.0 * (core_zero + core_main + tail)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
     s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)

@@ -15,7 +15,6 @@ small-z behaviour of f(., 1) follows from the declared n-expansion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +23,7 @@ import numpy as np
 from .errors import InputError
 from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion, ExpTerm,
                         Samples, extract_reglimit)
-from .finite_part import (IntegrandHandle, finite_part_tail_inf, reg_integral,
-                          _quad, _tail_part)
+from .finite_part import finite_part_tail_inf, reg_integral, _quad, _tail_part
 
 DEGREE_TOL = 1e-12
 QUAD_TOL = 1e-11        # adaptive quadratures, absolute and relative
@@ -62,13 +60,6 @@ class InterchangeReport:
     degree: float
     abs_diff: float
     passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-            "corr": self.corr, "degree": self.degree,
-            "abs_diff": self.abs_diff, "pass": self.passed,
-        }, sort_keys=True)
 
 
 def verify_homogeneity(f: HomogeneousFn) -> float:
@@ -115,12 +106,9 @@ def correction_term(f: HomogeneousFn) -> float:
     when the degree is -1 (within tolerance), zero otherwise."""
     if abs(f.degree + 1.0) > DEGREE_TOL:
         return 0.0
-    handle = IntegrandHandle(
-        evaluator=lambda z: f.evaluator(z, 1.0),
-        tail_zero=_zero_side_expansion(f),
-        tail_inf=f.expansion_z,
-    )
-    return reg_integral(handle, quad_tol=QUAD_TOL).value
+    return reg_integral(lambda z: f.evaluator(z, 1.0),
+                        basis_zero=_zero_side_expansion(f),
+                        basis_inf=f.expansion_z, quad_tol=QUAD_TOL).value
 
 
 def _filled_basis(pairs, terms) -> BasisSpec:
@@ -148,11 +136,7 @@ def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
 
     core, _ = _quad(g, 1.0, window_end, QUAD_TOL)
     return core + _tail_part(g, "infinity", window_end,
-                             _filled_basis((), f.expansion_z.terms), None)[0]
-
-
-def default_n_grid():
-    return [2 ** i for i in range(3, 11)]
+                             _filled_basis((), f.expansion_z.terms))[0]
 
 
 def _default_basis_n(f: HomogeneousFn) -> BasisSpec:
@@ -167,7 +151,7 @@ def _default_basis_n(f: HomogeneousFn) -> BasisSpec:
 
 def lhs_interchange(f: HomogeneousFn) -> float:
     """Regularized limit over n of the finite-part integrals from 1."""
-    grid = default_n_grid()
+    grid = [2 ** i for i in range(3, 11)]
     vals = [fp_integral_from_one(f, n) for n in grid]
     samples = Samples(np.array(grid, dtype=float), np.array(vals))
     constant, _ = extract_reglimit(samples, _default_basis_n(f))
@@ -204,11 +188,10 @@ def check_interchange(f: HomogeneousFn, tol: float = 1e-6) -> InterchangeReport:
 
 # -- built-in closed-form registry --------------------------------------------
 
-def _alt_powers(start: float, count: int, *, step: float = -2.0,
-                signs_from: int = 0) -> tuple:
+def _alt_powers(start: float, count: int) -> tuple:
     terms = []
     for i in range(count):
-        terms.append(ExpTerm(start + step * i, 0, (-1.0) ** (i + signs_from)))
+        terms.append(ExpTerm(start - 2.0 * i, 0, (-1.0) ** i))
     return tuple(terms)
 
 

@@ -106,7 +106,10 @@ class TestCommands:
         assert code == 0
         rep = json.loads(out.read_text())
         assert len(rep["results"]) == 4
-        assert all(r["pass"] for r in rep["results"])
+        assert all(r["pass"] is True for r in rep["results"])
+        for r in rep["results"]:
+            assert set(r) == {"name", "lhs", "rhs", "corr", "degree",
+                              "abs_diff", "pass"}
 
     def test_em_check(self):
         assert main(["em-check", "--m", "1", "--n", "8", "--z", "1.0"]) == 0
@@ -161,6 +164,7 @@ class TestExitCodes:
         ["regint", "--integrand", "log-kernel", "--lam", "0"],
         ["regint", "--integrand", "log-kernel", "--lam", "nan"],
         ["main-theorem", "--m", "4"],
+        ["regint", "--window-end", "inf"],
     ])
     def test_bad_input_is_input_error(self, argv, capsys):
         assert main(argv) == 2
@@ -425,3 +429,20 @@ class TestExitContract:
     def test_main_theorem(self, m, grid, basis):
         argv = ["main-theorem", "--m", str(m), "--n-grid={}:{}:x{}".format(*grid)]
         self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
+
+    # any float, nan, +-inf, subnormals and 1e308 included, half the draws
+    # from a range where most runs get past the option checks; "--flag=value"
+    # keeps a negative value from being read as an option
+    @settings(deadline=None, max_examples=150)
+    @given(integrand=st.sampled_from(["lorentzian", "log-kernel"]),
+           values=st.tuples(*[st.one_of(st.floats(), st.floats(1e-6, 1e6))] * 5))
+    def test_regint(self, integrand, values):
+        flags = ("--lam", "--window-start", "--window-end", "--quad-tol", "--tol")
+        self.check(["regint", f"--integrand={integrand}"]
+                   + [f"{flag}={v!r}" for flag, v in zip(flags, values)])
+
+    @settings(deadline=None, max_examples=10)
+    @given(tol=st.floats(), every=st.booleans())
+    def test_interchange_check(self, tol, every):
+        self.check(["interchange-check", f"--tol={tol!r}"]
+                   + (["--all"] if every else []))

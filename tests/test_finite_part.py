@@ -8,9 +8,8 @@ import pytest
 from scipy import integrate
 
 import torusdet as td
-from torusdet import (BasisSpec, Expansion, IntegrandHandle, InputError,
-                      NumericalError, TO_INFINITY, TO_ZERO, TailModel,
-                      TailModelError,
+from torusdet import (BasisSpec, Expansion, InputError, NumericalError,
+                      TO_INFINITY, TO_ZERO, TailModelError,
                       antiderivative_term, finite_part_tail_inf,
                       finite_part_tail_zero, integral_term, logdet_via_regint,
                       reg_integral)
@@ -128,15 +127,14 @@ class TestRegIntegral:
                                      (-5.0, 0))))
 
     def test_declared_tails_bypass_fitting(self):
-        handle = IntegrandHandle(
-            evaluator=lambda z: 1 / (1 + z * z),
-            tail_zero=Expansion(TO_ZERO, ((0.0, 0, 1.0), (2.0, 0, -1.0),
-                                          (4.0, 0, 1.0))),
-            tail_inf=Expansion(TO_INFINITY, ((-2.0, 0, 1.0), (-4.0, 0, -1.0),
-                                             (-6.0, 0, 1.0))),
-        )
-        res = reg_integral(handle, window=(1e-2, 50.0))
+        res = reg_integral(
+            lambda z: 1 / (1 + z * z), window=(1e-2, 50.0),
+            basis_zero=Expansion(TO_ZERO, ((0.0, 0, 1.0), (2.0, 0, -1.0),
+                                           (4.0, 0, 1.0))),
+            basis_inf=Expansion(TO_INFINITY, ((-2.0, 0, 1.0), (-4.0, 0, -1.0),
+                                              (-6.0, 0, 1.0))))
         assert res.value == pytest.approx(math.pi / 2, abs=1e-7)
+        assert res.error_estimate == pytest.approx(0.0, abs=1e-9)
 
     def test_tail_model_inadequate(self):
         with pytest.raises(TailModelError):
@@ -154,18 +152,32 @@ class TestRegIntegral:
             reg_integral(lambda z: z, window=(2.0, 1.0),
                          basis_zero=LORENTZ_ZERO, basis_inf=LORENTZ_INF)
 
-
-class TestTailModel:
-    def test_direction_must_match_side(self):
-        inf_exp = Expansion(TO_INFINITY, ((-2.0, 0, 1.0),))
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (1.0, math.inf),
+                                        (math.nan, 1.0), (1e-3, math.nan)])
+    def test_window_must_be_finite_and_positive(self, window):
         with pytest.raises(InputError):
-            TailModel(side="zero", expansion=inf_exp, anchor=1.0)
+            reg_integral(lambda z: 1 / (1 + z * z), window=window,
+                         basis_zero=LORENTZ_ZERO, basis_inf=LORENTZ_INF)
+
+
+class TestDeclaredTail:
+    def test_direction_must_match_side(self):
+        f = lambda z: 1 / (1 + z * z)
+        inf_exp = Expansion(TO_INFINITY, ((-2.0, 0, 1.0),))
+        zero_exp = Expansion(TO_ZERO, ((0.0, 0, 1.0),))
+        with pytest.raises(InputError):
+            reg_integral(f, basis_zero=inf_exp, basis_inf=inf_exp)
+        with pytest.raises(InputError):
+            reg_integral(f, basis_zero=zero_exp, basis_inf=zero_exp)
 
     def test_finite_part_sums_terms(self):
-        model = TailModel(side="infinity",
-                          expansion=Expansion(TO_INFINITY, ((-2.0, 0, 3.0),)),
-                          anchor=2.0)
-        assert model.finite_part() == pytest.approx(1.5)
+        # fp of 3/z^2: 3/2 beyond z = 2, -3 below z = 1, 0 over (0, inf)
+        res = reg_integral(lambda z: 3.0 / (z * z), window=(1.0, 2.0),
+                           basis_zero=Expansion(TO_ZERO, ((-2.0, 0, 3.0),)),
+                           basis_inf=Expansion(TO_INFINITY, ((-2.0, 0, 3.0),)))
+        assert res.tail_inf_part == pytest.approx(1.5)
+        assert res.tail_zero_part == pytest.approx(-3.0)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLogdetRoute:

@@ -1,6 +1,5 @@
 """Tests for the limit/integral interchange checker."""
 
-import json
 import math
 
 import numpy as np
@@ -97,13 +96,6 @@ class TestCheck:
         corrs = [correction_term(f) for f in builtin_registry()]
         nonzero = sorted(c for c in corrs if c != 0.0)
         assert nonzero == pytest.approx([math.pi / 4, math.pi / 2], abs=1e-7)
-
-    def test_report_json(self):
-        rep = check_interchange(by_name("z^-2"), tol=1e-6)
-        obj = json.loads(rep.to_json())
-        assert obj["pass"] is True
-        assert set(obj) == {"name", "lhs", "rhs", "corr", "degree",
-                            "abs_diff", "pass"}
 
     @given(st.floats(min_value=0.25, max_value=4.0))
     @settings(deadline=None, max_examples=8)

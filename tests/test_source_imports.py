@@ -3,7 +3,8 @@
 The library computes exact integers in GF(p) and needs no extended
 precision, so no module imports mpmath; ``finite_part._quad`` is the one
 checked quadrature path, so only ``finite_part.py`` imports
-``scipy.integrate``.
+``scipy.integrate``; reports are the command line's job, so only ``cli.py``
+imports ``json``.
 """
 
 import ast
@@ -40,3 +41,10 @@ def test_only_finite_part_imports_scipy_integrate():
              if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
                     for name in imported_modules(path))}
     assert users == {"finite_part.py"}
+
+
+def test_only_cli_imports_json():
+    users = {path.name for path in SOURCES
+             if any(name.split(".")[0] == "json"
+                    for name in imported_modules(path))}
+    assert users == {"cli.py"}
