@@ -5,15 +5,15 @@ difference Laplacian whose one-axis eigenvalues are
 ``(n^2/pi^2) sin^2(pi k / n)``, k = 0..n-1; the m-dimensional eigenvalues
 are sums over axes.  That axis formula lives in one kernel,
 ``_axis_eigenvalues``, which every spectral quantity here and in the
-Euler-Maclaurin module evaluates.  Spectral sums (log-determinants,
-resolvent traces, the extended-grid sums of the inclusion-exclusion
-route) are reduced by ``_lattice_sum`` over the half-axis table
-``_half_axis`` (distinct eigenvalues k = 0..n//2 with multiplicity
-weights): the innermost axis is a row, the outer axes index the rows, and
-blocks of whole rows are evaluated at once, so no ``n^m`` eigenvalue
-array is ever materialized.  Each row is summed pairwise and the row
-partials are combined with one exact fsum, so the value does not depend
-on the block size and is bit-reproducible.
+Euler-Maclaurin module evaluates.  Spectral sums are reduced by
+``_lattice_sum`` over the half-axis table ``_half_axis`` (distinct
+eigenvalues k = 0..n//2 with multiplicity weights): the innermost axis is
+a row, the outer axes index the rows, and blocks of whole rows are
+evaluated at once, so no ``n^m`` eigenvalue array is ever materialized.
+The row partials are combined with one exact fsum, so the value does not
+depend on the block size and is bit-reproducible.  Log-determinants
+multiply the innermost axis out in closed form and reduce only the m - 1
+outer axes.
 
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
@@ -44,7 +44,7 @@ MAX_MODULUS = math.isqrt(2 ** 63 - 1)  # p^2 < 2^63: GF(p) updates fit int64
 MAX_SORTED = 1 << 22
 SPECTRAL_BATCH = 1 << 16      # int64 elements per batch of spectral primes
 PRODUCT_MARGIN_BITS = 16      # CRT modulus headroom over exp(log_det_rescaled)
-LOGDET_CHECK_RTOL = 1e-9      # exact product against the float log-determinant
+LOGDET_CHECK_RTOL = 1e-12     # exact product against the float log-determinant
 LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
 DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
 
@@ -161,19 +161,32 @@ def _extended_trace_sum(n: int, dims: int, z: float, alpha: int) -> float:
 
 
 def log_det(t: DiscreteTorus) -> float:
-    """Sum of ``log`` over the nonzero spectrum of the rescaled Laplacian."""
-    _check_sum_size(t)
-    return _lattice_sum([_half_axis(t.n)] * t.m, np.log, skip_zero_mode=True)
+    """Sum of ``log`` over the nonzero spectrum of the rescaled Laplacian:
+    ``log_det_rescaled`` plus ``(n^m - 1) log(n^2 / 4 pi^2)``."""
+    scale = math.log(t.n * t.n / (4 * math.pi ** 2))
+    return log_det_rescaled(t) + (t.points - 1) * scale
+
+
+def _inner_axis_log_product(n: int, omega):
+    """``log prod_k (mu + 4 sin^2(pi k/n)) = log(2 cosh(n theta) - 2)`` for the
+    graph eigenvalue ``mu = 4 pi^2 omega / n^2 = 4 sinh^2(theta/2) > 0``."""
+    n_theta = 2 * n * np.arcsinh(math.pi * np.sqrt(omega) / n)
+    return n_theta + 2 * np.log1p(-np.exp(-n_theta))
 
 
 def log_det_rescaled(t: DiscreteTorus) -> float:
     """Log-determinant of the unnormalized (graph) Laplacian.
 
-    Exact affine relation: subtract ``(n^m - 1) log(n^2 / 4 pi^2)`` from
-    the rescaled-operator log-determinant.
+    The inner axis is multiplied out by ``_inner_axis_log_product``, so
+    only the ``n^(m-1)`` outer modes are reduced; the outer zero mode gives
+    ``log n^2``, the n-cycle's nonzero eigenvalue product (all of it at m = 1).
     """
-    scale = math.log(t.n * t.n / (4 * math.pi ** 2))
-    return log_det(t) - (t.points - 1) * scale
+    _check_sum_size(t)
+    if t.m == 1:
+        return 2 * math.log(t.n)
+    return 2 * math.log(t.n) + _lattice_sum(
+        [_half_axis(t.n)] * (t.m - 1),
+        lambda v: _inner_axis_log_product(t.n, v), skip_zero_mode=True)
 
 
 def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:

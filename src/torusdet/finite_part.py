@@ -125,6 +125,8 @@ def fit_tail(f: Callable[[float], float], side: str, anchor: float,
     """
     npts = len(basis) + TAIL_EXTRA_POINTS
     if side == "infinity":
+        if not math.isfinite(anchor * TAIL_SAMPLE_RATIO ** npts):
+            raise NumericalError(f"tail samples beyond {anchor:g} overflow")
         xs = anchor * TAIL_SAMPLE_RATIO ** np.arange(1, npts + 1)
     elif side == "zero":
         xs = anchor / TAIL_SAMPLE_RATIO ** np.arange(npts, 0, -1)

@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusdet
 from torusdet.cli import main, parse_basis, parse_grid
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE, MAX_TREE_VERTICES
 from torusdet.errors import InputError
@@ -211,6 +216,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure:")
         assert captured.out == ""
+
+    def test_overflowing_tail_samples_print_only_the_failure(self):
+        # in a fresh process, so a numpy RuntimeWarning would reach stderr
+        src = str(Path(torusdet.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusdet.cli", "regint",
+             "--window-end", "1e308"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            "numerical failure: tail samples beyond 1e+308 overflow\n"
 
     @pytest.mark.parametrize("argv", [
         ["regint", "--tol", "nan"],

@@ -14,8 +14,8 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
-from torusdet.discrete import (_crt, _half_axis, _lattice_sum,
-                               _roots_of_unity)
+from torusdet.discrete import (_crt, _half_axis, _inner_axis_log_product,
+                               _lattice_sum, _roots_of_unity)
 
 
 def closed_form_logdet_1d(n):
@@ -122,6 +122,10 @@ class TestBlockedLatticeSum:
         for term_fn, skip in cases:
             assert _lattice_sum(axes, term_fn, skip_zero_mode=skip) == \
                 per_row_lattice_sum(axes, term_fn, skip_zero_mode=skip)
+        if m > 1:   # log_det_rescaled: the inner axis is a closed form
+            outer_log = lambda v: _inner_axis_log_product(n, v)
+            assert _lattice_sum(axes[1:], outer_log, skip_zero_mode=True) == \
+                per_row_lattice_sum(axes[1:], outer_log, skip_zero_mode=True)
 
 
 class TestOmega:
@@ -168,6 +172,58 @@ class TestLogDet:
         # {4, 4, 8} and 4 * (32 spanning trees)
         assert log_det_rescaled(DiscreteTorus(2, 2)) == pytest.approx(
             math.log(128), rel=1e-13)
+
+
+def mp_log_det_rescaled(m, n, bits=120):
+    """Reference: the graph-Laplacian eigenvalue product multiplied out mode
+    by mode, on eigenvalues in fixed point with ``bits`` fraction bits (the
+    running product kept to 3 * bits bits); sines and logs by mpmath at 30
+    digits.  The outer axes run over k = 0..n//2 with weight 2 for k and
+    n - k distinct."""
+    with mpmath.workdps(40):
+        axis = [int(mpmath.nint(4 * mpmath.sin(mpmath.pi * k / n) ** 2
+                                * 2 ** bits)) for k in range(n)]
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for outer in itertools.product(range(n // 2 + 1), repeat=m - 1):
+            mu = sum(axis[k] for k in outer)
+            man, exp = 1, 0
+            for x in (mu + a for a in axis if mu + a):
+                man *= x
+                cut = max(0, man.bit_length() - 3 * bits)
+                man, exp = man >> cut, exp + cut - bits
+            wt = math.prod(1 + (2 * k % n > 0) for k in outer)
+            total += wt * (mpmath.log(man) + exp * mpmath.ln2)
+    return total
+
+
+class TestInnerAxisProduct:
+    """log_det_rescaled multiplies the inner axis out as 2 cosh(n theta) - 2;
+    each test here checks it against a route that does not."""
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 10), (1, 601),
+                                     (2, 2), (2, 3), (2, 8), (2, 9),
+                                     (2, 600), (2, 601), (3, 2), (3, 3),
+                                     (3, 64), (3, 65), (4, 2), (4, 3),
+                                     (4, 40), (4, 41)])
+    def test_matches_per_mode_log_sum(self, m, n):
+        # np.log over every nonzero mode of the rescaled spectrum, the
+        # reduction log_det made before the inner axis was multiplied out
+        per_mode = _lattice_sum([_half_axis(n)] * m, np.log, skip_zero_mode=True)
+        assert log_det(DiscreteTorus(m, n)) == pytest.approx(per_mode, rel=1e-13)
+
+    def test_circle_matches_sorted_spectrum(self):
+        for n in range(2, 513):
+            t = DiscreteTorus(1, n)
+            expect = math.fsum(np.log(sorted_spectrum(t)[1:]))
+            assert log_det(t) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 64), (2, 1024),
+                                     (3, 5), (3, 128), (4, 3), (4, 24)])
+    def test_matches_30_digit_product(self, m, n):
+        ref = mp_log_det_rescaled(m, n)
+        got = log_det_rescaled(DiscreteTorus(m, n))
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 class TestResolventTrace:
@@ -348,6 +404,14 @@ class TestSpectralProduct:
     def test_matches_extended_precision_walk(self, m, n):
         t = DiscreteTorus(m, n)
         assert eigenvalue_product_integer(t) == mpmath_eigenvalue_product(t)
+
+    @pytest.mark.parametrize("m,n", [(1, 4093), (1, 4096), (2, 37), (2, 64),
+                                     (3, 8), (4, 4)])
+    def test_float_log_det_agrees_with_the_exact_product(self, m, n):
+        # a hundredth of LOGDET_CHECK_RTOL
+        t = DiscreteTorus(m, n)
+        ldr = log_det_rescaled(t)
+        assert abs(math.log(eigenvalue_product_integer(t)) - ldr) <= 1e-14 * ldr
 
     @given(st.sampled_from([(m, n) for m in range(1, 5) for n in range(2, 257)
                             if n ** m <= 256]))
