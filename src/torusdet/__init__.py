@@ -13,7 +13,6 @@ from .expansion import (BasisSpec, Expansion, ExpTerm, FitReport, Samples,
                         TO_INFINITY, TO_ZERO, eval_expansion, extract_reglimit,
                         fit_expansion, regularized_limit)
 from .finite_part import (RegIntResult, antiderivative_term,
-                          default_logdet_tail_basis,
                           finite_part_tail_inf, finite_part_tail_zero,
                           integral_term, logdet_via_regint, reg_integral)
 from .discrete import (DiscreteTorus, eigenvalue_product_integer, log_det,
@@ -30,7 +29,7 @@ from .euler_maclaurin import (EMParts, bernoulli_number,
                               periodic_bernoulli, poly_evaluator,
                               remainder_uniformity_scan, scaled_bulk_term)
 from .smooth import (ConvergenceReport, convergence_check, eigenproduct_reglimit,
-                     lattice_trace_sum, log_det_zeta, logdet_zeta_via_regint,
+                     log_det_zeta, logdet_zeta_via_regint,
                      partial_log_product, resolvent_trace_continuum,
                      theta1, theta_function, zeta_continued)
 from .interchange import (HomogeneousFn, InterchangeReport, builtin_registry,

@@ -125,10 +125,10 @@ def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     return math.fsum(partials)
 
 
-def _check_sum_size(t: DiscreteTorus):
-    if t.points > MAX_SUM_LATTICE:
+def _check_sum_size(points: int):
+    if points > MAX_SUM_LATTICE:
         raise InputError(
-            f"lattice of {t.points} points exceeds the iteration cap "
+            f"lattice of {points} points exceeds the iteration cap "
             f"{MAX_SUM_LATTICE}")
 
 
@@ -180,8 +180,12 @@ def log_det_rescaled(t: DiscreteTorus) -> float:
     The inner axis is multiplied out by ``_inner_axis_log_product``, so
     only the ``n^(m-1)`` outer modes are reduced; the outer zero mode gives
     ``log n^2``, the n-cycle's nonzero eigenvalue product (all of it at m = 1).
+    The cap is on the ``n^(m-1)`` outer modes and, for the one-axis table,
+    on n.
     """
-    _check_sum_size(t)
+    if t.n > MAX_SORTED:
+        raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
+    _check_sum_size(t.n ** (t.m - 1))
     if t.m == 1:
         return 2 * math.log(t.n)
     return 2 * math.log(t.n) + _lattice_sum(
@@ -194,7 +198,7 @@ def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
     check_resolvent_parameter(z, alpha)
-    _check_sum_size(t)
+    _check_sum_size(t.points)
     z2 = z * z
     return _lattice_sum([_half_axis(t.n)] * t.m,
                         lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
@@ -210,7 +214,7 @@ def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
     """
     # the terms C(m,k) T_k carry the zero mode with weights summing to 3^m
     check_resolvent_parameter(z, t.m, t.m * math.log(3.0))
-    _check_sum_size(t)
+    _check_sum_size(t.points)
     m = t.m
     total = []
     for k in range(m + 1):

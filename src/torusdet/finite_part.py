@@ -192,12 +192,8 @@ def reg_integral(f: Callable[[float], float], window=DEFAULT_WINDOW,
 
 
 def default_logdet_tail_basis(m: int) -> BasisSpec:
-    """Tail basis for ``z**(2m-1) * trace`` at infinity.
-
-    Finite spectra give odd negative powers starting at ``z**-1``; continuum
-    traces give ``z**(m-1)`` down to ``z**0`` with exponentially small
-    corrections.  The union covers both.
-    """
+    """Tail basis for ``z**(2m-1) * trace`` at infinity: a finite spectrum
+    gives odd negative powers starting at ``z**-1``."""
     pairs = [(float(j), 0) for j in range(m - 1, 0, -1)]
     pairs += [(0.0, 0), (-1.0, 0), (-3.0, 0), (-5.0, 0), (-7.0, 0)]
     return BasisSpec(tuple(pairs))
@@ -225,6 +221,13 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     ``-kernel_dim`` of a closed manifold is used.  For m = 1 the
     correction is zero either way.
     """
+    return _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes,
+                          default_logdet_tail_basis(m))
+
+
+def _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes, tail):
+    """``logdet_via_regint`` with the tail beyond ``window_end`` given as a
+    declared ``Expansion`` of ``z**(2m-1) * trace`` or a basis to fit."""
     if m < 1:
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
@@ -247,9 +250,8 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     eps0 = 1e-6
     core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
     core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
-    tail = _tail_part(g, "infinity", window_end,
-                      default_logdet_tail_basis(m))[0]
-    raw = -2.0 * (core_zero + core_main + tail)
+    tail_value = _tail_part(g, "infinity", window_end, tail)[0]
+    raw = -2.0 * (core_zero + core_main + tail_value)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
     s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)
     return raw - harmonic * s0

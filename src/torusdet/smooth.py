@@ -2,13 +2,14 @@
 products, and convergence of the discrete resolvent traces.
 
 The flat m-torus (product of unit circles) has Laplace spectrum
-``|k|^2, k in Z^m`` with a one-dimensional kernel.  Two independent routes
-to its log-determinant are provided: the Mellin/theta continuation of the
-spectral zeta function (the reference oracle, whose two tails are lattice
-series of incomplete gamma functions), and the finite-part resolvent-trace
-integral evaluated with the same machinery used for the discrete tori.
-Every quadrature here goes through ``finite_part._quad``, so quadrature
-trouble raises NumericalError.
+``|k|^2, k in Z^m`` with a one-dimensional kernel.  Its zeta function and
+its resolvent traces are the heat-trace Mellin transform split at one point
+(Ewald 1921; Crandall 1998): a lattice series of incomplete gamma functions
+over one table of shells plus closed-form terms, with no quadrature.  Two
+independent routes to the log-determinant are provided: the zeta
+continuation (the reference oracle), and the finite-part resolvent-trace
+integral evaluated with the machinery used for the discrete tori, whose
+tail beyond the window is the trace's declared lead term.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ from scipy import special
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
-from .expansion import BasisSpec, Samples, extract_reglimit
-from .discrete import MAX_SUM_LATTICE, _lattice_sum
+from .expansion import (TO_INFINITY, BasisSpec, Expansion, Samples,
+                        extract_reglimit)
+from .discrete import MAX_SUM_LATTICE
 from . import finite_part
 
 EULER_GAMMA = float(np.euler_gamma)
 THETA_LOG_EPS = 40.0     # theta sums drop Gaussian terms below exp(-40)
 SMOOTH_POINTS = 41       # cutoffs per eigenproduct smoothing window
 SMOOTH_HALFWIDTH = 1.2   # the window spans [Lambda/1.2, Lambda*1.2]
-TRACE_QUAD_TOL = 1e-13   # continuum trace quadratures, absolute and relative
-MELLIN_END = 60.0        # last break of the trace's Mellin integral, unless
-MELLIN_TAIL = 1e-17      # the Gamma(alpha) weight beyond it exceeds this
-# Up to this alpha the trace's Mellin weight is the plain u^(alpha-1) e^(-u),
-# accurate to 2e-16.  Above it the weight is divided by Gamma(alpha) in logs
-# (3e-15): the plain weight's size makes the absolute tolerance unreachable
-# (roundoff at alpha = 6..8, z near 3..7), and Gamma(alpha) overflows.
-PLAIN_WEIGHT_ALPHA = 5
+EWALD_SPLIT = 0.2        # Mellin split c of the trace: drops exp(-pi^2/c) = 4e-22
+TRACE_SHELLS = 250       # squared norms in the trace: drops < 1e-17 for m <= 4
+EWALD_TAIL = 1e-17       # shell weight below which the trace is its lead term
 ZETA_SHELLS = 60         # squared norms kept in the zeta lattice series
 GAMMA_OVERFLOW = 171.0   # Gamma(x) overflows a double just above x = 171.6
 
@@ -67,132 +64,62 @@ def theta_function(m: int, t: float) -> float:
     return theta1(t) ** m
 
 
-def _theta_deficit(m: int, t: float) -> float:
-    """``theta1(t)^m - (pi/t)^(m/2)`` without cancellation.
-
-    Below t = pi the modular form gives the difference as
-    ``(pi/t)^(m/2) * (theta1(pi^2/t)^m - 1)``, which is a small positive
-    quantity computed directly.
-    """
-    if t < math.pi:
-        d = _theta1_direct(math.pi ** 2 / max(t, 1e-300)) ** m - 1.0
-        # d vanishes long before the prefactor can overflow
-        return (math.pi / t) ** (m / 2.0) * d if d else 0.0
-    return _theta1_direct(t) ** m - (math.pi / t) ** (m / 2.0)
-
-
 def _min_alpha(m: int) -> int:
     return (m + 2) // 2  # smallest integer alpha with alpha > m/2
+
+
+@lru_cache(maxsize=None)
+def _shells(m: int, r2max: int):
+    """Squared norms ``0..r2max`` that occur in Z^m, zero first, with their
+    multiplicities: the one-axis counts (1 at 0, 2 at k^2) convolved m times."""
+    axis = np.zeros(r2max + 1, dtype=np.int64)
+    axis[np.arange(math.isqrt(r2max) + 1) ** 2] = 2
+    axis[0] = 1
+    counts = axis
+    for _ in range(m - 1):
+        counts = np.convolve(counts, axis)[:r2max + 1]
+    norms = np.flatnonzero(counts)
+    return norms, counts[norms]
+
+
+def _lead(m: int, alpha: int) -> float:
+    """``pi^(m/2) Gamma(alpha - m/2) / Gamma(alpha)``; times ``z^(m - 2 alpha)``
+    it is the trace's whole-space integral."""
+    return math.pi ** (m / 2.0) * math.exp(
+        math.lgamma(alpha - m / 2.0) - math.lgamma(alpha))
+
+
+def _lead_radius(alpha: int) -> float:
+    """The z beyond which the trace is its whole-space term to rounding: every
+    shell's weight ``Q(alpha, c (|k|^2 + z^2))`` is below ``EWALD_TAIL``."""
+    return math.sqrt(float(special.gammainccinv(alpha, EWALD_TAIL)) / EWALD_SPLIT)
 
 
 def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
     """``sum over Z^m of (|k|^2 + z^2)^(-alpha)``.
 
-    The sum is its exact continuum integral
-    ``pi^(m/2) Gamma(alpha-m/2)/Gamma(alpha) z^(m-2 alpha)`` plus a heat-trace
-    correction integral whose integrand involves only the superexponentially
-    small theta deficit; this stays accurate to ~1e-12 relative for all z.
-    For m = 1, alpha = 1 the closed form ``pi coth(pi z)/z`` is used.
+    The Mellin integral ``int t^(alpha-1) e^(-z^2 t) theta1(t)^m dt / Gamma(alpha)``
+    split at ``t = c`` (Ewald 1921; Crandall 1998): above c, shell by shell,
+    ``sum r_m(|k|^2) (|k|^2+z^2)^(-alpha) Q(alpha, c(|k|^2+z^2))``; below c,
+    after the modular transform, ``_lead(m, alpha) z^(m-2 alpha) P(nu, c z^2)``
+    with ``nu = alpha - m/2``, dropping terms ``exp(-pi^2/c)`` times smaller.
+    A shell of squared norm r^2 weighs less than ``exp(-c r^2)`` times the
+    k = 0 shell, so the ``TRACE_SHELLS`` table serves every alpha and z.
     """
     check_dimension(m)
     if alpha < _min_alpha(m):
         raise InputError(
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
-    plain = alpha <= PLAIN_WEIGHT_ALPHA
-    # the k = 0 term z^(-2 alpha), times Gamma(alpha) in the plain form's sum
-    check_resolvent_parameter(z, alpha, math.lgamma(alpha) if plain else 0.0)
-    if m == 1 and alpha == 1:
-        x = math.pi * z
-        if x > 350.0:
-            return math.pi / z
-        return math.pi / (math.tanh(x) * z)
-
-    # the Mellin weight u^(alpha-1) e^(-u) peaks at u = alpha; stop where
-    # its normalized tail falls below MELLIN_TAIL
-    end = max(MELLIN_END, float(special.gammainccinv(alpha, MELLIN_TAIL)))
-    if plain:
-        g_lead, g_alpha = math.gamma(alpha - m / 2.0), math.gamma(alpha)
-
-        def weight(u):
-            return u ** (alpha - 1) * math.exp(-u)
-    else:   # the weight normalized by Gamma(alpha), formed in logs
-        log_g = math.lgamma(alpha)
-        g_lead, g_alpha = math.exp(math.lgamma(alpha - m / 2.0) - log_g), 1.0
-
-        def weight(u):
-            return math.exp((alpha - 1) * math.log(u) - u - log_g)
-
-    lead = math.pi ** (m / 2.0) * g_lead / g_alpha * z ** (m - 2 * alpha)
+    check_resolvent_parameter(z, alpha)   # the k = 0 term z^(-2 alpha)
+    norms, counts = _shells(m, TRACE_SHELLS)
     z2 = z * z
-
-    def integrand(u):
-        if u <= 0.0:
-            return 0.0
-        return weight(u) * _theta_deficit(m, u / z2)
-
-    # the theta deficit switches from superexponentially small to O(1)
-    # around u = pi * z^2
-    breaks = sorted({min(math.pi * z2, 50.0), 1.0, 10.0})
-    pieces = []
-    lo = 0.0
-    for b in [x for x in breaks if 0.0 < x < end] + [end]:
-        pieces.append(finite_part._quad(integrand, lo, b, TRACE_QUAD_TOL)[0])
-        lo = b
-    corr = math.fsum(pieces) * z ** (-2 * alpha) / g_alpha
-    return lead + corr
-
-
-def lattice_trace_sum(m: int, z: float, alpha: int, box: int):
-    """Direct box-truncated lattice sum with an integral tail correction.
-
-    Enumerates ``|k_i| <= box`` exactly, adds the continuum integral over
-    the complement of the box ``[-box-1/2, box+1/2]^m``, and returns
-    ``(value, bound)`` where the bound is the standard midpoint-cell
-    curvature estimate for the lattice-vs-integral error on the tail
-    region.  A test oracle for modest z; cost grows like box^m.
-    """
-    if m > 2:
-        raise InputError("box oracle implemented for m in {1, 2}")
-    if alpha < _min_alpha(m):
-        raise InputError("divergent parameters")
-    z2 = z * z
-    # half axis k = 0..box: k^2 with weight 1 at k = 0 and 2 for +-k
-    w = np.full(box + 1, 2.0)
-    w[0] = 1.0
-    axis = (np.arange(box + 1, dtype=float) ** 2, w)
-    core = _lattice_sum([axis] * m, lambda v: (v + z2) ** (-float(alpha)),
-                        skip_zero_mode=False)
-
-    whole = (math.pi ** (m / 2.0) * math.gamma(alpha - m / 2.0)
-             / math.gamma(alpha) * z ** (m - 2 * alpha))
-    half = box + 0.5
-    if m == 1:
-        inside, _ = finite_part._quad(
-            lambda x: (x * x + z2) ** (-float(alpha)), -half, half,
-            TRACE_QUAD_TOL)
-    else:
-        def inner(x):
-            c2 = x * x + z2
-            if alpha == 2:
-                c = math.sqrt(c2)
-                return (half / (2 * c2 * (half * half + c2))
-                        + math.atan(half / c) / (2 * c2 * c))
-            return finite_part._quad(lambda y: (y * y + c2) ** (-float(alpha)),
-                                     0.0, half, TRACE_QUAD_TOL)[0]
-        row, _ = finite_part._quad(inner, 0.0, half, TRACE_QUAD_TOL)
-        inside = 4.0 * row
-    tail_integral = whole - inside
-
-    # curvature bound: each unit cell contributes at most sup|D^2 f|/24 per
-    # dimension, and |D^2 f| <= (4 a(a+1) + 2 a m) (r^2+z^2)^(-a-1) is
-    # majorized by the pure power r^(-2a-2), which integrates in closed form
-    const = (4 * alpha * (alpha + 1) + 2 * alpha * m) * m / 24.0
-    sigma = {1: 2.0, 2: 2 * math.pi}[m]
-    r0 = max(box - 1, 1)
-    curv = r0 ** (m - 2 * alpha - 2) / (2 * alpha + 2 - m)
-    bound = const * sigma * curv
-    return core + tail_integral, bound
+    x = norms + z2
+    shells = math.fsum((counts * x ** -float(alpha)
+                        * special.gammaincc(alpha, EWALD_SPLIT * x)).tolist())
+    whole = (_lead(m, alpha) * z ** (m - 2 * alpha)
+             * float(special.gammainc(alpha - m / 2.0, EWALD_SPLIT * z2)))
+    return whole + shells
 
 
 # -- zeta function and determinant ------------------------------------------
@@ -212,12 +139,6 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=None)
-def _shells(m: int):
-    """Nonzero squared norms up to ``ZETA_SHELLS`` and their multiplicities."""
-    return np.unique(_lattice_norms_sq(m, ZETA_SHELLS), return_counts=True)
-
-
 def _gamma_series(m: int, a: float, c: float) -> float:
     """``sum over nonzero k of |k|^(-2a) Gamma(a, c |k|^2)``.
 
@@ -225,7 +146,7 @@ def _gamma_series(m: int, a: float, c: float) -> float:
     Gaussian by Gaussian (Crandall 1998); shells beyond ``ZETA_SHELLS``
     weigh less than ``exp(-c ZETA_SHELLS)``.
     """
-    norms, counts = _shells(m)
+    norms, counts = (v[1:] for v in _shells(m, ZETA_SHELLS))
     return math.fsum(counts * norms ** -float(a) * _upper_gamma(a, c * norms))
 
 
@@ -272,16 +193,21 @@ def log_det_zeta(m: int) -> float:
 def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     """Log-determinant via the finite-part resolvent-trace integral.
 
-    Independent route: must agree with ``log_det_zeta(m)``.
+    Independent route: must agree with ``log_det_zeta(m)``.  Beyond
+    ``window_end`` the integrand ``z^(2m-1)`` times the trace is its lead
+    term ``pi^(m/2) Gamma(m/2)/Gamma(m) z^(m-1)`` to rounding, which is the
+    declared tail; a ``window_end`` below that floor (about 14 to 15.7 for
+    m = 1..4) is refused.
     """
-    if m > 2:
-        raise InputError("regularized-integral route implemented for m <= 2")
-
-    def trace(z, alpha):
-        return resolvent_trace_continuum(m, z, int(alpha))
-
-    return finite_part.logdet_via_regint(trace, m, kernel_dim=1,
-                                         window_end=window_end)
+    check_dimension(m)
+    floor = _lead_radius(m)
+    if not window_end >= floor:
+        raise InputError(f"window_end must be at least {floor:.4g} for m = {m}, "
+                         "where the trace reaches its lead term")
+    tail = Expansion(TO_INFINITY, ((m - 1.0, 0, _lead(m, m)),))
+    return finite_part._logdet_regint(
+        lambda z, a: resolvent_trace_continuum(m, z, int(a)), m, 1,
+        window_end, None, tail)
 
 
 # -- eigenvalue enumeration and partial products -----------------------------

@@ -127,6 +127,15 @@ class TestCommands:
         assert rep["value"] == pytest.approx(2 * math.log(2 * math.pi),
                                              abs=1e-8)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_zeta_det_both_routes_above_m2(self, m, tmp_path):
+        out = tmp_path / "z.json"
+        assert main(["zeta-det", "--m", str(m), "--tol", "1e-7",
+                     "--json-out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["pass"] is True
+        assert rep["max_abs_diff"] == abs(rep["regint_route"] - rep["value"])
+
     def test_trace_continuum(self, capsys):
         assert main(["trace-continuum", "--m", "1", "--z", "1.0",
                      "--alpha", "1"]) == 0
@@ -369,6 +378,11 @@ def _dims_and_sizes(small_points: int, cap_points):
     return st.integers(-1, 6).flatmap(pair)
 
 
+def _logdet_max_n(m: int) -> int:
+    return MAX_SORTED if m == 1 else min(MAX_SORTED,
+                                         _root(MAX_SUM_LATTICE, m - 1))
+
+
 class TestExitContract:
     """Every input ends in a documented exit code, never in a traceback or
     a non-finite value reported as success."""
@@ -383,8 +397,8 @@ class TestExitContract:
         if code == 0:
             assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I)
 
-    @settings(deadline=None, max_examples=60)
-    @given(m=st.integers(1, 4), alpha=st.integers(1, 250),
+    @settings(deadline=None, max_examples=200)
+    @given(m=st.integers(-1, 6), alpha=st.integers(1, 250),
            exponent=st.floats(-300.0, 300.0))
     def test_trace_continuum(self, m, alpha, exponent):
         self.check(["trace-continuum", "--m", str(m), "--alpha", str(alpha),
@@ -411,8 +425,9 @@ class TestExitContract:
     def test_trees(self, mn):
         self.check(["trees", "--m", str(mn[0]), "--n", str(mn[1])])
 
+    # the log-determinant reduces n^(m-1) outer modes of an n-point axis
     @settings(deadline=None, max_examples=30)
-    @given(mn=_dims_and_sizes(256, lambda m: MAX_SUM_LATTICE),
+    @given(mn=_dims_and_sizes(256, lambda m: _logdet_max_n(m) ** m),
            rescaled=st.booleans())
     def test_logdet(self, mn, rescaled):
         self.check(["logdet", "--m", str(mn[0]), "--n", str(mn[1])]

@@ -212,6 +212,24 @@ class TestInnerAxisProduct:
         per_mode = _lattice_sum([_half_axis(n)] * m, np.log, skip_zero_mode=True)
         assert log_det(DiscreteTorus(m, n)) == pytest.approx(per_mode, rel=1e-13)
 
+    def test_beyond_the_full_lattice_cap(self):
+        # n^m = 2^26 exceeds MAX_SUM_LATTICE, which now caps the n^(m-1)
+        # outer modes only
+        from torusdet.discrete import MAX_SUM_LATTICE
+        t = DiscreteTorus(2, 8192)
+        assert t.points > MAX_SUM_LATTICE
+        per_mode = _lattice_sum([_half_axis(8192)] * 2, np.log,
+                                skip_zero_mode=True)
+        assert log_det(t) == pytest.approx(per_mode, rel=1e-13)
+
+    def test_size_cap(self):
+        from torusdet.discrete import MAX_SORTED
+        log_det(DiscreteTorus(4, 322))
+        for m, n in [(1, MAX_SORTED + 1), (2, MAX_SORTED + 1), (3, 5793),
+                     (4, 323)]:
+            with pytest.raises(InputError):
+                log_det_rescaled(DiscreteTorus(m, n))
+
     def test_circle_matches_sorted_spectrum(self):
         for n in range(2, 513):
             t = DiscreteTorus(1, n)

@@ -210,13 +210,11 @@ class TestLogdetRoute:
 
 class TestQuadratureChecks:
     @pytest.mark.parametrize("call", [
-        lambda: td.resolvent_trace_continuum(2, 1.0, 2),
+        lambda: td.logdet_zeta_via_regint(1),
         lambda: td.em_sum_1d(td.poly_evaluator([1.0, 2.0]), 4, 2),
         lambda: td.scaled_bulk_term(2, 2, 1.0, 8.0),
         lambda: td.square_lattice_logdet_density(2),
-        lambda: td.lattice_trace_sum(2, 1.0, 3, 10),
-    ], ids=["continuum trace", "em_sum_1d", "bulk term", "bulk density",
-            "box oracle"])
+    ], ids=["zeta route", "em_sum_1d", "bulk term", "bulk density"])
     def test_integration_warning_is_numerical_error(self, call, monkeypatch):
         # every quadrature goes through one checked call
         def troubled_quad(*args, **kwargs):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
-                      convergence_check, eigenproduct_reglimit,
-                      lattice_trace_sum, log_det_zeta,
+                      convergence_check, eigenproduct_reglimit, log_det_zeta,
                       logdet_zeta_via_regint, partial_log_product,
                       resolvent_trace_continuum, theta1, theta_function,
                       zeta_continued)
+from torusdet.smooth import _lattice_norms_sq, _lead_radius, _shells
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
 
@@ -23,6 +23,34 @@ def box_trace(m, z, alpha, box):
     k2 = np.arange(-box, box + 1, dtype=float) ** 2
     r2 = sum(np.meshgrid(*[k2] * m, indexing="ij")).ravel()
     return math.fsum(np.exp(-alpha * np.log(r2 + z * z)))
+
+
+MELLIN_GRID_Z = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 64.0)
+MP_THETA_EPS = mpmath.mpf("1e-35")
+
+
+def mp_theta1(t):
+    """``sum_k exp(-t k^2)`` in mpmath, by the modular identity below pi."""
+    if t < mpmath.pi:
+        return mpmath.sqrt(mpmath.pi / t) * mp_theta1(mpmath.pi ** 2 / t)
+    q = mpmath.exp(-t)
+    total, term, step = mpmath.mpf(1), mpmath.mpf(1), q   # term = q^(k^2)
+    while term > MP_THETA_EPS:
+        term *= step
+        step *= q * q
+        total += 2 * term
+    return total
+
+
+def mellin_trace(m, z, alpha):
+    """``int t^(alpha-1) e^(-z^2 t) theta1(t)^m dt / Gamma(alpha)`` to 30
+    digits, split at the peak t = alpha/z^2 of the weight."""
+    with mpmath.workdps(30):
+        z2 = mpmath.mpf(z) ** 2
+        value = mpmath.quad(
+            lambda t: t ** (alpha - 1) * mpmath.exp(-z2 * t) * mp_theta1(t) ** m,
+            [0, alpha / z2, mpmath.inf]) / mpmath.gamma(alpha)
+    return float(value)
 
 
 class TestTheta:
@@ -46,6 +74,7 @@ class TestTheta:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.filterwarnings("error")
 class TestContinuumTrace:
     def test_m1_closed_form(self):
         # alpha = 2 is -(1/2z) d/dz of the alpha = 1 form pi coth(pi z)/z
@@ -61,16 +90,15 @@ class TestContinuumTrace:
                                          (30, 0.5), (60, 1.0), (60, 2.0),
                                          (100, 1.0), (200, 1.0), (250, 2.0)])
     def test_large_alpha_against_shell_sum(self, m, alpha, z):
-        # the Mellin weight peaks at u = alpha, beyond a fixed cut at 60;
-        # Gamma(200) overflows a double
+        # Gamma(200) overflows a double; the Gamma ratio goes through lgamma
         assert resolvent_trace_continuum(m, z, alpha) == pytest.approx(
             box_trace(m, z, alpha, 12), rel=1e-12)
 
     @pytest.mark.parametrize("m,alpha,z", [(2, 8, 5.0), (3, 7, 4.0),
                                            (3, 8, 5.0)])
     def test_mid_alpha_without_roundoff(self, m, alpha, z):
-        # an unnormalized Mellin weight raises a roundoff IntegrationWarning
-        # here
+        # a Mellin quadrature with an unnormalized weight raised a roundoff
+        # IntegrationWarning here
         assert resolvent_trace_continuum(m, z, alpha) == pytest.approx(
             box_trace(m, z, alpha, 60), rel=1e-12)
 
@@ -85,16 +113,21 @@ class TestContinuumTrace:
                     / math.gamma(alpha) * z ** (m - 2 * alpha))
             assert val == pytest.approx(lead, rel=1e-12)
 
-    def test_m2_against_box_oracle(self):
-        val, bound = lattice_trace_sum(2, 1.0, 2, 2000)
-        assert bound <= 1e-10
-        mellin = resolvent_trace_continuum(2, 1.0, 2)
-        assert mellin == pytest.approx(val, abs=1e-10)
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_huge_alpha_keeps_the_shell_table(self, m):
+        # every shell beyond the k = 0 term weighs below exp(-0.2 |k|^2) of
+        # it, whatever alpha, so one table of shells serves every alpha
+        assert resolvent_trace_continuum(m, 1.01, 10 ** 4) == pytest.approx(
+            box_trace(m, 1.01, 10 ** 4, 2), rel=1e-12)
 
-    def test_m1_against_box_oracle(self):
-        val, bound = lattice_trace_sum(1, 0.7, 1, 50000)
-        closed = resolvent_trace_continuum(1, 0.7, 1)
-        assert val == pytest.approx(closed, abs=max(bound, 1e-12))
+    @pytest.mark.parametrize("m,alphas", [(1, (1, 2)), (2, (2, 3, 8)),
+                                          (3, (2, 3, 7)), (4, (3, 4))],
+                             ids=["m1", "m2", "m3", "m4"])
+    def test_against_30_digit_mellin(self, m, alphas):
+        for alpha, z in itertools.product(alphas, MELLIN_GRID_Z):
+            ref = mellin_trace(m, z, alpha)
+            assert resolvent_trace_continuum(m, z, alpha) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
 
     def test_divergent_parameters_rejected(self):
         with pytest.raises(InputError):
@@ -157,12 +190,54 @@ class TestZeta:
         assert log_det_zeta(2) == pytest.approx(ref, abs=1e-10)
 
 
+class TestShells:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r2max", [0, 1, 2, 60, 500])
+    def test_matches_enumerated_norms(self, m, r2max):
+        norms, counts = _shells(m, r2max)
+        ref_norms, ref_counts = np.unique(_lattice_norms_sq(m, r2max),
+                                          return_counts=True)
+        assert norms.tolist() == [0] + ref_norms.tolist()
+        assert counts.tolist() == [1] + ref_counts.tolist()
+
+    def test_jacobi_two_and_four_squares(self):
+        # r_2(n) = 4 (d_1(n) - d_3(n)), r_4(n) = 8 sum of the divisors of n
+        # not divisible by 4
+        def divisors(n):
+            return [d for d in range(1, n + 1) if n % d == 0]
+
+        r2 = dict(zip(*(v.tolist() for v in _shells(2, 500))))
+        r4 = dict(zip(*(v.tolist() for v in _shells(4, 500))))
+        for n in range(1, 501):
+            ds = divisors(n)
+            assert r2.get(n, 0) == 4 * (sum(d % 4 == 1 for d in ds)
+                                        - sum(d % 4 == 3 for d in ds))
+            assert r4[n] == 8 * sum(d for d in ds if d % 4)
+
+
 class TestRouteEquality:
+    # the AC7 bounds at the default window_end 64, about twice the measured
+    # error
     def test_m1(self):
-        assert abs(logdet_zeta_via_regint(1) - LOG_4PI2) <= 1e-4
+        assert abs(logdet_zeta_via_regint(1) - LOG_4PI2) <= 1e-11
 
     def test_m2(self):
-        assert abs(logdet_zeta_via_regint(2) - log_det_zeta(2)) <= 5e-3
+        assert abs(logdet_zeta_via_regint(2) - log_det_zeta(2)) <= 1e-10
+
+    def test_m3(self):
+        assert abs(logdet_zeta_via_regint(3) - log_det_zeta(3)) <= 1e-10
+
+    def test_m4(self):
+        assert abs(logdet_zeta_via_regint(4) - log_det_zeta(4)) <= 1e-7
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_window_floor(self, m):
+        floor = _lead_radius(m)
+        assert 13.9 < floor < 15.7
+        logdet_zeta_via_regint(m, window_end=floor)
+        for end in (floor * (1 - 1e-9), 1.0, math.nan):
+            with pytest.raises(InputError):
+                logdet_zeta_via_regint(m, window_end=end)
 
 
 class TestPartialProducts:
@@ -193,7 +268,6 @@ class TestPartialProducts:
 
     def test_shell_complete_count_matches_cutoff(self):
         for (m, lam) in [(1, 7), (2, 5), (2, 11)]:
-            from torusdet.smooth import _lattice_norms_sq
             count = len(_lattice_norms_sq(m, lam * lam))
             assert partial_log_product(m, "by_count", count) == pytest.approx(
                 partial_log_product(m, "by_cutoff", lam), rel=1e-13)
