@@ -226,8 +226,9 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
 
 
 def _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes, tail):
-    """``logdet_via_regint`` with the tail beyond ``window_end`` given as a
-    declared ``Expansion`` of ``z**(2m-1) * trace`` or a basis to fit."""
+    """``logdet_via_regint`` with the tail of ``z**(2m-1) * trace`` a basis to
+    fit beyond ``window_end``, or a declared ``Expansion`` that ``trace``
+    leaves out from z = 1 on, integrated in closed form from 1."""
     if m < 1:
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
@@ -250,7 +251,8 @@ def _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes, tail):
     eps0 = 1e-6
     core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
     core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
-    tail_value = _tail_part(g, "infinity", window_end, tail)[0]
+    anchor = 1.0 if isinstance(tail, Expansion) else window_end
+    tail_value = _tail_part(g, "infinity", anchor, tail)[0]
     raw = -2.0 * (core_zero + core_main + tail_value)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
     s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)

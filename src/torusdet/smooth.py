@@ -5,11 +5,12 @@ The flat m-torus (product of unit circles) has Laplace spectrum
 ``|k|^2, k in Z^m`` with a one-dimensional kernel.  Its zeta function and
 its resolvent traces are the heat-trace Mellin transform split at one point
 (Ewald 1921; Crandall 1998): a lattice series of incomplete gamma functions
-over one table of shells plus closed-form terms, with no quadrature.  Two
+over one table of shells plus closed-form terms, with no quadrature; one
+such table per call also gives the partial eigenvalue products.  Two
 independent routes to the log-determinant are provided: the zeta
 continuation (the reference oracle), and the finite-part resolvent-trace
 integral evaluated with the machinery used for the discrete tori, whose
-tail beyond the window is the trace's declared lead term.
+declared tail is the trace's lead term.
 """
 
 from __future__ import annotations
@@ -68,18 +69,23 @@ def _min_alpha(m: int) -> int:
     return (m + 2) // 2  # smallest integer alpha with alpha > m/2
 
 
-@lru_cache(maxsize=None)
 def _shells(m: int, r2max: int):
     """Squared norms ``0..r2max`` that occur in Z^m, zero first, with their
-    multiplicities: the one-axis counts (1 at 0, 2 at k^2) convolved m times."""
-    axis = np.zeros(r2max + 1, dtype=np.int64)
-    axis[np.arange(math.isqrt(r2max) + 1) ** 2] = 2
-    axis[0] = 1
-    counts = axis
+    multiplicities: the one-axis table (1 at 0, 2 at k^2), then per further
+    axis every shell s scattered over ``s + k^2`` in one dense count array."""
+    k2 = np.arange(math.isqrt(r2max) + 1, dtype=np.int64) ** 2
+    norms, counts = k2, np.where(k2 > 0, 2, 1)
     for _ in range(m - 1):
-        counts = np.convolve(counts, axis)[:r2max + 1]
-    norms = np.flatnonzero(counts)
-    return norms, counts[norms]
+        dense = np.zeros(r2max + 1, dtype=np.int64)
+        for k, step in enumerate(k2.tolist()):
+            j = np.searchsorted(norms, r2max - step, side="right")
+            dense[norms[:j] + step] += counts[:j] * (2 if k else 1)
+        norms = np.flatnonzero(dense)
+        counts = dense[norms]
+    return norms, counts
+
+
+_fixed_shells = lru_cache(maxsize=None)(_shells)   # the trace and zeta tables
 
 
 def _lead(m: int, alpha: int) -> float:
@@ -112,14 +118,17 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
     check_resolvent_parameter(z, alpha)   # the k = 0 term z^(-2 alpha)
-    norms, counts = _shells(m, TRACE_SHELLS)
-    z2 = z * z
-    x = norms + z2
-    shells = math.fsum((counts * x ** -float(alpha)
-                        * special.gammaincc(alpha, EWALD_SPLIT * x)).tolist())
     whole = (_lead(m, alpha) * z ** (m - 2 * alpha)
-             * float(special.gammainc(alpha - m / 2.0, EWALD_SPLIT * z2)))
-    return whole + shells
+             * float(special.gammainc(alpha - m / 2.0, EWALD_SPLIT * z * z)))
+    return whole + _shell_series(m, z, alpha)
+
+
+def _shell_series(m: int, z: float, alpha: int) -> float:
+    """The trace's Mellin part above the split, shell by shell."""
+    norms, counts = _fixed_shells(m, TRACE_SHELLS)
+    x = norms + z * z
+    return math.fsum((counts * x ** -float(alpha)
+                      * special.gammaincc(alpha, EWALD_SPLIT * x)).tolist())
 
 
 # -- zeta function and determinant ------------------------------------------
@@ -146,7 +155,7 @@ def _gamma_series(m: int, a: float, c: float) -> float:
     Gaussian by Gaussian (Crandall 1998); shells beyond ``ZETA_SHELLS``
     weigh less than ``exp(-c ZETA_SHELLS)``.
     """
-    norms, counts = (v[1:] for v in _shells(m, ZETA_SHELLS))
+    norms, counts = (v[1:] for v in _fixed_shells(m, ZETA_SHELLS))
     return math.fsum(counts * norms ** -float(a) * _upper_gamma(a, c * norms))
 
 
@@ -193,58 +202,30 @@ def log_det_zeta(m: int) -> float:
 def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     """Log-determinant via the finite-part resolvent-trace integral.
 
-    Independent route: must agree with ``log_det_zeta(m)``.  Beyond
-    ``window_end`` the integrand ``z^(2m-1)`` times the trace is its lead
-    term ``pi^(m/2) Gamma(m/2)/Gamma(m) z^(m-1)`` to rounding, which is the
-    declared tail; a ``window_end`` below that floor (about 14 to 15.7 for
-    m = 1..4) is refused.
+    Independent route: must agree with ``log_det_zeta(m)``.  From z = 1 on
+    the trace's lead term ``pi^(m/2) Gamma(m/2)/Gamma(m) z^(-m)`` is taken
+    out and integrated in closed form.  Beyond ``window_end`` the trace is
+    that term to rounding; a ``window_end`` below that floor (about 14 to
+    15.7 for m = 1..4) is refused.
     """
     check_dimension(m)
     floor = _lead_radius(m)
     if not window_end >= floor:
         raise InputError(f"window_end must be at least {floor:.4g} for m = {m}, "
                          "where the trace reaches its lead term")
-    tail = Expansion(TO_INFINITY, ((m - 1.0, 0, _lead(m, m)),))
-    return finite_part._logdet_regint(
-        lambda z, a: resolvent_trace_continuum(m, z, int(a)), m, 1,
-        window_end, None, tail)
+    lead = _lead(m, m)
+
+    def trace(z, alpha):   # from z = 1 on less its lead term lead z^(-m)
+        if z < 1.0:
+            return resolvent_trace_continuum(m, z, alpha)
+        return (_shell_series(m, z, alpha) - lead * z ** -m
+                * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
+
+    tail = Expansion(TO_INFINITY, ((m - 1.0, 0, lead),))
+    return finite_part._logdet_regint(trace, m, 1, window_end, None, tail)
 
 
-# -- eigenvalue enumeration and partial products -----------------------------
-
-def _lattice_norms_sq(m: int, r2max: int) -> np.ndarray:
-    """Squared norms of all nonzero lattice points with ``|k|^2 <= r2max``.
-
-    Multiplicities are kept by repetition; the array is returned sorted,
-    which realizes the ascending eigenvalue order (ties are norm-equal, so
-    any tie order yields the same partial sums).
-    """
-    kmax = int(math.isqrt(r2max))
-    parts = []
-    if m == 1:
-        k = np.arange(1, kmax + 1, dtype=np.int64)
-        sq = k * k
-        sq = sq[sq <= r2max]
-        parts.append(np.repeat(sq, 2))
-    else:
-        ranges = [np.arange(-kmax, kmax + 1, dtype=np.int64)] * (m - 1)
-        inner = np.arange(-kmax, kmax + 1, dtype=np.int64) ** 2
-        import itertools as _it
-        for outer in _it.product(*ranges):
-            base = sum(int(c) * int(c) for c in outer)
-            if base > r2max:
-                continue
-            row = base + inner
-            row = row[row <= r2max]
-            row = row[row > 0] if base == 0 else row
-            parts.append(row)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    norms = np.concatenate(parts)
-    del parts   # free the rows before sorting
-    norms.sort()
-    return norms
-
+# -- partial eigenvalue products --------------------------------------------
 
 def partial_log_product(m: int, mode: str, parameter) -> float:
     """Log of a finite product of nonzero torus eigenvalues.
@@ -254,41 +235,49 @@ def partial_log_product(m: int, mode: str, parameter) -> float:
     ascending order (ties within an eigenvalue shell are norm-equal, so the
     documented lexicographic tie-break does not change the value).
     """
-    check_dimension(m)
-    if mode == "by_cutoff":
-        lam = float(parameter)
-        if lam < 1:
-            raise InputError("cutoff must be >= 1")
-        _check_enumeration(m, mode, lam)
-        norms = _lattice_norms_sq(m, int(math.floor(lam * lam)))
-        return float(np.sum(np.log(norms.astype(float))))
-    if mode == "by_count":
-        count = int(parameter)
-        if count < 1:
-            raise InputError("count must be >= 1")
-        _check_enumeration(m, mode, count)
-        # start at the radius whose ball holds about `count` points
-        r2 = int((count / _ball_volume(m)) ** (2.0 / m)) + 4
-        while True:
-            norms = _lattice_norms_sq(m, r2)
-            if len(norms) >= count:
-                break
-            r2 += r2 // 4
-        return float(np.sum(np.log(norms[:count].astype(float))))
-    raise InputError(f"unknown mode {mode!r}")
+    return _product_table(m, mode, [float(parameter)])(float(parameter))[1]
 
 
-def _check_enumeration(m: int, mode: str, parameter: float) -> None:
-    """Reject a partial product too large to enumerate, before allocating.
-
-    A count, or the about ``V_m Lambda^m`` norms below a cutoff Lambda, may
-    not exceed ``MAX_SUM_LATTICE``.
+def _product_table(m: int, mode: str, parameters, reach: float = 1.0):
+    """Partial products up to ``reach`` times the largest parameter (each at
+    least 1; a count, or the about ``V_m Lambda^m`` norms below a cutoff, at
+    most ``MAX_SUM_LATTICE``) from one table of Z^m shells: a function of a
+    parameter returning the eigenvalue count and the log product.  A count
+    N takes the shells up to radius ``r + sqrt(m)/2`` with
+    ``V_m r^m = N + 1``: the unit cubes centred on their points cover the
+    ball of radius r, so they hold N nonzero points.
     """
-    limit = (MAX_SUM_LATTICE if mode == "by_count"
-             else (MAX_SUM_LATTICE / _ball_volume(m)) ** (1.0 / m))
-    if not parameter <= limit:
-        raise InputError(f"{mode} parameter {parameter:g} needs more than "
+    check_dimension(m)
+    if mode not in ("by_cutoff", "by_count"):
+        raise InputError(f"unknown mode {mode!r}")
+    if not all(p >= 1 for p in parameters):
+        raise InputError(f"{mode[3:]} must be >= 1")
+    largest = max(parameters, default=1.0) * reach
+    vol = _ball_volume(m)
+    if not largest <= (MAX_SUM_LATTICE if mode == "by_count"
+                       else (MAX_SUM_LATTICE / vol) ** (1.0 / m)):
+        raise InputError(f"{mode} parameter {largest:g} needs more than "
                          f"{MAX_SUM_LATTICE} lattice norms")
+    if mode == "by_cutoff":   # one more, for a window end rounded up
+        r2max = math.floor(largest * largest) + 1
+    else:
+        r2max = math.ceil((((largest + 1.0) / vol) ** (1.0 / m)
+                           + math.sqrt(m) / 2) ** 2)
+    norms, counts = (v[1:] for v in _shells(m, r2max))
+    # the nonzero eigenvalues in the i smallest shells, and their log product
+    count = np.concatenate(([0], np.cumsum(counts)))
+    logs = np.concatenate(([0.0], np.cumsum(counts * np.log(norms))))
+
+    def by_cutoff(lam):
+        i = int(np.searchsorted(norms, math.floor(lam * lam), side="right"))
+        return int(count[i]), float(logs[i])
+
+    def by_count(n):
+        n = math.floor(n)
+        i = int(np.searchsorted(count, n))   # the i-th shell completes n
+        return n, float(logs[i] - (count[i] - n) * math.log(norms[i - 1]))
+
+    return by_cutoff if mode == "by_cutoff" else by_count
 
 
 def _ball_volume(m: int) -> float:
@@ -314,36 +303,27 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
     window remixes each smooth basis group within itself and leaves the
     constant coefficient intact.
     """
-    check_dimension(m)
     grid = [float(g) for g in grid]
     smoothed = mode == "by_cutoff" and m >= 2
-    largest = max(grid, default=0.0) * (SMOOTH_HALFWIDTH if smoothed else 1.0)
-    _check_enumeration(m, mode, largest)
+    product = _product_table(m, mode, grid,
+                             SMOOTH_HALFWIDTH if smoothed else 1.0)
     if smoothed:
         half = SMOOTH_POINTS // 2
         ratio = SMOOTH_HALFWIDTH ** (1.0 / half)
-        norms = _lattice_norms_sq(m, int(math.floor(largest * largest)) + 1)
-        # prefix[i] = sum of log over the i smallest norms, in one buffer
-        prefix = np.empty(len(norms) + 1)
-        prefix[0] = 0.0
-        np.cumsum(np.log(norms, out=prefix[1:]), out=prefix[1:])
         vol = _ball_volume(m)
 
         def corrected(lam):
-            t = lam * lam
-            i = int(np.searchsorted(norms, math.floor(t), side="right"))
-            count_err = i - vol * lam ** m
-            return float(prefix[i]) - count_err * math.log(t)
+            count, log_product = product(lam)
+            return log_product - (count - vol * lam ** m) * math.log(lam * lam)
 
         ys = []
         for lam in grid:
             window = [lam * ratio ** j for j in range(-half, half + 1)]
             ys.append(math.fsum(corrected(w) for w in window) / len(window))
-        samples = Samples(np.array(grid), np.array(ys))
     else:
-        ys = [partial_log_product(m, mode, g) for g in grid]
-        samples = Samples(np.array(grid), np.array(ys))
-    constant, uncertainty = extract_reglimit(samples, basis)
+        ys = [product(g)[1] for g in grid]
+    constant, uncertainty = extract_reglimit(
+        Samples(np.array(grid), np.array(ys)), basis)
     return constant, uncertainty, log_det_zeta(m)
 
 

@@ -179,6 +179,7 @@ class TestExitCodes:
         ["regint", "--integrand", "log-kernel", "--lam", "nan"],
         ["main-theorem", "--m", "4"],
         ["regint", "--window-end", "inf"],
+        ["eigenproduct", "--m", "1", "--grid", "0.5:64:x2"],
     ])
     def test_bad_input_is_input_error(self, argv, capsys):
         assert main(argv) == 2
@@ -383,6 +384,24 @@ def _logdet_max_n(m: int) -> int:
                                          _root(MAX_SUM_LATTICE, m - 1))
 
 
+def _eigenproduct_cap(mode: str, m: int) -> float:
+    """The largest count, or cutoff, whose partial product is enumerated."""
+    if mode == "by_count" or not 1 <= m <= 4:
+        return float(MAX_SUM_LATTICE)
+    return (MAX_SUM_LATTICE * math.gamma(m / 2 + 1) / math.pi ** (m / 2)) ** (1 / m)
+
+
+def _eigenproduct_grid(mode: str, m: int):
+    """(start, stop, ratio) of a grid that stops at 64 at most or beyond the
+    enumeration cap: half the draws a well-formed grid, half any."""
+    stop = st.floats(1.01, 4.0).map(lambda f: f * _eigenproduct_cap(mode, m))
+    return st.one_of(
+        st.tuples(st.floats(1.0, 8.0), st.floats(32.0, 64.0) | stop,
+                  st.floats(1.2, 1.5)),
+        st.tuples(st.floats(0.5, 64.0), st.floats(0.5, 64.0) | stop,
+                  st.floats(0.5, 4.0)))
+
+
 class TestExitContract:
     """Every input ends in a documented exit code, never in a traceback or
     a non-finite value reported as success."""
@@ -461,6 +480,25 @@ class TestExitContract:
                        f"{a},{k}" for a, k in set(pairs) | {(0, 0)}))))
     def test_main_theorem(self, m, grid, basis):
         argv = ["main-theorem", "--m", str(m), "--n-grid={}:{}:x{}".format(*grid)]
+        self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
+
+    # stops up to 64 or beyond the enumeration cap: one shell table per call
+    # bounds every example
+    @settings(deadline=None, max_examples=40)
+    @given(args=st.tuples(st.sampled_from(["by_cutoff", "by_count"]),
+                          st.integers(-1, 6)).flatmap(
+               lambda mode_m: st.tuples(st.just(mode_m),
+                                        _eigenproduct_grid(*mode_m))),
+           basis=st.one_of(
+               st.none(), st.text(max_size=12),
+               st.lists(st.tuples(st.integers(-3, 2), st.integers(0, 1)),
+                        unique=True, max_size=4).map(
+                   lambda pairs: ";".join(
+                       f"{a},{k}" for a, k in set(pairs) | {(0, 0)}))))
+    def test_eigenproduct(self, args, basis):
+        (mode, m), grid = args
+        argv = ["eigenproduct", "--m", str(m), "--mode", mode,
+                "--grid={!r}:{!r}:x{!r}".format(*grid)]
         self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
 
     # any float, nan, +-inf, subnormals and 1e308 included, half the draws

@@ -13,7 +13,7 @@ from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       logdet_zeta_via_regint, partial_log_product,
                       resolvent_trace_continuum, theta1, theta_function,
                       zeta_continued)
-from torusdet.smooth import _lattice_norms_sq, _lead_radius, _shells
+from torusdet.smooth import _lead_radius, _shells
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
 
@@ -23,6 +23,15 @@ def box_trace(m, z, alpha, box):
     k2 = np.arange(-box, box + 1, dtype=float) ** 2
     r2 = sum(np.meshgrid(*[k2] * m, indexing="ij")).ravel()
     return math.fsum(np.exp(-alpha * np.log(r2 + z * z)))
+
+
+def ball_norms(m, r2max):
+    """Squared norms of the nonzero points of Z^m with ``|k|^2 <= r2max``,
+    one per point, ascending: a box enumeration over ``[-r, r]^m``."""
+    r = math.isqrt(r2max)
+    squares = [k * k for k in range(-r, r + 1)]
+    return sorted(n for k in itertools.product(squares, repeat=m)
+                  if 0 < (n := sum(k)) <= r2max)
 
 
 MELLIN_GRID_Z = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 64.0)
@@ -195,7 +204,7 @@ class TestShells:
     @pytest.mark.parametrize("r2max", [0, 1, 2, 60, 500])
     def test_matches_enumerated_norms(self, m, r2max):
         norms, counts = _shells(m, r2max)
-        ref_norms, ref_counts = np.unique(_lattice_norms_sq(m, r2max),
+        ref_norms, ref_counts = np.unique(ball_norms(m, r2max),
                                           return_counts=True)
         assert norms.tolist() == [0] + ref_norms.tolist()
         assert counts.tolist() == [1] + ref_counts.tolist()
@@ -216,19 +225,25 @@ class TestShells:
 
 
 class TestRouteEquality:
-    # the AC7 bounds at the default window_end 64, about twice the measured
-    # error
+    # the AC7 bound at two windows; the largest measured error is 3.3e-12,
+    # at m = 1
+    @staticmethod
+    def check(m, reference):
+        for window_end in (64.0, 128.0):
+            assert abs(logdet_zeta_via_regint(m, window_end=window_end)
+                       - reference) <= 1e-11
+
     def test_m1(self):
-        assert abs(logdet_zeta_via_regint(1) - LOG_4PI2) <= 1e-11
+        self.check(1, LOG_4PI2)
 
     def test_m2(self):
-        assert abs(logdet_zeta_via_regint(2) - log_det_zeta(2)) <= 1e-10
+        self.check(2, log_det_zeta(2))
 
     def test_m3(self):
-        assert abs(logdet_zeta_via_regint(3) - log_det_zeta(3)) <= 1e-10
+        self.check(3, log_det_zeta(3))
 
     def test_m4(self):
-        assert abs(logdet_zeta_via_regint(4) - log_det_zeta(4)) <= 1e-7
+        self.check(4, log_det_zeta(4))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_window_floor(self, m):
@@ -266,9 +281,34 @@ class TestPartialProducts:
             eigenproduct_reglimit(m, mode, [16.0, parameter],
                                   BasisSpec(((0.0, 0),)))
 
+    @pytest.mark.parametrize("m,mode,parameter", [
+        (2, "by_volume", 16), (1, "by_cutoff", 0.5), (2, "by_cutoff", 0.5),
+        (1, "by_count", 0), (3, "by_count", -4)])
+    def test_bad_input_is_input_error(self, m, mode, parameter):
+        with pytest.raises(InputError):
+            partial_log_product(m, mode, parameter)
+        with pytest.raises(InputError):
+            eigenproduct_reglimit(m, mode, [parameter, 16.0],
+                                  BasisSpec(((0.0, 0),)))
+
+    # radii whose balls hold more than 400 nonzero points
+    @pytest.mark.parametrize("m,r2max", [(1, 40000), (2, 169), (3, 36),
+                                         (4, 16)])
+    def test_matches_brute_force(self, m, r2max):
+        norms = ball_norms(m, r2max)
+        logs = [math.log(n) for n in norms]
+        for count in range(1, 401):
+            ref = math.fsum(logs[:count])
+            assert abs(partial_log_product(m, "by_count", count)
+                       - ref) <= 1e-13 * ref
+        for lam in np.linspace(1.0, math.sqrt(r2max), 23)[:-1] + 0.01:
+            ref = math.fsum(v for n, v in zip(norms, logs) if n <= lam * lam)
+            assert abs(partial_log_product(m, "by_cutoff", lam)
+                       - ref) <= 1e-13 * ref
+
     def test_shell_complete_count_matches_cutoff(self):
         for (m, lam) in [(1, 7), (2, 5), (2, 11)]:
-            count = len(_lattice_norms_sq(m, lam * lam))
+            count = int(_shells(m, lam * lam)[1][1:].sum())
             assert partial_log_product(m, "by_count", count) == pytest.approx(
                 partial_log_product(m, "by_cutoff", lam), rel=1e-13)
 
