@@ -11,16 +11,7 @@ import math
 import mpmath
 
 from torusdet import log_det_zeta, logdet_zeta_via_regint, \
-    resolvent_trace_continuum, theta1, zeta_continued
-
-print("Theta function and its modular identity:")
-for t in (0.3, 1.0, math.pi):
-    lhs = theta1(t)
-    rhs = math.sqrt(math.pi / t) * theta1(math.pi ** 2 / t)
-    print(f"  theta1({t:.4f}) = {lhs:.12f}   modular form {rhs:.12f}")
-print(f"  self-dual value theta1(pi) vs pi^(1/4)/Gamma(3/4): "
-      f"{theta1(math.pi):.12f} vs {math.pi ** 0.25 / math.gamma(0.75):.12f}")
-
+    resolvent_trace_continuum, zeta_continued
 
 def mellin_trace(m, z, alpha):
     """The trace as a 30-digit theta-Mellin integral, the route the library's
@@ -39,7 +30,6 @@ def mellin_trace(m, z, alpha):
     return float(value)
 
 
-print()
 print("Continuum resolvent trace (m=1 closed form, m=2 theta-Mellin integral):")
 print(f"  m=1, z=1: {resolvent_trace_continuum(1, 1.0, 1):.15f}"
       f"  (pi coth pi = {math.pi / math.tanh(math.pi):.15f})")

@@ -16,8 +16,8 @@ from .finite_part import (RegIntResult, antiderivative_term,
                           finite_part_tail_inf, finite_part_tail_zero,
                           integral_term, logdet_via_regint, reg_integral)
 from .discrete import (DiscreteTorus, eigenvalue_product_integer, log_det,
-                       log_det_rescaled, log_det_series, logdet_limit_pipeline,
-                       omega, reduced_laplacian_det_mod, resolvent_trace,
+                       log_det_rescaled, log_det_series, omega,
+                       reduced_laplacian_det_mod, resolvent_trace,
                        sorted_spectrum, spanning_tree_count, spectrum_1d,
                        square_lattice_logdet_density, trace_inclusion_exclusion)
 from .euler_maclaurin import (EMParts, bernoulli_number,
@@ -29,9 +29,9 @@ from .euler_maclaurin import (EMParts, bernoulli_number,
                               periodic_bernoulli, poly_evaluator,
                               remainder_uniformity_scan, scaled_bulk_term)
 from .smooth import (ConvergenceReport, convergence_check, eigenproduct_reglimit,
-                     log_det_zeta, logdet_zeta_via_regint,
-                     partial_log_product, resolvent_trace_continuum,
-                     theta1, theta_function, zeta_continued)
+                     log_det_zeta, logdet_limit_pipeline,
+                     logdet_zeta_via_regint, partial_log_product,
+                     resolvent_trace_continuum, zeta_continued)
 from .interchange import (HomogeneousFn, InterchangeReport, builtin_registry,
                           check_interchange, correction_term, lhs_interchange,
                           rhs_interchange, verify_homogeneity)

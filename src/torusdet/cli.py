@@ -245,8 +245,8 @@ def cmd_main_theorem(args, report):
     check_dimension(args.m)
     if args.basis is None:
         raise InputError("only m = 1, 2 have default bases; give --basis")
-    c, u, ref = discrete.logdet_limit_pipeline(args.m, grid,
-                                               parse_basis(args.basis))
+    c, u, ref = smooth.logdet_limit_pipeline(args.m, grid,
+                                             parse_basis(args.basis))
     report.update(constant=c, uncertainty=u, reference=ref,
                   max_abs_diff=abs(c - ref))
     if args.csv_out:

@@ -32,10 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
-from .expansion import BasisSpec, Samples, extract_reglimit
+from .expansion import Samples
 from .finite_part import _quad
 
 MAX_SUM_LATTICE = 1 << 25     # iteration cap for spectral sums
@@ -434,29 +435,26 @@ def eigenvalue_product_integer(t: DiscreteTorus) -> int:
     return product
 
 
-# -- oracles and pipelines ---------------------------------------------------
+# -- oracles and series -----------------------------------------------------
 
 def square_lattice_logdet_density(m: int) -> float:
     """Bulk log-determinant density of the m-dimensional lattice Laplacian.
 
     The per-site limit ``(2 pi)^{-m} int log(2m - 2 sum_i cos u_i) d^m u``
-    over ``[0, 2 pi]^m``.  For m = 1 the integral is 0 exactly.  For m = 2
-    the inner integral has the closed form ``2 pi log((a + sqrt(a^2-4))/2)``
-    with ``a = 4 - 2 cos v``, leaving a one-dimensional quadrature.
+    over ``[0, 2 pi]^m`` (Chinta-Jorgenson-Karlsson 2010).  Frullani's
+    ``log A = int (e^(-t) - e^(-tA)) dt/t`` separates the axes into powers
+    of the one-axis heat trace ``K = ive(0, 2t)``; less the m = 1 density
+    0 this is ``int (K - K^m) dt/t``, split at t = 1.  For m = 1 the
+    integrand vanishes, so the value is 0 exactly; for m = 2 it is 4G/pi.
     """
-    if m == 1:
-        return 0.0
-    if m != 2:
-        raise InputError("bulk density implemented for m in {1, 2}")
+    check_dimension(m)
 
-    def inner(v):
-        a = 4.0 - 2.0 * math.cos(v)
-        x = (a + math.sqrt(max(a * a - 4.0, 0.0))) / 2.0
-        return math.log(x)
+    def f(t):
+        k = special.ive(0, 2.0 * t)
+        return (k - k ** m) / t
 
-    val, _ = _quad(inner, 0.0, 2.0 * math.pi, DENSITY_QUAD_TOL,
-                   points=[0.0, 2 * math.pi])
-    return val / (2.0 * math.pi)
+    return (_quad(f, 0.0, 1.0, DENSITY_QUAD_TOL)[0]
+            + _quad(f, 1.0, math.inf, DENSITY_QUAD_TOL)[0])
 
 
 def log_det_series(m: int, n_grid, *, rescaled: bool = False) -> Samples:
@@ -467,15 +465,3 @@ def log_det_series(m: int, n_grid, *, rescaled: bool = False) -> Samples:
         t = DiscreteTorus(m, n)
         vals.append(log_det_rescaled(t) if rescaled else log_det(t))
     return Samples(np.array(ns, dtype=float), np.array(vals))
-
-
-def logdet_limit_pipeline(m: int, n_grid, basis: BasisSpec):
-    """Regularized limit of discrete log-determinants vs the continuum value.
-
-    Returns ``(constant, uncertainty, reference)`` where the reference is
-    the zeta-regularized log-determinant of the continuum torus.
-    """
-    samples = log_det_series(m, n_grid)
-    constant, uncertainty = extract_reglimit(samples, basis)
-    from .smooth import log_det_zeta
-    return constant, uncertainty, log_det_zeta(m)

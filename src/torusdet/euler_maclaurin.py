@@ -33,8 +33,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
-from .errors import InputError, check_resolvent_parameter
+from .errors import InputError, check_dimension, check_resolvent_parameter
 from .discrete import (DiscreteTorus, _axis_eigenvalues, _extended_trace_sum,
                        resolvent_trace)
 from .finite_part import _quad
@@ -335,21 +336,24 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
 # -- homogeneous components and checks ----------------------------------------
 
 def _window_integral(q: int, w: float, m: int) -> float:
-    """``int over [0,1]^q of (pi^-2 sum sin^2(pi y_i) + w^2)^(-m)``."""
+    """``int over [0,1]^q of (pi^-2 sum sin^2(pi y_i) + w^2)^(-m)``.
+
+    With ``A^(-m) = Gamma(m)^(-1) int t^(m-1) e^(-t A) dt`` the axes
+    separate: each averages ``e^(-t sin^2(pi y)/pi^2)`` to the one-axis
+    lattice heat trace ``ive(0, t / 2 pi^2)``, leaving one integral in t
+    for every q, split at ``t = 1/w^2``; beyond it t is scaled by w^2.
+    """
     if q == 0:
         return w ** (-2.0 * m)
+    w2 = w * w
 
-    def s1(y):
-        return math.sin(math.pi * y) ** 2 / math.pi ** 2
+    def f(t):
+        return (t ** (m - 1) * math.exp(-w2 * t)
+                * special.ive(0, t / (2.0 * math.pi ** 2)) ** q)
 
-    def row(base):
-        return _quad(lambda y: (s1(y) + base) ** (-float(m)), 0.0, 1.0,
-                     EM_QUAD_TOL, points=[0.0, 0.5, 1.0])[0]
-
-    if q == 1:
-        return row(w * w)
-    return _quad(lambda y1: row(s1(y1) + w * w), 0.0, 1.0, EM_QUAD_TOL * 10,
-                 points=[0.0, 0.5, 1.0])[0]
+    head, _ = _quad(f, 0.0, 1.0 / w2, EM_QUAD_TOL)
+    tail, _ = _quad(lambda s: f(s / w2), 1.0, math.inf, EM_QUAD_TOL)
+    return (head + tail / w2) / math.gamma(m)
 
 
 def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
@@ -357,8 +361,12 @@ def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
 
     ``n**(q - 2m)`` times the unit-window integral at argument ``z/n``; this
     is the value of a pattern with q integral axes and the rest endpoint
-    averages, per inclusion-exclusion level.
+    averages, per inclusion-exclusion level.  The quadratures meet their
+    tolerance for ``1/1024 <= z/n <= 1000`` and raise NumericalError from
+    about ``z/n = 1/2048`` down.
     """
+    check_dimension(m)
+    check_resolvent_parameter(z, m)   # the q = 0 block is z^(-2m)
     return n ** (q - 2.0 * m) * _window_integral(q, z / n, m)
 
 

@@ -1,5 +1,6 @@
 """Continuum torus references: heat traces, zeta determinants, eigenvalue
-products, and convergence of the discrete resolvent traces.
+products, and the discrete-to-continuum limits: regularized limits of the
+discrete log-determinants and convergence of the discrete resolvent traces.
 
 The flat m-torus (product of unit circles) has Laplace spectrum
 ``|k|^2, k in Z^m`` with a one-dimensional kernel.  Its zeta function and
@@ -26,11 +27,11 @@ from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
 from .expansion import (TO_INFINITY, BasisSpec, Expansion, Samples,
                         extract_reglimit)
-from .discrete import MAX_SUM_LATTICE
+from .discrete import (MAX_SUM_LATTICE, DiscreteTorus, _check_sum_size,
+                       log_det_series, resolvent_trace)
 from . import finite_part
 
 EULER_GAMMA = float(np.euler_gamma)
-THETA_LOG_EPS = 40.0     # theta sums drop Gaussian terms below exp(-40)
 SMOOTH_POINTS = 41       # cutoffs per eigenproduct smoothing window
 SMOOTH_HALFWIDTH = 1.2   # the window spans [Lambda/1.2, Lambda*1.2]
 EWALD_SPLIT = 0.2        # Mellin split c of the trace: drops exp(-pi^2/c) = 4e-22
@@ -38,31 +39,6 @@ TRACE_SHELLS = 250       # squared norms in the trace: drops < 1e-17 for m <= 4
 EWALD_TAIL = 1e-17       # shell weight below which the trace is its lead term
 ZETA_SHELLS = 60         # squared norms kept in the zeta lattice series
 GAMMA_OVERFLOW = 171.0   # Gamma(x) overflows a double just above x = 171.6
-
-
-def _theta1_direct(t: float) -> float:
-    j_max = int(math.ceil(math.sqrt(THETA_LOG_EPS / t)))
-    j = np.arange(1, j_max + 1)
-    return 1.0 + 2.0 * float(np.sum(np.exp(-t * j * j)))
-
-
-def theta1(t: float) -> float:
-    """One-dimensional Gaussian lattice sum ``sum_j exp(-t j^2)``.
-
-    For t < 1 the modular identity ``theta1(t) = sqrt(pi/t) theta1(pi^2/t)``
-    turns the slowly converging sum into a rapidly converging one.
-    """
-    if t <= 0:
-        raise InputError("theta argument must be positive")
-    if t < 1.0:
-        return math.sqrt(math.pi / t) * _theta1_direct(math.pi ** 2 / t)
-    return _theta1_direct(t)
-
-
-def theta_function(m: int, t: float) -> float:
-    """Heat trace of the m-torus, ``theta1(t)**m``."""
-    check_dimension(m)
-    return theta1(t) ** m
 
 
 def _min_alpha(m: int) -> int:
@@ -105,7 +81,8 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
     """``sum over Z^m of (|k|^2 + z^2)^(-alpha)``.
 
     The Mellin integral ``int t^(alpha-1) e^(-z^2 t) theta1(t)^m dt / Gamma(alpha)``
-    split at ``t = c`` (Ewald 1921; Crandall 1998): above c, shell by shell,
+    with ``theta1(t) = sum over Z of e^(-t j^2)``, split at ``t = c`` (Ewald
+    1921; Crandall 1998): above c, shell by shell,
     ``sum r_m(|k|^2) (|k|^2+z^2)^(-alpha) Q(alpha, c(|k|^2+z^2))``; below c,
     after the modular transform, ``_lead(m, alpha) z^(m-2 alpha) P(nu, c z^2)``
     with ``nu = alpha - m/2``, dropping terms ``exp(-pi^2/c)`` times smaller.
@@ -206,7 +183,9 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     the trace's lead term ``pi^(m/2) Gamma(m/2)/Gamma(m) z^(-m)`` is taken
     out and integrated in closed form.  Beyond ``window_end`` the trace is
     that term to rounding; a ``window_end`` below that floor (about 14 to
-    15.7 for m = 1..4) is refused.
+    15.7 for m = 1..4) is refused.  Past twice the floor the reduced
+    integrand is zero to rounding, so the core quadrature stops there: on a
+    longer core it would miss the integrand's bump below the floor.
     """
     check_dimension(m)
     floor = _lead_radius(m)
@@ -222,7 +201,8 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
                 * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
 
     tail = Expansion(TO_INFINITY, ((m - 1.0, 0, lead),))
-    return finite_part._logdet_regint(trace, m, 1, window_end, None, tail)
+    return finite_part._logdet_regint(trace, m, 1, min(window_end, 2 * floor),
+                                      None, tail)
 
 
 # -- partial eigenvalue products --------------------------------------------
@@ -282,6 +262,16 @@ def _product_table(m: int, mode: str, parameters, reach: float = 1.0):
 
 def _ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+
+
+def logdet_limit_pipeline(m: int, n_grid, basis: BasisSpec):
+    """Regularized limit of discrete log-determinants vs the continuum value.
+
+    Returns ``(constant, uncertainty, reference)`` where the reference is
+    the zeta-regularized log-determinant of the continuum torus.
+    """
+    constant, uncertainty = extract_reglimit(log_det_series(m, n_grid), basis)
+    return constant, uncertainty, log_det_zeta(m)
 
 
 def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
@@ -349,12 +339,13 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     difference decreases, and verifies the derivative identity
     ``d/dz Tr(.+z^2)^(-alpha) = -2 alpha z Tr(.+z^2)^(-alpha-1)`` by a
     fourth-order finite difference with step ``z / 400`` on both sides of
-    the limit.
+    the limit.  The table's points ``sum n^m``, plus ``5 n^m`` for the
+    derivative probes at the last n, are capped at ``MAX_SUM_LATTICE``.
     """
-    from .discrete import DiscreteTorus, resolvent_trace
-
+    check_dimension(m)
     if alpha < m:
         raise InputError("need alpha >= m for the convergence table")
+    _check_sum_size(sum(int(n) ** m for n in n_grid) + 5 * int(n_grid[-1]) ** m)
     cont = resolvent_trace_continuum(m, z, alpha)
     rows = []
     for n in n_grid:

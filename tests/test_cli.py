@@ -206,6 +206,8 @@ class TestExitCodes:
         ["em-check", "--m", "2", "--n", "1024"],
         ["em-check", "--m", "2", "--n", "65"],
         ["em-check", "--m", "1", "--n", "131073"],
+        ["converge", "--m", "3", "--alpha", "3", "--n-grid", "8:256:x2"],
+        ["converge", "--m", "4", "--alpha", "4", "--n-grid", "8:64:x2"],
     ])
     def test_oversized_enumeration_exits_at_once(self, argv, capsys):
         t0 = time.perf_counter()
@@ -402,6 +404,19 @@ def _eigenproduct_grid(mode: str, m: int):
                   st.floats(0.5, 4.0)))
 
 
+def _converge_grid(m: int):
+    """(start, stop, ratio) of a grid that stops at 64 at most or whose last
+    n alone puts the table and its derivative probes past the cap: half the
+    draws a well-formed grid, half any."""
+    over = _root(MAX_SUM_LATTICE // 6, m) + 1 if 1 <= m <= 4 else 65
+    stop = st.integers(over, 4 * over)
+    return st.one_of(
+        st.tuples(st.integers(2, 8), st.integers(32, 64) | stop,
+                  st.floats(1.2, 1.5)),
+        st.tuples(st.integers(-2, 64), st.integers(-2, 64) | stop,
+                  st.floats(0.5, 4.0)))
+
+
 class TestExitContract:
     """Every input ends in a documented exit code, never in a traceback or
     a non-finite value reported as success."""
@@ -500,6 +515,16 @@ class TestExitContract:
         argv = ["eigenproduct", "--m", str(m), "--mode", mode,
                 "--grid={!r}:{!r}:x{!r}".format(*grid)]
         self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
+
+    @settings(deadline=None, max_examples=40)
+    @given(args=st.integers(-1, 6).flatmap(
+               lambda m: st.tuples(st.just(m), _converge_grid(m))),
+           alpha=st.integers(-1, 8), exponent=st.floats(-300.0, 300.0))
+    def test_converge(self, args, alpha, exponent):
+        m, grid = args
+        self.check(["converge", "--m", str(m),
+                    "--n-grid={}:{}:x{!r}".format(*grid),
+                    "--alpha", str(alpha), "--z", _z_text(exponent)])
 
     # any float, nan, +-inf, subnormals and 1e308 included, half the draws
     # from a range where most runs get past the option checks; "--flag=value"

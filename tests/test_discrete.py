@@ -574,3 +574,16 @@ class TestBulkDensity:
                                    epsabs=1e-9)
         assert square_lattice_logdet_density(2) == pytest.approx(
             val / (4 * math.pi ** 2), abs=1e-7)
+
+    # int (e^(-t) - (e^(-2t) I_0(2t))^m) dt/t in mpmath at 30 and at 45
+    # digits, which agree to 1e-31; the same integral at m = 2 is 4G/pi to
+    # 28 digits
+    @pytest.mark.parametrize("m,ref", [(3, "1.673389302970196732283430622"),
+                                       (4, "1.999707644517312559687899304")])
+    def test_m3_m4_against_mpmath(self, m, ref):
+        assert abs(square_lattice_logdet_density(m) - float(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_dimension_outside_1_to_4_refused(self, m):
+        with pytest.raises(InputError):
+            square_lattice_logdet_density(m)

@@ -15,12 +15,13 @@ from torusdet import (DiscreteTorus, InputError, bernoulli_number,
                       em_decompose, em_direct_sum, em_sum_1d, h_coefficient,
                       homogeneous_components, inv_power_derivative,
                       periodic_bernoulli, poly_evaluator,
-                      remainder_uniformity_scan, scaled_bulk_term)
+                      remainder_uniformity_scan, resolvent_trace,
+                      scaled_bulk_term)
 from torusdet.discrete import _axis_eigenvalues
 from torusdet.euler_maclaurin import (EM_MAX_ORDER, GL_ORDER_PATTERNS,
                                       _bernoulli_poly_coeffs,
                                       _gl_nodes, _h_eval, _h_monomials,
-                                      _jet_matrix)
+                                      _jet_matrix, _window_integral)
 
 
 class TestBernoulli:
@@ -358,14 +359,19 @@ class TestHomogeneousStructure:
     def test_m1_remainder_is_bernoulli_pattern(self):
         # trace minus homogeneous parts equals the remainder-integral
         # pattern of the decomposition exactly (dual route)
-        from torusdet import resolvent_trace
-
         t = DiscreteTorus(1, 8)
         z = 2.0
         tr = resolvent_trace(t, z, 1)
         h = sum(homogeneous_components(1, z, 8.0).values())
         vals, _ = em_decompose(t, z, alpha=1)
         assert tr - h == pytest.approx(vals[(3,)], abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_m3_components_leave_a_small_remainder(self, n):
+        # at z = 4 the remainder is O(z^(-2m-2)) of a trace of order 1e-2
+        tr = resolvent_trace(DiscreteTorus(3, n), 4.0, 3)
+        h = math.fsum(homogeneous_components(3, 4.0, float(n)).values())
+        assert abs(tr - h) <= 1e-7 * tr
 
     def test_remainder_uniformity(self):
         rep = remainder_uniformity_scan(1, z_grid=(4.0, 8.0),
@@ -376,3 +382,61 @@ class TestHomogeneousStructure:
         h4 = rep.anchor_per_z[4.0] / 4.0 ** 4
         h8 = rep.anchor_per_z[8.0] / 8.0 ** 4
         assert h8 <= h4 / 2 ** 3
+
+
+def axis_value(y):
+    return math.sin(math.pi * y) ** 2 / math.pi ** 2
+
+
+def nested_window_integral(q, w, m):
+    """``_window_integral`` for q <= 2 as nested adaptive quadratures over
+    the unit cell."""
+    def row(base):
+        return integrate.quad(lambda y: (axis_value(y) + base) ** -float(m),
+                              0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                              points=[0.5], limit=200)[0]
+    if q == 1:
+        return row(w * w)
+    return integrate.quad(lambda y: row(axis_value(y) + w * w), 0.0, 1.0,
+                          epsabs=0.0, epsrel=1e-13, points=[0.5], limit=200)[0]
+
+
+def tensor_window_integral(q, w, m, nodes):
+    """``_window_integral`` by a tensor Gauss-Legendre rule on [0, 1/2]^q,
+    doubled per axis: the integrand is even under y -> 1 - y."""
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    ys, ws = (x + 1.0) / 4.0, wts / 2.0   # [0, 1/2], weights doubled
+    s = np.sin(np.pi * ys) ** 2 / np.pi ** 2
+    total, weight = w * w, 1.0
+    for axis in range(q):
+        shape = [1] * q
+        shape[axis] = nodes
+        total = total + s.reshape(shape)
+        weight = weight * ws.reshape(shape)
+    return float(np.sum(weight * total ** -float(m)))
+
+
+class TestWindowIntegral:
+    """The unit-window integrals behind the homogeneous components, one
+    Bessel heat-trace quadrature for every number of axes q."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_against_nested_quadrature(self, q, m):
+        for w in (2.0, 0.5, 1 / 8, 1 / 32):
+            ref = nested_window_integral(q, w, m)
+            assert _window_integral(q, w, m) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("q,nodes", [(3, 64), (4, 32)])
+    def test_against_tensor_gauss_legendre(self, q, nodes):
+        # q = m: the all-integral block of the m-torus
+        for w in (1.0, 0.25):
+            ref = tensor_window_integral(q, w, q, nodes)
+            assert _window_integral(q, w, q) == pytest.approx(ref, rel=1e-12)
+
+    def test_bulk_terms_check_their_input(self):
+        for m, z in ((0, 1.0), (5, 1.0), (2, 0.0), (2, -1.0), (2, math.nan)):
+            with pytest.raises(InputError):
+                scaled_bulk_term(m, 1, z, 8.0)
+            with pytest.raises(InputError):
+                homogeneous_components(m, z, 8.0)

@@ -1,4 +1,4 @@
-"""Tests for continuum-torus references: theta, zeta, traces, products."""
+"""Tests for continuum-torus references: zeta, traces, products, limits."""
 
 import itertools
 import math
@@ -11,8 +11,8 @@ import pytest
 from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       convergence_check, eigenproduct_reglimit, log_det_zeta,
                       logdet_zeta_via_regint, partial_log_product,
-                      resolvent_trace_continuum, theta1, theta_function,
-                      zeta_continued)
+                      resolvent_trace_continuum, zeta_continued)
+from torusdet.discrete import MAX_SUM_LATTICE
 from torusdet.smooth import _lead_radius, _shells
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
@@ -60,27 +60,6 @@ def mellin_trace(m, z, alpha):
             lambda t: t ** (alpha - 1) * mpmath.exp(-z2 * t) * mp_theta1(t) ** m,
             [0, alpha / z2, mpmath.inf]) / mpmath.gamma(alpha)
     return float(value)
-
-
-class TestTheta:
-    def test_large_t_limit(self):
-        assert theta1(50.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_self_dual_point(self):
-        ref = math.pi ** 0.25 / math.gamma(0.75)
-        assert theta1(math.pi) == pytest.approx(ref, rel=1e-14)
-
-    def test_modular_identity(self):
-        for t in np.linspace(0.1, 10.0, 60):
-            lhs = theta1(float(t))
-            rhs = math.sqrt(math.pi / t) * theta1(math.pi ** 2 / float(t))
-            assert abs(lhs - rhs) <= 1e-14 * max(1.0, lhs)
-
-    def test_monotone_decreasing_and_above_one(self):
-        ts = np.linspace(0.05, 20.0, 80)
-        vals = [theta_function(2, float(t)) for t in ts]
-        assert all(v > 1.0 for v in vals)
-        assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -225,11 +204,12 @@ class TestShells:
 
 
 class TestRouteEquality:
-    # the AC7 bound at two windows; the largest measured error is 3.3e-12,
-    # at m = 1
+    # the AC7 bound at windows up to 1e6; the largest measured error is
+    # 3.3e-12, at m = 1.  The core quadrature stops at twice the window
+    # floor: on a core as long as 4000 it misses the bump below z = 15
     @staticmethod
     def check(m, reference):
-        for window_end in (64.0, 128.0):
+        for window_end in (64.0, 128.0, 4000.0, 1e4, 1e6):
             assert abs(logdet_zeta_via_regint(m, window_end=window_end)
                        - reference) <= 1e-11
 
@@ -358,6 +338,16 @@ class TestConvergence:
         rep = convergence_check(m, grid, z, m)
         assert rep.derivative_rel_err_discrete <= 1e-6
         assert rep.derivative_rel_err_continuum <= 1e-6
+
+    @pytest.mark.parametrize("m,grid", [(1, [8, MAX_SUM_LATTICE // 6]),
+                                        (3, [8, 128, 180]),
+                                        (4, [4, 50])])
+    def test_table_size_cap(self, m, grid):
+        # the rows plus five derivative probes at the last n: refused
+        # before any trace is evaluated
+        assert sum(n ** m for n in grid) + 5 * grid[-1] ** m > MAX_SUM_LATTICE
+        with pytest.raises(InputError, match="iteration cap"):
+            convergence_check(m, grid, 1.0, m)
 
     def test_m1_module_contract_at_largest_n(self):
         rep = convergence_check(1, [512, 1024, 2048, 4096], 1.0, 1)

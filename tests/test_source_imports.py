@@ -4,7 +4,8 @@ The library computes exact integers in GF(p) and needs no extended
 precision, so no module imports mpmath; ``finite_part._quad`` is the one
 checked quadrature path, so only ``finite_part.py`` imports
 ``scipy.integrate``; reports are the command line's job, so only ``cli.py``
-imports ``json``.
+imports ``json``.  Every import sits at the top of its module, so the
+module graph has no hidden edges and no cycle deferred into a function.
 """
 
 import ast
@@ -48,3 +49,36 @@ def test_only_cli_imports_json():
              if any(name.split(".")[0] == "json"
                     for name in imported_modules(path))}
     assert users == {"cli.py"}
+
+
+def test_no_import_inside_a_function():
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                               for node in ast.walk(fn)), (path.name, fn.name)
+
+
+def package_imports(path):
+    """The package modules that ``path`` imports, by file stem."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module
+                         else (alias.name for alias in node.names))
+    return names
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: package_imports(path) for path in SOURCES}
+    done = set()
+
+    def visit(name, trail):
+        assert name not in trail, " -> ".join(trail + (name,))
+        if name not in done:
+            for dep in graph.get(name, ()):
+                visit(dep, trail + (name,))
+            done.add(name)
+
+    for name in graph:
+        visit(name, ())
