@@ -20,8 +20,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import discrete, euler_maclaurin, finite_part, interchange, smooth
-from .errors import (FitDegenerateError, InputError, NumericalError,
-                     TailModelError, check_dimension)
+from .errors import InputError, NumericalError
 from .expansion import BasisSpec
 
 EXIT_OK = 0
@@ -242,23 +241,13 @@ def cmd_eigenproduct(args, report):
 
 def cmd_main_theorem(args, report):
     grid = parse_grid(args.n_grid)
-    check_dimension(args.m)
-    if args.basis is None:
-        raise InputError("only m = 1, 2 have default bases; give --basis")
-    c, u, ref = smooth.logdet_limit_pipeline(args.m, grid,
-                                             parse_basis(args.basis))
+    c, u, ref = smooth.logdet_limit_pipeline(args.m, grid)
     report.update(constant=c, uncertainty=u, reference=ref,
                   max_abs_diff=abs(c - ref))
     if args.csv_out:
         _write_series(args, report,
                       _pairs(discrete.log_det_series(args.m, grid)))
     return abs(c - ref) <= args.tol
-
-
-DEFAULT_BASES = {
-    1: "1,1;1,0;0,1;0,0",
-    2: "2,1;2,0;1,1;1,0;0,1;0,0;-1,0;-2,0",
-}
 
 
 class Command(NamedTuple):
@@ -324,7 +313,7 @@ COMMANDS = {
     "main-theorem": Command(
         cmd_main_theorem, "regularized limit of log-determinants",
         lambda args: ["AC2" if args.m == 1 else "AC3"], True, (
-            ARG_M, ("--n-grid", {"default": "16:4096:x2"}), ("--basis", {}),
+            ARG_M, ("--n-grid", {"default": "16:4096:x2"}),
             ("--tol", {"type": _tolerance, "default": 1e-6}))),
 }
 
@@ -349,8 +338,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    if getattr(args, "basis", "unset") is None:
-        args.basis = DEFAULT_BASES.get(args.m)
     row = COMMANDS[args.command]
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("command", "json_out", "csv_out")}
@@ -364,7 +351,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FitDegenerateError, TailModelError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,16 +16,16 @@ class InputError(TorusdetError, ValueError):
     """Invalid arguments: bad grids, out-of-range parameters, size caps."""
 
 
-class FitDegenerateError(TorusdetError, RuntimeError):
+class NumericalError(TorusdetError, RuntimeError):
+    """Quadrature or another numerical subroutine failed to converge."""
+
+
+class FitDegenerateError(NumericalError):
     """Least-squares design matrix is rank deficient or too ill-conditioned."""
 
 
-class TailModelError(TorusdetError, RuntimeError):
+class TailModelError(NumericalError):
     """A declared tail basis cannot represent the sampled tail behaviour."""
-
-
-class NumericalError(TorusdetError, RuntimeError):
-    """Quadrature or another numerical subroutine failed to converge."""
 
 
 def check_dimension(m: int) -> None:

@@ -49,6 +49,8 @@ EM_QUAD_TOL = 1e-12       # adaptive quadratures, absolute and relative
 # nearly doubles with each order.
 EM_MAX_ORDER = 6
 EM_MAX_GRID = 1 << 22     # unfolded nodes (32 n)^m of one pattern grid
+BOUND_SCAN_SIZES = (8, 16, 32, 64, 128, 256)   # n grid of the bound scan
+BOUND_SCAN_ALPHA = 2      # resolvent power of the bound scan
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -418,15 +420,14 @@ class BoundScanReport:
     spread: float              # max over n divided by min over n
 
 
-def deriv_coefficient_bound_scan(k: int, ell: int, *,
-                                 n_grid=(8, 16, 32, 64, 128, 256),
-                                 alpha: int = 2) -> BoundScanReport:
+def deriv_coefficient_bound_scan(k: int, ell: int) -> BoundScanReport:
     """Empirical constants in the odd-order coefficient bounds.
 
     For odd k, ``|H_{k,ell}|`` is bounded by a constant times
     ``n**(2(ell+1) - k)`` when ``k >= 2(ell+1)`` and ``x**(2(ell+1) - k)``
-    otherwise; the scan reports the observed constant per n and its spread
-    across the grid (a bounded spread is the check).
+    otherwise; the scan reports the observed constant per n over
+    ``BOUND_SCAN_SIZES``, at resolvent power ``BOUND_SCAN_ALPHA``, and its
+    spread across the grid (a bounded spread is the check).
     """
     if k % 2 != 1:
         raise InputError("the bound applies to odd derivative orders")
@@ -435,14 +436,14 @@ def deriv_coefficient_bound_scan(k: int, ell: int, *,
     n_branch = k >= 2 * (ell + 1)
     expo = 2 * (ell + 1) - k
     per_n = {}
-    for n in n_grid:
+    for n in BOUND_SCAN_SIZES:
         xs = np.unique(np.concatenate([
             np.linspace(0.05, 2.0, 16),
             np.linspace(0.02, 0.5, 16) * n,
         ]))
         xs = xs[(xs > 0) & (xs <= n / 2)]
         jets = _jet_matrix(n, xs, k - 1)
-        hv = np.abs(_h_eval(k, ell, alpha, jets))
+        hv = np.abs(_h_eval(k, ell, BOUND_SCAN_ALPHA, jets))
         bound = float(n) ** expo if n_branch else xs ** expo
         per_n[n] = float(np.max(hv / bound))
     vals = list(per_n.values())

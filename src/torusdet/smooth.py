@@ -264,12 +264,22 @@ def _ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
-def logdet_limit_pipeline(m: int, n_grid, basis: BasisSpec):
+def logdet_limit_pipeline(m: int, n_grid):
     """Regularized limit of discrete log-determinants vs the continuum value.
 
-    Returns ``(constant, uncertainty, reference)`` where the reference is
-    the zeta-regularized log-determinant of the continuum torus.
+    The main theorem fixes the exponents of the expansion in n:
+    ``n^m log n``, ``n^m``, a constant and even inverse powers, fitted here
+    as ``n^-2 .. n^-2J`` with ``J = min(4, len(n_grid) - 5)``, which keeps
+    at least two residual degrees of freedom; a grid of fewer than five
+    sizes is refused.  Returns ``(constant, uncertainty, reference)`` where
+    the reference is the zeta-regularized log-determinant of the continuum
+    torus.
     """
+    if len(n_grid) < 5:
+        raise InputError(f"the main theorem needs at least 5 lattice sizes, "
+                         f"got {len(n_grid)}")
+    basis = BasisSpec(((m, 1), (m, 0), (0, 0)) + tuple(
+        (-2 * j, 0) for j in range(1, min(4, len(n_grid) - 5) + 1)))
     constant, uncertainty = extract_reglimit(log_det_series(m, n_grid), basis)
     return constant, uncertainty, log_det_zeta(m)
 

@@ -50,8 +50,7 @@ def test_ac1_exact_determinant_chain():
 
 def test_ac2_logdet_limit_m1():
     grid = [16 * 2 ** i for i in range(9)]
-    basis = BasisSpec(((1.0, 1), (1.0, 0), (0.0, 1), (0.0, 0)))
-    constant, unc, reference = td.logdet_limit_pipeline(1, grid, basis)
+    constant, unc, reference = td.logdet_limit_pipeline(1, grid)
     ok = (abs(constant - LOG_4PI2) <= 1e-6
           and abs(reference - LOG_4PI2) <= 1e-8)
     report("AC2", ok,
@@ -60,17 +59,29 @@ def test_ac2_logdet_limit_m1():
 
 
 def test_ac3_logdet_limit_m2():
+    # the basis derived from m errs by 1.4e-9, inside its own uncertainty
     grid = geom_int_grid(64, 1024, 2 ** (1 / 3))
-    basis = BasisSpec(((2.0, 1), (2.0, 0), (1.0, 1), (1.0, 0), (0.0, 1),
-                       (0.0, 0), (-1.0, 0), (-2.0, 0)))
     import time
     t0 = time.time()
-    constant, unc, reference = td.logdet_limit_pipeline(2, grid, basis)
+    constant, unc, reference = td.logdet_limit_pipeline(2, grid)
     elapsed = time.time() - t0
-    ok = abs(constant - LOGDET_ZETA_2) <= 1e-2 and elapsed < 60.0
+    err = constant - LOGDET_ZETA_2
+    ok = abs(err) <= 2e-8 and abs(err) <= unc and elapsed < 60.0
     report("AC3", ok,
-           f"constant {constant:.6f} vs {LOGDET_ZETA_2:.6f} "
-           f"(err {constant - LOGDET_ZETA_2:.2e}), {elapsed:.1f}s")
+           f"constant {constant:.10f} vs {LOGDET_ZETA_2:.10f} "
+           f"(err {err:.2e}, uncertainty {unc:.1e}), {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("m,stop,tol", [(3, 128, 1e-6), (4, 64, 1e-4)])
+def test_ac3_logdet_limit_m3_m4(m, stop, tol):
+    # errors 4.5e-8 (m = 3) and 4.6e-8 (m = 4) on the grids 8:stop:x1.2; the
+    # reference log_det_zeta(m) meets the finite-part route in AC7
+    grid = geom_int_grid(8, stop, 1.2)
+    constant, unc, reference = td.logdet_limit_pipeline(m, grid)
+    err = constant - reference
+    report(f"AC3 (m={m})", abs(err) <= tol,
+           f"constant {constant:.10f} vs {reference:.10f} "
+           f"(err {err:.2e}, uncertainty {unc:.1e})")
 
 
 def test_ac4_bulk_coefficient_m2():

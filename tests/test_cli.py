@@ -60,6 +60,17 @@ class TestCommands:
         assert code == 1
         assert json.loads(out.read_text())["pass"] is False
 
+    @pytest.mark.parametrize("m,grid,tol", [(3, "8:128:x1.2", "1e-6"),
+                                            (4, "8:64:x1.2", "1e-4")])
+    def test_main_theorem_m3_m4(self, m, grid, tol, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["main-theorem", "--m", str(m), "--n-grid", grid,
+                     "--tol", tol, "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["criteria"] == ["AC3"]
+        assert report["max_abs_diff"] <= float(tol) / 10
+        assert "basis" not in report["config"]
+
     def test_logdet_single(self, capsys):
         assert main(["logdet", "--m", "1", "--n", "3"]) == 0
         line = capsys.readouterr().out
@@ -166,7 +177,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["logdet", "--m", "2"],
-        ["main-theorem", "--basis", "garbage"],
+        ["main-theorem", "--n-grid", "16:64:x2"],
         ["main-theorem", "--n-grid", "16:4096:xabc"],
         ["trace", "--m", "2", "--n", "4", "--z-grid", "0.5:inf:x2"],
         ["trace", "--n", "4", "--z", "nan"],
@@ -190,11 +201,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["eigenproduct", "--m", "5"],
         ["trace-continuum", "--m", "7", "--z", "1", "--alpha", "4"],
+        ["main-theorem", "--m", "5"],
     ])
-    def test_unsupported_dimension_exits_at_once(self, argv):
+    def test_unsupported_dimension_exits_at_once(self, argv, capsys):
         t0 = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1.0
+        assert "dimension m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["eigenproduct", "--m", "1", "--mode", "by_count",
@@ -267,16 +280,6 @@ class TestExitCodes:
         csv = tmp_path / "x.csv"
         assert main(argv + ["--csv-out", str(csv)]) == 2
         assert not csv.exists()
-
-    def test_main_theorem_without_default_basis_names_the_option(self, capsys):
-        # m = 3 and 4 have no default basis; the m = 2 one fits nonsense there
-        argv = ["main-theorem", "--m", "3", "--n-grid", "8:64:x1.2"]
-        assert main(argv) == 2
-        assert "--basis" in capsys.readouterr().err
-        assert main(argv + ["--basis", "0,1;0,0;-2,0;-4,0"]) in (0, 1)
-        # an m outside 1..4 is refused for itself, not for its basis
-        assert main(["main-theorem", "--m", "5"]) == 2
-        assert "dimension m" in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2
@@ -486,16 +489,10 @@ class TestExitContract:
                st.tuples(st.integers(2, 8), st.integers(32, 64),
                          st.floats(1.2, 1.5)),
                st.tuples(st.integers(-2, 64), st.integers(-2, 64),
-                         st.floats(0.5, 4.0))),
-           basis=st.one_of(
-               st.none(), st.text(max_size=12),
-               st.lists(st.tuples(st.integers(-6, 3), st.integers(0, 1)),
-                        unique=True, max_size=4).map(
-                   lambda pairs: ";".join(
-                       f"{a},{k}" for a, k in set(pairs) | {(0, 0)}))))
-    def test_main_theorem(self, m, grid, basis):
-        argv = ["main-theorem", "--m", str(m), "--n-grid={}:{}:x{}".format(*grid)]
-        self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
+                         st.floats(0.5, 4.0))))
+    def test_main_theorem(self, m, grid):
+        self.check(["main-theorem", "--m", str(m),
+                    "--n-grid={}:{}:x{}".format(*grid)])
 
     # stops up to 64 or beyond the enumeration cap: one shell table per call
     # bounds every example

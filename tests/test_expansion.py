@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusdet import (BasisSpec, Expansion, ExpTerm, FitDegenerateError,
-                      InputError, Samples, TO_INFINITY, eval_expansion,
-                      extract_reglimit, fit_expansion, regularized_limit)
+                      InputError, NumericalError, Samples, TailModelError,
+                      TO_INFINITY, eval_expansion, extract_reglimit,
+                      fit_expansion, regularized_limit)
 
 
 def geometric_grid(start, count, ratio=2.0):
@@ -114,6 +115,11 @@ class TestFit:
         basis = BasisSpec(((50.0, 0), (50.0000001, 0)))
         with pytest.raises(FitDegenerateError):
             fit_expansion(Samples(x, x ** 50.0), basis)
+
+    def test_fit_and_tail_failures_are_numerical_errors(self):
+        # the CLI maps NumericalError, subclasses included, to exit 3
+        assert issubclass(FitDegenerateError, NumericalError)
+        assert issubclass(TailModelError, NumericalError)
 
     def test_constant_data_is_allowed(self):
         x = geometric_grid(1.0, 8)
