@@ -18,16 +18,18 @@ outer axes.
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
 an exact integer cross-check of the rescaled log-determinant:
-``exp(log_det_rescaled) = n^m * #spanning trees``.  One banded GF(p)
-elimination, ``_det_mod_primes``, computes every cofactor residue; tree
-counts for m >= 2 are their CRT reconstruction (``_crt``), as is the
-eigenvalue product from its GF(p) values at an n-th root of unity, p = 1
-(mod n).  For n = 2 the circle degenerates to a doubled edge (eigenvalue
-4, tree count 2).
+``exp(log_det_rescaled) = n^m * #spanning trees``.  One GF(p)
+elimination, ``_det_mod_primes``, computes every cofactor residue: a
+multifrontal elimination in nested-dissection order, batched over the
+fronts of each depth and over primes.  Tree counts for m >= 2 are the CRT
+reconstruction (``_crt``) of these residues, as is the eigenvalue product
+from its GF(p) values at an n-th root of unity, p = 1 (mod n).  For n = 2
+the circle degenerates to a doubled edge (eigenvalue 4, tree count 2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +50,7 @@ PRODUCT_MARGIN_BITS = 16      # CRT modulus headroom over exp(log_det_rescaled)
 LOGDET_CHECK_RTOL = 1e-12     # exact product against the float log-determinant
 LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
 DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
+LEAF = 16                     # most vertices in a nested-dissection leaf
 
 
 @dataclass(frozen=True)
@@ -254,99 +257,159 @@ def _crt(residues_mod, step: int, bound: int) -> int:
     """The integer in [0, modulus) with residues ``residues_mod(primes)``.
 
     The primes are the descending p = 1 (mod step) below 2^31 up to the
-    first whose running product, the modulus, exceeds bound.
+    first whose running product, the modulus, exceeds bound.  A prime whose
+    residue is None is skipped and more are drawn in its place.
     """
     top = 2 ** 31 - 1 - (2 ** 31 - 2) % step   # the largest p = 1 (mod step)
-    primes, modulus = [], 1
-    for p in filter(_is_prime, range(top, 2, -step)):
-        if modulus > bound:
-            break
-        primes.append(p)
-        modulus *= p
+    primes, pairs, modulus = filter(_is_prime, range(top, 2, -step)), [], 1
+    while modulus <= bound:
+        batch, reach = [], modulus
+        while reach <= bound:
+            batch.append(next(primes))
+            reach *= batch[-1]
+        pairs += [(r, p) for r, p in zip(residues_mod(batch), batch) if r is not None]
+        modulus = math.prod(p for _, p in pairs)
     return sum(r * (modulus // p) * pow(modulus // p, -1, p)
-               for r, p in zip(residues_mod(primes), primes)) % modulus
+               for r, p in pairs) % modulus
 
 
-def _reduced_laplacian_rows(t: DiscreteTorus):
-    """Rows of the graph Laplacian with vertex 0 deleted, as ``{col: entry}``.
+def _slots(front: np.ndarray, node, verts, points: int) -> np.ndarray:
+    """Slot of each vertex ``verts`` in row ``node`` of ``front``, else -1."""
+    key = (np.arange(len(front))[:, None] * (points + 1) + front + 1).ravel()
+    order = np.argsort(key)
+    q = node * (points + 1) + verts + 1
+    i = np.searchsorted(key[order], q).clip(max=key.size - 1)
+    return np.where(key[order[i]] == q, order[i] % front.shape[1], -1)
 
-    Each axis is numbered zig-zag (positions 0, 1, 2, 3, ... hold the
-    coordinates 0, n-1, 1, n-2, ...), which removes the periodic wrap: the
-    bandwidth is at most ``2 n^(m-1)``.  Vertex v, numbered lexicographically
-    in positions, owns row/column ``v - 1``.  For n = 2 both neighbours
-    along an axis coincide, so the doubled edge gives the entry -2.
+
+def _fronts(t: DiscreteTorus) -> list:
+    """Multifrontal plan of the torus in nested-dissection order, root first.
+
+    A box keeps each axis as the whole circle (0, n) or an interval [lo, hi)
+    with lo >= 1.  Its longest axis is cut, a circle at 0 and n//2, an
+    interval at its middle; a box of at most ``LEAF`` vertices is a leaf.
+    A front is the cut (or leaf), then the boundary: the box's faces lo - 1
+    and hi mod n on each interval axis.  Per depth ``(template, own,
+    target)``: the fronts share one layout, ``own`` own slots (padding is an
+    identity row) then boundary slots.  The int8 template holds the graph
+    Laplacian with vertex 0's row and column replaced by e0, each entry in
+    the front of the deeper owner of its two vertices.  ``target`` is where
+    each boundary block's Schur complement adds to in the flattened parent
+    fronts; padding, whose updates stay 0, adds to slot 0.
     """
-    n, m = t.n, t.m
-    coord = [q // 2 if q % 2 == 0 else n - 1 - q // 2 for q in range(n)]
-    pos = [2 * c if 2 * c < n else 2 * (n - 1 - c) + 1 for c in range(n)]
-    strides = [n ** (m - 1 - a) for a in range(m)]
-    for v in range(1, t.points):
-        row = {v - 1: 2 * m}
-        for s in strides:
-            q = v // s % n
-            for d in (1, -1):
-                u = v + (pos[(coord[q] + d) % n] - q) * s
-                if u != 0:
-                    row[u - 1] = row.get(u - 1, 0) - 1
-        yield row
+    n, m, points = t.n, t.m, t.points
+    stride = n ** np.arange(m - 1, -1, -1)[:, None]
+
+    def ids(axes):   # lexicographic ids of a product of coordinate lists
+        return functools.reduce(lambda v, x: np.add.outer(v * n, x).ravel(), axes, 0)
+    plan, above, level = [], np.full((1, 1), -1), [(0, [(0, n)] * m)]
+    while level:
+        nodes, kids = [], []
+        for parent, box in level:
+            axes = [np.arange(lo, hi) for lo, hi in box]
+            faces = [ids(axes[:a] + [[lo - 1, hi % n]] + axes[a + 1:])
+                     for a, (lo, hi) in enumerate(box) if lo]
+            a = max(range(m), key=lambda a: box[a][1] - box[a][0])
+            lo, hi = box[a]
+            if math.prod(len(x) for x in axes) <= LEAF:
+                cut, sides = axes[a], ()
+            elif lo == 0:
+                cut, sides = [0, n // 2], ((1, n // 2), (n // 2 + 1, n))
+            else:
+                c = (lo + hi) // 2
+                cut, sides = [c], ((lo, c), (c + 1, hi))
+            kids += [(len(nodes), box[:a] + [s] + box[a + 1:])
+                     for s in sides if s[0] < s[1]]
+            nodes.append((parent, ids(axes[:a] + [cut] + axes[a + 1:]),
+                          np.concatenate(faces + [np.zeros(0, np.int64)])))
+        own = max(len(x) for _, x, _ in nodes)
+        front = np.full((len(nodes), own + max(len(y) for _, _, y in nodes)), -1)
+        for k, (_, x, y) in enumerate(nodes):
+            front[k, :len(x)], front[k, own:own + len(y)] = x, y
+        v, node = front[:, :own, None, None], np.arange(len(nodes))[:, None, None]
+        x = v // stride % n
+        nb = (v + ((x + (-1, 1)) % n - x) * stride).reshape(len(nodes), own, -1)
+        s = _slots(front, node, nb, points)
+        kk, ii, ss = (z[(v[..., 0] > 0) & (nb > 0) & (s >= 0)] for z in
+                      np.broadcast_arrays(node, np.arange(own)[:, None], s))
+        up = ss >= own
+        tmpl = np.zeros((len(nodes),) + front.shape[1:] * 2, dtype=np.int8)
+        tmpl[:, range(own), range(own)] = np.where(front[:, :own] > 0, 2 * m, 1)
+        np.add.at(tmpl, (np.r_[kk, kk[up]], np.r_[ii, ss[up]], np.r_[ss, ii[up]]), -1)
+        par = np.array([p for p, _, _ in nodes])[:, None]
+        slot = _slots(above, par, front[:, own:], points).clip(min=0)
+        row = (par * above.shape[1] + slot) * above.shape[1]
+        plan.append((tmpl, own, (row[:, :, None] + slot[:, None, :]).ravel()))
+        above, level = front, kids
+    return plan
+
+
+def _product_mod(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Row products of x modulo ps (a column of primes), by a halving tree."""
+    while x.shape[1] > 1:
+        h = x.shape[1] // 2
+        x = np.concatenate([x[:, :h] * x[:, h:2 * h] % ps, x[:, 2 * h:]], axis=1)
+    return x[:, 0]
 
 
 def _det_mod_primes(t: DiscreteTorus, primes) -> list:
-    """Cofactor determinant of the graph Laplacian modulo each prime.
+    """Cofactor determinant of the graph Laplacian modulo each prime, or None.
 
-    GF(p) elimination with partial pivoting (a leading minor can vanish mod
-    p) on band storage: row i keeps columns ``i-b .. i+2b``, as a row swap
-    widens the upper band to 2b.  A strided view shows the band as a dense
-    matrix; each pivot step updates one window of it for a batch of primes.
-    An update lies in ``(-p^2, p)`` and is reduced once, as ``x - x // p * p``
-    (numpy's libdivide floor division is twice as fast as its ``%``).
-    Batches keep the band storage below the dense ``size x size`` matrix.
+    Multifrontal GF(p) elimination over ``_fronts``, deepest depth first,
+    each depth one int64 array ``(primes, fronts, f, f)``: the children's
+    Schur complements are added in, then the own slots are eliminated in
+    order with symmetric pivots, one rank-1 update per pivot for every
+    front and prime.  An update lies in ``(-p^2, p)`` and is reduced once,
+    as ``x - x // p * p`` (numpy's libdivide floor division is twice as
+    fast as its ``%``).  There is no pivoting: a prime at which a pivot
+    vanishes gets None.  A batch of primes keeps each depth's array under a
+    quarter of the dense ``N x N`` matrix.
     """
-    rows = list(_reduced_laplacian_rows(t))
-    size = len(rows)
-    b = max(abs(i - j) for i, row in enumerate(rows) for j in row)
-    batch = max(1, size * size // ((size + b) * (3 * b + 1)))
+    plan = _fronts(t)
+    batch = max(1, t.points ** 2 // (4 * max(tmpl.size for tmpl, _, _ in plan)))
     out = []
     for lo in range(0, len(primes), batch):
         chunk = primes[lo:lo + batch]
-        ps = np.array(chunk, dtype=np.int64)[:, None, None]
-        band = np.zeros((len(chunk), size + b, 3 * b + 1), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                band[:, i, j - i + b] = x
-        band %= ps
-        s0, s1, s2 = band.strides   # dense[:, i, j] is band[:, i, j - i + b]
-        dense = np.lib.stride_tricks.as_strided(
-            band[:, :, b:], (len(chunk), size + b, size + 2 * b),
-            (s0, s1 - s2, s2))
-        det = [1] * len(chunk)
-        reach = 0   # last column a swapped-in row can reach
-        for k in range(size):
-            piv = dense[:, k, k].tolist()
-            for q in [q for q, x in enumerate(piv) if x == 0]:
-                # swap in the first nonzero below; if none, det mod p is 0
-                r = int(np.argmax(dense[q, k:k + b + 1, k] != 0))
-                cols = slice(k, k + 2 * b + 1)
-                dense[q, [k, k + r], cols] = dense[q, [k + r, k], cols]
-                piv[q], det[q] = int(dense[q, k, k]), -det[q]
-                reach = max(reach, k + r + b)
-            det = [d * x % p for d, x, p in zip(det, piv, chunk)]
-            inv = [pow(x, -1, p) if x else 0 for x, p in zip(piv, chunk)]
-            hi = max(k + b, reach) + 1
-            below = dense[:, k + 1:k + b + 1, k:hi]
-            below -= below[:, :, :1] * np.array(inv)[:, None, None] % ps \
-                * dense[:, k:k + 1, k:hi]
-            below -= below // ps * ps
-        out += det
+        ps = np.array(chunk, dtype=np.int64)[:, None, None, None]
+        pivots, below = [], ()
+        for tmpl, own, target in reversed(plan):
+            front = tmpl % ps
+            for f, s in zip(front, below):
+                np.add.at(f.reshape(-1), to, s.reshape(-1))
+            del below   # free the children's depth before eliminating
+            front %= ps
+            for k in range(own):
+                piv = front[:, :, k, k]
+                pivots.append(piv.copy())
+                inv = np.array([[pow(x, -1, p) if x else 0 for x in row]
+                                for row, p in zip(piv.tolist(), chunk)])
+                col = front[:, :, k + 1:, k] * inv[..., None] % ps[..., 0]
+                rest = front[:, :, k + 1:, k + 1:]
+                rest -= col[..., None] * front[:, :, k, None, k + 1:]
+                rest -= rest // ps * ps
+            below, to = front[:, :, own:, own:], target
+        piv = np.concatenate(pivots, axis=1)
+        out += [None if z else r for z, r in zip(
+            (piv == 0).any(axis=1), _product_mod(piv, ps[:, :, 0, 0]).tolist())]
     return out
 
 
 def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
-    """Graph-Laplacian cofactor determinant mod a prime int p <= MAX_MODULUS."""
+    """Graph-Laplacian cofactor determinant mod a prime int p <= MAX_MODULUS.
+
+    A prime at which the elimination meets a zero pivot (every p | 2m does)
+    is answered from the exact eigenvalue product, ``n^m`` times the
+    cofactor.
+    """
+    if t.points > MAX_TREE_VERTICES:
+        raise InputError(
+            f"{t.points} vertices exceed the exact-determinant cap "
+            f"{MAX_TREE_VERTICES}")
     if not (isinstance(p, int) and p <= MAX_MODULUS and _is_prime(p)):
         raise InputError(
             f"modulus must be a prime int <= {MAX_MODULUS}, got {p}")
-    return _det_mod_primes(t, [p])[0]
+    r = _det_mod_primes(t, [p])[0]
+    return eigenvalue_product_integer(t) // t.points % p if r is None else r
 
 
 def spanning_tree_count(t: DiscreteTorus) -> int:
@@ -355,7 +418,8 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
     m = 1: the lexicographic reduced circle Laplacian is tridiagonal
     (diagonal 2, off-diagonal -1; [2] for the doubled-edge 2-circle), so
     its determinant is a continuant, a 2x2 matrix power in Python ints.
-    m >= 2: CRT over residues modulo primes below 2^31 whose product
+    m >= 2: CRT over ``_det_mod_primes`` residues modulo primes below 2^31,
+    a prime with a zero pivot replaced by the next one, until their product
     exceeds Hadamard's bound ``(2m)^(N-1)`` on the positive-definite cofactor.
     """
     nverts = t.points
@@ -389,8 +453,8 @@ def _spectral_product_mod(t: DiscreteTorus, primes) -> list:
 
     Per batch of primes: axis values ``2 - zeta^k - zeta^-k`` from powers
     of zeta by doubling, their sums over the axes, then a halving product
-    tree (zero mode set to 1, padded with 1s).  Residues are below 2^31, so
-    every product fits int64.
+    tree without the zero mode.  Residues are below 2^31, so every product
+    fits int64.
     """
     n, size, out = t.n, t.points, []
     roots, batch = _roots_of_unity(n, primes), max(1, SPECTRAL_BATCH // size)
@@ -404,11 +468,7 @@ def _spectral_product_mod(t: DiscreteTorus, primes) -> list:
         axis = lam = (2 - pw - np.roll(pw[:, ::-1], 1, axis=1)) % ps
         for _ in range(t.m - 1):
             lam = (lam[:, :, None] + axis[:, None, :]).reshape(len(ps), -1) % ps
-        prod = np.ones((len(ps), 1 << (size - 1).bit_length()), dtype=np.int64)
-        prod[:, 1:size] = lam[:, 1:]
-        for _ in range((size - 1).bit_length()):
-            prod = prod[:, ::2] * prod[:, 1::2] % ps
-        out += prod[:, 0].tolist()
+        out += _product_mod(lam[:, 1:], ps).tolist()
     return out
 
 

@@ -267,9 +267,10 @@ def test_ac13_matrix_tree_oracle():
             exact_ok = False
             break
     # m=2, 17 <= n <= 64: an exact CRT tree count needs about n^2/15
-    # eliminations modulo 31-bit primes (0.5 s each, over two minutes in all
-    # at n = 64), so the exact spectral product is certified against the
-    # reduced-Laplacian determinant modulo two such primes (three at n = 64)
+    # eliminations modulo 31-bit primes (0.12 s each, 22 s in all at n = 64,
+    # measured on a 2-vCPU VM), so the exact spectral product is certified
+    # against the reduced-Laplacian determinant modulo two such primes
+    # (three at n = 64)
     mod_ok = True
     for n in range(17, 65):
         t = DiscreteTorus(2, n)

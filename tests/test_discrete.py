@@ -1,5 +1,6 @@
 """Tests for discrete torus spectra, determinants, traces, and tree counts."""
 
+import functools
 import itertools
 import math
 
@@ -358,17 +359,21 @@ class TestSpanningTrees:
         with pytest.raises(InputError):
             spanning_tree_count(DiscreteTorus(2, 65))
 
+    def test_modular_cap(self):
+        with pytest.raises(InputError):
+            reduced_laplacian_det_mod(DiscreteTorus(2, 65), 2 ** 31 - 1)
+
     def test_m1_fast_path_matches_generic_elimination(self):
         # the tridiagonal recurrence must agree with the generic sparse
-        # elimination run on the same reduced Laplacian
+        # elimination run on the same reduced Laplacian: vertices 1..n-1 of
+        # the circle, whose wrap edges end at the deleted vertex 0
         from fractions import Fraction
-        from torusdet.discrete import _reduced_laplacian_rows
 
         for n in (2, 3, 4, 9, 16):
             t = DiscreteTorus(1, n)
             size = t.points - 1
-            rows = [{j: Fraction(x) for j, x in row.items()}
-                    for row in _reduced_laplacian_rows(t)]
+            rows = [{j: Fraction(x) for j, x in ((i - 1, -1), (i, 2), (i + 1, -1))
+                     if 0 <= j < size} for i in range(size)]
             det = Fraction(1)
             for p in range(size):
                 piv = rows[p][p]
@@ -466,6 +471,23 @@ class TestSpectralProduct:
         assert seen == [q for q in range(top, seen[-1] - 1, -step)
                         if isprime(q)]
 
+    def test_crt_replaces_a_failed_prime(self):
+        # a None residue drops its prime, and exactly one more is drawn
+        calls, bound = [], 6 ** 63
+        x = bound // 3
+
+        def residues(primes):
+            calls.append(primes)
+            return [None if p == 2 ** 31 - 19 else x % p for p in primes]
+
+        assert _crt(residues, 2, bound) == x
+        prefix = list(itertools.islice(
+            (q for q in range(2 ** 31 - 1, 0, -2) if isprime(q)),
+            len(calls[0]) + 1))
+        assert calls[0] == prefix[:-1]
+        assert 2 ** 31 - 19 in calls[0]
+        assert calls[1:] == [prefix[-1:]]
+
     @pytest.mark.parametrize("m,n", [(2, 12), (2, 64), (3, 4), (4, 3)])
     def test_short_prime_list_fails_the_logdet_check(self, m, n, monkeypatch):
         # primes up to the square root of the bound only: the CRT returns a
@@ -480,6 +502,8 @@ class TestSpectralProduct:
 
 
 SMALL_PRIMES = [p for p in range(2, 60) if isprime(p)]
+# tree counts of (2, 33) and (3, 8) take about a second: one per torus
+tree_count = functools.cache(lambda m, n: spanning_tree_count(DiscreteTorus(m, n)))
 ZERO_PIVOT_TORI = [(2, n) for n in range(2, 9)] + [(3, 3), (3, 4), (4, 2),
                                                     (4, 3)]
 
@@ -487,15 +511,18 @@ ZERO_PIVOT_TORI = [(2, n) for n in range(2, 9)] + [(3, 3), (3, 4), (4, 2),
 class TestModularDeterminant:
     @pytest.mark.parametrize("m,n", ZERO_PIVOT_TORI)
     def test_small_primes_force_pivoting(self, m, n):
-        # leading minors vanish modulo small primes, so the elimination has
-        # to swap rows; the residue must still be the tree count mod p
+        # a prime at which a leading minor in nested-dissection order
+        # vanishes takes the fallback, the exact eigenvalue product over n^m:
+        # always p | 2m (a leaf's first pivot is 2m), and from (2, 3) up 4
+        # to 15 more of the primes below 60.  The tree count is a CRT of
+        # eliminations modulo 31-bit primes, independent of the fallback
         t = DiscreteTorus(m, n)
         count = spanning_tree_count(t)
         for p in SMALL_PRIMES:
             assert reduced_laplacian_det_mod(t, p) == count % p
 
-    @given(st.sampled_from([(1, 7), (1, 30), (2, 2), (2, 5), (2, 9), (3, 3),
-                            (4, 2)]),
+    @given(st.sampled_from([(1, 7), (1, 30), (2, 2), (2, 5), (2, 9), (2, 17),
+                            (2, 33), (3, 3), (3, 5), (3, 8), (4, 2), (4, 4)]),
            st.integers(2 ** 30, 2 ** 31 - 1))
     @settings(deadline=None, max_examples=25)
     def test_random_31_bit_primes(self, torus, start):
@@ -503,7 +530,7 @@ class TestModularDeterminant:
         while not isprime(p):
             p += 2
         t = DiscreteTorus(*torus)
-        assert reduced_laplacian_det_mod(t, p) == spanning_tree_count(t) % p
+        assert reduced_laplacian_det_mod(t, p) == tree_count(*torus) % p
 
     @pytest.mark.parametrize("p", [4294967291, 2 ** 61 - 1, 0, -7, 1, 15,
                                    2 ** 31, 2.0 ** 31 - 1])
