@@ -30,6 +30,7 @@ the circle degenerates to a doubled edge (eigenvalue 4, tree count 2).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -253,6 +254,19 @@ def _is_prime(p: int) -> bool:
                for x in xs)
 
 
+_PRIME_RUNS = {}   # step -> the primes _primes(step) has drawn so far
+
+
+def _primes(step: int):
+    """Descending primes p = 1 (mod step) below 2^31, memoized per step."""
+    run = _PRIME_RUNS.setdefault(step, [])
+    for i in itertools.count():
+        if i == len(run):
+            top = run[-1] - step if run else 2 ** 31 - 1 - (2 ** 31 - 2) % step
+            run.append(next(filter(_is_prime, range(top, 2, -step))))
+        yield run[i]
+
+
 def _crt(residues_mod, step: int, bound: int) -> int:
     """The integer in [0, modulus) with residues ``residues_mod(primes)``.
 
@@ -260,8 +274,7 @@ def _crt(residues_mod, step: int, bound: int) -> int:
     first whose running product, the modulus, exceeds bound.  A prime whose
     residue is None is skipped and more are drawn in its place.
     """
-    top = 2 ** 31 - 1 - (2 ** 31 - 2) % step   # the largest p = 1 (mod step)
-    primes, pairs, modulus = filter(_is_prime, range(top, 2, -step)), [], 1
+    primes, pairs, modulus = _primes(step), [], 1
     while modulus <= bound:
         batch, reach = [], modulus
         while reach <= bound:
@@ -282,7 +295,8 @@ def _slots(front: np.ndarray, node, verts, points: int) -> np.ndarray:
     return np.where(key[order[i]] == q, order[i] % front.shape[1], -1)
 
 
-def _fronts(t: DiscreteTorus) -> list:
+@functools.lru_cache(maxsize=16)
+def _fronts(t: DiscreteTorus) -> tuple:
     """Multifrontal plan of the torus in nested-dissection order, root first.
 
     A box keeps each axis as the whole circle (0, n) or an interval [lo, hi)
@@ -290,12 +304,14 @@ def _fronts(t: DiscreteTorus) -> list:
     interval at its middle; a box of at most ``LEAF`` vertices is a leaf.
     A front is the cut (or leaf), then the boundary: the box's faces lo - 1
     and hi mod n on each interval axis.  Per depth ``(template, own,
-    target)``: the fronts share one layout, ``own`` own slots (padding is an
+    rows)``: the fronts share one layout, ``own`` own slots (padding is an
     identity row) then boundary slots.  The int8 template holds the graph
     Laplacian with vertex 0's row and column replaced by e0, each entry in
-    the front of the deeper owner of its two vertices.  ``target`` is where
-    each boundary block's Schur complement adds to in the flattened parent
-    fronts; padding, whose updates stay 0, adds to slot 0.
+    the front of the deeper owner of its two vertices.  ``rows`` is the row
+    of each boundary slot in the parent depth's fronts stacked as one
+    matrix, so its Schur complement adds at (rows_i, rows_j mod width);
+    padding, whose updates stay 0, adds to slot 0.  The plan is built once
+    per torus and its arrays are read-only.
     """
     n, m, points = t.n, t.m, t.points
     stride = n ** np.arange(m - 1, -1, -1)[:, None]
@@ -338,10 +354,11 @@ def _fronts(t: DiscreteTorus) -> list:
         np.add.at(tmpl, (np.r_[kk, kk[up]], np.r_[ii, ss[up]], np.r_[ss, ii[up]]), -1)
         par = np.array([p for p, _, _ in nodes])[:, None]
         slot = _slots(above, par, front[:, own:], points).clip(min=0)
-        row = (par * above.shape[1] + slot) * above.shape[1]
-        plan.append((tmpl, own, (row[:, :, None] + slot[:, None, :]).ravel()))
+        rows = par * above.shape[1] + slot
+        tmpl.flags.writeable = rows.flags.writeable = False
+        plan.append((tmpl, own, rows))
         above, level = front, kids
-    return plan
+    return tuple(plan)
 
 
 def _product_mod(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -352,42 +369,63 @@ def _product_mod(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
+def _matmul_mod(x: np.ndarray, y: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """``x @ y`` modulo ps, exact for residues in [0, p), p < 2^32, and an
+    inner length of at most 4096: with ``z = 2^16 x mod p`` and 16-bit limbs
+    ``y = y0 + 2^16 y1``, ``x @ y = [x z] @ [y0; y1] (mod p)``.  Its limb
+    products sum at most 2^13 terms below 2^32, exactly in float64; their
+    int64 combination stays below 2^62."""
+    z = x * (1 << 16) % ps
+    lo = np.concatenate([x & 0xFFFF, z & 0xFFFF], axis=-1).astype(float)
+    hi = np.concatenate([x >> 16, z >> 16], axis=-1).astype(float)
+    y = np.concatenate([y & 0xFFFF, y >> 16], axis=-2).astype(float)
+    return ((lo @ y).astype(np.int64) + ((hi @ y).astype(np.int64) << 16)) % ps
+
+
 def _det_mod_primes(t: DiscreteTorus, primes) -> list:
     """Cofactor determinant of the graph Laplacian modulo each prime, or None.
 
     Multifrontal GF(p) elimination over ``_fronts``, deepest depth first,
     each depth one int64 array ``(primes, fronts, f, f)``: the children's
     Schur complements are added in, then the own slots are eliminated in
-    order with symmetric pivots, one rank-1 update per pivot for every
-    front and prime.  An update lies in ``(-p^2, p)`` and is reduced once,
-    as ``x - x // p * p`` (numpy's libdivide floor division is twice as
-    fast as its ``%``).  There is no pivoting: a prime at which a pivot
-    vanishes gets None.  A batch of primes keeps each depth's array under a
-    quarter of the dense ``N x N`` matrix.
+    order with symmetric pivots, one rank-1 update of the own rows per pivot
+    for every front and prime, its column read from the pivot row.  An
+    update lies in ``(-p^2, p)`` and is reduced once, as ``x - x // p * p``
+    (numpy's libdivide floor division is twice as fast as its ``%``).  The
+    boundary block's update is then one ``_matmul_mod``, ``(U / pivots)^T
+    U`` over the own rows U.  There is no pivoting: a prime at which a pivot
+    vanishes gets None.  A batch of primes keeps each depth's arrays under a
+    quarter of the dense ``N x N`` matrix (at least 2^18 elements).
     """
     plan = _fronts(t)
-    batch = max(1, t.points ** 2 // (4 * max(tmpl.size for tmpl, _, _ in plan)))
+    size = max(tmpl.size + 4 * rows.size * (2 * own + rows.shape[1])
+               for tmpl, own, rows in plan)
+    batch = max(1, max(t.points ** 2, 1 << 20) // (4 * size))
     out = []
     for lo in range(0, len(primes), batch):
         chunk = primes[lo:lo + batch]
         ps = np.array(chunk, dtype=np.int64)[:, None, None, None]
-        pivots, below = [], ()
-        for tmpl, own, target in reversed(plan):
-            front = tmpl % ps
+        pivots, below, up = [], (), np.zeros((0, 0), dtype=np.int64)
+        for tmpl, own, rows in reversed(plan):
+            front, w = tmpl % ps, tmpl.shape[-1]
+            to = (up[:, :, None] * w + up[:, None, :] % w).ravel()
             for f, s in zip(front, below):
                 np.add.at(f.reshape(-1), to, s.reshape(-1))
             del below   # free the children's depth before eliminating
             front %= ps
+            inv = np.zeros(front.shape[:2] + (own, 1), dtype=np.int64)
             for k in range(own):
-                piv = front[:, :, k, k]
-                pivots.append(piv.copy())
-                inv = np.array([[pow(x, -1, p) if x else 0 for x in row]
-                                for row, p in zip(piv.tolist(), chunk)])
-                col = front[:, :, k + 1:, k] * inv[..., None] % ps[..., 0]
-                rest = front[:, :, k + 1:, k + 1:]
+                inv[:, :, k, 0] = [[pow(x, -1, p) if x else 0 for x in row] for row, p
+                                   in zip(front[:, :, k, k].tolist(), chunk)]
+                col = front[:, :, k, k + 1:own] * inv[:, :, k] % ps[..., 0]
+                rest = front[:, :, k + 1:own, k + 1:]
                 rest -= col[..., None] * front[:, :, k, None, k + 1:]
                 rest -= rest // ps * ps
-            below, to = front[:, :, own:, own:], target
+            pivots.append(front[:, :, range(own), range(own)].reshape(len(chunk), -1))
+            u = front[:, :, :own, own:]
+            below = front[:, :, own:, own:] - _matmul_mod(
+                np.swapaxes(u * inv % ps, 2, 3), u, ps)
+            up = rows
         piv = np.concatenate(pivots, axis=1)
         out += [None if z else r for z, r in zip(
             (piv == 0).any(axis=1), _product_mod(piv, ps[:, :, 0, 0]).tolist())]

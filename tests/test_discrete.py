@@ -15,8 +15,9 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
-from torusdet.discrete import (_crt, _half_axis, _inner_axis_log_product,
-                               _lattice_sum, _roots_of_unity)
+from torusdet.discrete import (MAX_MODULUS, _crt, _fronts, _half_axis,
+                               _inner_axis_log_product, _is_prime, _lattice_sum,
+                               _matmul_mod, _primes, _roots_of_unity)
 
 
 def closed_form_logdet_1d(n):
@@ -488,6 +489,24 @@ class TestSpectralProduct:
         assert 2 ** 31 - 19 in calls[0]
         assert calls[1:] == [prefix[-1:]]
 
+    def test_prime_stream_is_memoized_per_step(self, monkeypatch):
+        # streams of one step share a list that each extends on demand;
+        # drawn alternately with another step, every stream is still the
+        # filtered range, prime by prime
+        import torusdet.discrete as discrete
+
+        monkeypatch.setattr(discrete, "_PRIME_RUNS", {})
+        streams = [(step, _primes(step)) for step in (2, 34, 2, 34, 2)]
+        drawn = [[] for _ in streams]
+        for count in (5, 1, 40, 3, 60):
+            for k, (_, it) in enumerate(streams):
+                drawn[k].extend(itertools.islice(it, count + k))
+        for (step, _), seen in zip(streams, drawn):
+            top = 2 ** 31 - 1 - (2 ** 31 - 2) % step
+            assert seen == list(itertools.islice(
+                filter(_is_prime, range(top, 2, -step)), len(seen)))
+        assert list(discrete._PRIME_RUNS) == [2, 34]
+
     @pytest.mark.parametrize("m,n", [(2, 12), (2, 64), (3, 4), (4, 3)])
     def test_short_prime_list_fails_the_logdet_check(self, m, n, monkeypatch):
         # primes up to the square root of the bound only: the CRT returns a
@@ -540,13 +559,40 @@ class TestModularDeterminant:
             reduced_laplacian_det_mod(DiscreteTorus(2, 6), p)
 
     def test_largest_modulus(self):
-        from torusdet.discrete import MAX_MODULUS
-
-        # the largest admissible prime: updates reach -p^2, just above -2^63
-        t = DiscreteTorus(2, 6)
+        # the largest admissible prime: updates reach -p^2, just above -2^63,
+        # and boundary blocks on several depths take the limb product
         p = max(q for q in range(MAX_MODULUS - 200, MAX_MODULUS + 1)
                 if isprime(q))
-        assert reduced_laplacian_det_mod(t, p) == spanning_tree_count(t) % p
+        for m, n in [(2, 6), (2, 17), (3, 5)]:
+            t = DiscreteTorus(m, n)
+            assert reduced_laplacian_det_mod(t, p) == tree_count(m, n) % p
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, max(
+        q for q in range(MAX_MODULUS - 200, MAX_MODULUS + 1) if isprime(q))])
+    def test_limb_product_is_exact(self, p):
+        # inner length 4096, the most own slots a front can have; random
+        # residues and the all-(p - 1) extreme against Python integers
+        rng = np.random.default_rng(p % 1000)
+        for x, y in [(rng.integers(0, p, (3, 4096)), rng.integers(0, p, (4096, 4))),
+                     (np.full((2, 4096), p - 1), np.full((4096, 2), p - 1))]:
+            ref = [[sum(a * b for a, b in zip(row, col)) % p for col in y.T.tolist()]
+                   for row in x.tolist()]
+            assert _matmul_mod(x, y, p).tolist() == ref
+
+    def test_plan_cache_is_read_only_and_shared(self):
+        t, ps = DiscreteTorus(2, 17), [2 ** 31 - 1, 2 ** 31 - 19]
+        first = [reduced_laplacian_det_mod(t, p) for p in ps]
+        assert first == [tree_count(2, 17) % p for p in ps]
+        for tmpl, _, rows in _fronts(t):
+            assert not tmpl.flags.writeable and not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[...] = 0
+        for m, n, p in [(3, 5, 2 ** 31 - 61), (2, 16, ps[0]), (4, 3, 2 ** 31 - 1)]:
+            reduced_laplacian_det_mod(DiscreteTorus(m, n), p)
+        before = _fronts.cache_info()
+        assert [reduced_laplacian_det_mod(t, p) for p in ps] == first
+        after = _fronts.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 class TestRescaledBookkeeping:
