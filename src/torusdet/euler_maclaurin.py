@@ -16,11 +16,11 @@ are kept symbolically as integer-coefficient polynomials in the jets of
 differentiation enters the main path.
 
 Odd-order axis derivatives carry a factor ``sin(2 pi x / n)`` and vanish at
-the lattice endpoints, which is why every pattern containing the boundary
-piece is exactly zero; the evaluation preserves this exactly by reducing
-angles modulo the period before the trigonometric calls.  Axis grids are
-folded to their nodes below n/2 (the pattern integrands are even under
-x -> n - x); derivatives stream one ladder of powers of 1/f.
+the lattice endpoints, so every pattern containing the boundary piece is an
+exact zero of its evaluated factors (angles are reduced modulo the period)
+and builds no grid.  Axis grids are folded to their nodes below n/2 (the
+integrands are even under x -> n - x), each axis factor is evaluated once
+per decomposition, and derivatives stream one ladder of powers of 1/f.
 """
 
 from __future__ import annotations
@@ -207,23 +207,26 @@ def _jet_matrix(n: int, xs: np.ndarray, max_order: int) -> np.ndarray:
 
 
 def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray) -> np.ndarray:
-    return sum(math.prod((jets[o] for o in mono), start=float(coef))
-               for mono, coef in _h_monomials(k, ell, alpha))
+    return sum((math.prod((jets[o] for o in mono), start=float(coef))
+                for mono, coef in _h_monomials(k, ell, alpha)),
+               np.zeros(jets.shape[1]))
 
 
 def h_coefficient(k: int, ell: int, n: int, x: float, alpha: int) -> float:
     """Value of the coefficient functional H_{k,ell} at a point."""
-    if not (0 <= ell <= k - 1):
-        raise InputError("need 0 <= ell <= k-1")
+    if not (0 <= ell <= k - 1 and n >= 1 and alpha >= 1):
+        raise InputError("need 0 <= ell <= k-1, n >= 1 and alpha >= 1")
     jets = _jet_matrix(n, np.array([x]), max(k - 1, 0))
     return float(_h_eval(k, ell, alpha, jets)[0])
 
 
 def inv_power_derivative(k: int, n: int, x: float, z: float, alpha: int) -> float:
     """``d^k/dx^k (omega_1(n, x) + z^2)^(-alpha)`` from the exact recursion."""
-    if k < 1:
-        raise InputError("derivative order must be >= 1")
-    return float(_mixed_deriv_grid(n, z, alpha, [np.array([float(x)])], (k,))[0])
+    if not (k >= 1 and n >= 1 and alpha >= 1):
+        raise InputError("need derivative order k >= 1, n >= 1 and alpha >= 1")
+    check_resolvent_parameter(z, alpha + k)
+    axis = (None, np.array([float(x)]), k)
+    return float(_mixed_deriv_grid(n, z, alpha, [axis], {})[0])
 
 
 # -- multi-axis operator decomposition ----------------------------------------
@@ -232,25 +235,43 @@ def default_truncation(m: int) -> int:
     return math.ceil((3 * m + 1) / 2)
 
 
-def _mixed_deriv_grid(n, z, alpha, coords, orders):
-    """``d^orders (omega + z^2)^(-alpha)`` on a tensor grid of coordinates.
+def _axis_factor(memo: dict, n: int, axis, ell: int, a: int):
+    """Memoized ``H_{o,l}^{(a)}`` on ``axis = (key, coords, o)``.
 
-    ``F = omega + z^2`` is summed over the broadcast axes in axis order.
-    Starting from ``F^(-alpha)``, each active axis, last first (the
-    operators commute), expands every term ``c F^(-a)`` into the terms
-    ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o.  The sum walks the terms sorted
-    by exponent, raising one power grid by ``R = 1/F``, and adds each
-    ``prod(c) F^(-a)`` pointwise on its own.
+    None when the evaluated vector is exactly 0.0 at every node.
     """
-    m = len(coords)
-    axes = [_axis_eigenvalues(n, c).reshape((-1,) + (1,) * (m - 1 - j))
-            for j, c in enumerate(coords)]
-    F = sum(axes[1:], axes[0]) + z * z
-    terms = [((), alpha)]
-    for j, o in reversed([(j, o) for j, o in enumerate(orders) if o > 0]):
-        jets = _jet_matrix(n, coords[j], o - 1)
-        terms = [(c + (_h_eval(o, ell, a, jets).reshape(axes[j].shape),),
-                  a + ell + 1) for c, a in terms for ell in range(o)]
+    key, xs, o = axis
+    if (key, o, ell, a) not in memo:
+        if (key, o) not in memo:
+            memo[key, o] = _jet_matrix(n, xs, o - 1)
+        h = _h_eval(o, ell, a, memo[key, o])
+        memo[key, o, ell, a] = h if h.any() else None
+    return memo[key, o, ell, a]
+
+
+def _mixed_deriv_grid(n, z, alpha, axes, memo):
+    """Mixed derivative of ``(omega + z^2)^(-alpha)`` on a grid of atoms.
+
+    Starting from ``F^(-alpha)``, each active axis ``(key, coords, o)``,
+    last first (the operators commute), expands every term ``c F^(-a)``
+    into the terms ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o, dropping those
+    whose factor is exactly 0.0 at every node.  Such zeros are all or
+    nothing per atom (odd orders vanish at x = 0 and x = n, never at a cell
+    node), so kept terms start at the same power; with none kept the zero
+    grid returns before F is formed.  F is summed over the broadcast axes
+    in axis order; the sum walks the terms sorted by exponent, raising one
+    power grid by ``R = 1/F``, and adds each ``prod(c) F^(-a)`` pointwise.
+    """
+    m, terms = len(axes), [((), alpha)]
+    for j, axis in reversed([(j, ax) for j, ax in enumerate(axes) if ax[2]]):
+        terms = [(c + (h.reshape((-1,) + (1,) * (m - 1 - j)),), a + ell + 1)
+                 for c, a in terms for ell in range(axis[2])
+                 if (h := _axis_factor(memo, n, axis, ell, a)) is not None]
+    if not terms:
+        return np.zeros([len(xs) for _, xs, _ in axes])
+    grids = [_axis_eigenvalues(n, xs).reshape((-1,) + (1,) * (m - 1 - j))
+             for j, (_, xs, _) in enumerate(axes)]
+    F = sum(grids[1:], grids[0]) + z * z
     power, R, out = min(a for _, a in terms), 1.0 / F, 0.0
     P = F ** -float(power)
     for c, a in sorted(terms, key=lambda term: term[1]):
@@ -263,12 +284,13 @@ def _mixed_deriv_grid(n, z, alpha, coords, orders):
 def _axis_atoms(n: int, M: int) -> dict:
     """The four summation-formula operators of one axis as evaluable atoms.
 
-    Maps each operator label to atoms ``(coords, weights, derivative order,
-    scalar coefficient)``: the integral (1) and the remainder (3) run over
-    the Gauss-Legendre cell nodes, the remainder with the periodic Bernoulli
-    weight; the boundary derivatives (2) and the endpoint average (4) are
-    point evaluations at x = 0 and x = n.  Grid atoms keep the 16 n nodes
-    below n/2, doubly weighted: the integrands are even under x -> n - x.
+    Maps each label to atoms ``((key, coords, derivative order), weights,
+    coefficient)``, keyed by label and position: the integral (1) and the
+    remainder (3) run over the Gauss-Legendre cell nodes, the remainder
+    with the periodic Bernoulli weight; the boundary derivatives (2) and
+    the endpoint average (4) are point evaluations at x = 0 and x = n.
+    Grid atoms keep the 16 n nodes below n/2, doubly weighted: the
+    integrands are even under x -> n - x.
     """
     xs, ws = (v[:len(v) // 2] for v in _gl_nodes(n, GL_ORDER_PATTERNS))
     bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
@@ -278,9 +300,11 @@ def _axis_atoms(n: int, M: int) -> dict:
     for k in range(1, M + 1):
         c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
         boundary += [(ptn, one, 2 * k - 1, c), (pt0, one, 2 * k - 1, -c)]
-    return {1: [(xs, 2 * ws, 0, 1.0)], 2: boundary,
-            3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
-            4: [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]}
+    ops = {1: [(xs, 2 * ws, 0, 1.0)], 2: boundary,
+           3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
+           4: [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]}
+    return {b: [(((b, i), x, o), w, c) for i, (x, w, o, c) in enumerate(atoms)]
+            for b, atoms in ops.items()}
 
 
 def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
@@ -297,7 +321,8 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
     The total equals ``boundary_inclusive_lattice_sum(t, z, alpha)`` up to
     quadrature tolerance.  Patterns are keyed by their per-axis labels;
     the reduction runs in lexicographic pattern order.  Axis grids are
-    folded by x -> n - x; each pattern streams one power ladder.
+    folded by x -> n - x; boundary patterns are exact zeros of their
+    evaluated factors and build no grid, the others stream one ladder.
 
     The 32-node cell rule cannot resolve the peak of width z at x = 0, so
     the error grows as z falls, whatever n is: at the default M the total
@@ -312,6 +337,8 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
             f"decomposition implemented for m <= 2 and pattern grids of "
             f"(32 n)^m <= {EM_MAX_GRID} nodes, got m = {t.m}, n = {t.n}")
     alpha = t.m if alpha is None else int(alpha)
+    if alpha < 1:
+        raise InputError("resolvent power alpha must be >= 1")
     floor = default_truncation(t.m)
     M = floor if M is None else int(M)
     if not floor <= M <= EM_MAX_ORDER:
@@ -321,12 +348,12 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
     # a derivative of order 2M+1 per axis raises the resolvent power by as much
     check_resolvent_parameter(z, alpha + t.m * (2 * M + 1))
     atoms = _axis_atoms(t.n, M)
-    values = {}
+    memo, values = {}, {}   # the memo lives for this call only
     for betas in itertools.product(atoms, repeat=t.m):
         pieces = []
         for combo in itertools.product(*(atoms[b] for b in betas)):
-            coords, weights, orders, coeffs = zip(*combo)
-            val = weights[0] @ _mixed_deriv_grid(t.n, z, alpha, coords, orders)
+            axes, weights, coeffs = zip(*combo)
+            val = weights[0] @ _mixed_deriv_grid(t.n, z, alpha, axes, memo)
             for w in weights[1:]:
                 val = val @ w
             pieces.append(math.prod(coeffs) * float(val))
@@ -398,16 +425,12 @@ def corner_term_cancellation(m: int):
     """
     if m < 1:
         raise InputError("dimension must be >= 1")
-    binomial_sum = sum((-1) ** k * math.comb(m, k) for k in range(m + 1))
-    worst = 0.0
+    levels = [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
     # omega vanishes exactly at every lattice corner
     corner_omega = float(_axis_eigenvalues(8, np.array([0.0, 8.0])).max())
-    for z in (0.5, 1.0, 2.0):
-        v = (corner_omega + z * z) ** (-float(m))
-        resid = abs(math.fsum((-1) ** k * math.comb(m, k) * v
-                              for k in range(m + 1)))
-        worst = max(worst, resid)
-    return binomial_sum, worst
+    corners = [(corner_omega + z * z) ** (-float(m)) for z in (0.5, 1.0, 2.0)]
+    worst = max(abs(math.fsum(c * v for c in levels)) for v in corners)
+    return sum(levels), worst
 
 
 @dataclass
@@ -469,17 +492,12 @@ def remainder_uniformity_scan(m: int, *, z_grid=(4.0, 8.0, 16.0),
     growing in z.
     """
     table = {}
-    sup_per_z = {}
-    anchor = {}
     for z in z_grid:
-        row = {}
+        table[z] = row = {}
         for n in n_grid:
-            t = DiscreteTorus(m, int(n))
-            tr = resolvent_trace(t, z, m)
+            tr = resolvent_trace(DiscreteTorus(m, int(n)), z, m)
             h = tr - math.fsum(homogeneous_components(m, z, float(n)).values())
             row[int(n)] = abs(h) * z ** (2 * m + 2)
-        table[z] = row
-        sup_per_z[z] = max(row.values())
-        anchor[z] = row[int(n_grid[0])]
-    return RemainderReport(table=table, sup_per_z=sup_per_z,
-                           anchor_per_z=anchor)
+    return RemainderReport(
+        table=table, sup_per_z={z: max(r.values()) for z, r in table.items()},
+        anchor_per_z={z: r[int(n_grid[0])] for z, r in table.items()})

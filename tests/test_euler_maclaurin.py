@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from torusdet import (DiscreteTorus, InputError, bernoulli_number,
+from torusdet import (DiscreteTorus, InputError, NumericalError,
+                      bernoulli_number,
                       boundary_inclusive_lattice_sum, corner_term_cancellation,
                       default_truncation, deriv_coefficient_bound_scan,
                       em_decompose, em_direct_sum, em_sum_1d, h_coefficient,
@@ -18,8 +19,9 @@ from torusdet import (DiscreteTorus, InputError, bernoulli_number,
                       remainder_uniformity_scan, resolvent_trace,
                       scaled_bulk_term)
 from torusdet.discrete import _axis_eigenvalues
+import torusdet.euler_maclaurin as em
 from torusdet.euler_maclaurin import (EM_MAX_ORDER, GL_ORDER_PATTERNS,
-                                      _bernoulli_poly_coeffs,
+                                      _axis_atoms, _bernoulli_poly_coeffs,
                                       _gl_nodes, _h_eval, _h_monomials,
                                       _jet_matrix, _window_integral)
 
@@ -331,6 +333,126 @@ class TestFoldedGrids:
         ref = w @ grid @ w / L(math.factorial(o)) ** 2
         vals, _ = em_decompose(DiscreteTorus(2, n), z)
         assert abs(vals[(3, 3)] / ref - 1) < bound
+
+
+def unpruned_mixed_deriv_grid(n, z, alpha, coords, orders):
+    # reference: the evaluator before the per-call memo and the zero-term
+    # pruning; every term is expanded and summed, exact zeros included
+    m = len(coords)
+    axes = [_axis_eigenvalues(n, c).reshape((-1,) + (1,) * (m - 1 - j))
+            for j, c in enumerate(coords)]
+    F = sum(axes[1:], axes[0]) + z * z
+    terms = [((), alpha)]
+    for j, o in reversed([(j, o) for j, o in enumerate(orders) if o > 0]):
+        jets = _jet_matrix(n, coords[j], o - 1)
+        terms = [(c + (_h_eval(o, ell, a, jets).reshape(axes[j].shape),),
+                  a + ell + 1) for c, a in terms for ell in range(o)]
+    power, R, out = min(a for _, a in terms), 1.0 / F, 0.0
+    P = F ** -float(power)
+    for c, a in sorted(terms, key=lambda term: term[1]):
+        for power in range(power + 1, a + 1):
+            P *= R
+        out += math.prod(c) * P
+    return out
+
+
+def unpruned_em_decompose(t, z, M):
+    atoms = _axis_atoms(t.n, M)
+    values = {}
+    for betas in itertools.product(atoms, repeat=t.m):
+        pieces = []
+        for combo in itertools.product(*(atoms[b] for b in betas)):
+            axes, weights, coeffs = zip(*combo)
+            grid = unpruned_mixed_deriv_grid(
+                t.n, z, t.m, [x for _, x, _ in axes], [o for _, _, o in axes])
+            val = weights[0] @ grid
+            for w in weights[1:]:
+                val = val @ w
+            pieces.append(math.prod(coeffs) * float(val))
+        values[betas] = math.fsum(pieces)
+    return values, math.fsum(values[k] for k in sorted(values))
+
+
+def hexes(decomposition):
+    values, total = decomposition
+    return {k: v.hex() for k, v in values.items()}, total.hex()
+
+
+class TestPrunedEvaluation:
+    @pytest.mark.parametrize("n", [2, 7, 8, 64])
+    def test_odd_orders_vanish_exactly_at_the_endpoints(self, n):
+        # the pruning drops a term only where its factor evaluates to 0.0;
+        # at x = 0 and x = n every odd-order coefficient does
+        for k in range(1, 2 * EM_MAX_ORDER + 2, 2):
+            for ell in range(k):
+                for a in range(1, 15):
+                    assert h_coefficient(k, ell, n, 0.0, a) == 0.0
+                    assert h_coefficient(k, ell, n, float(n), a) == 0.0
+
+    @pytest.mark.parametrize("m,n", [(1, 8), (2, 4), (2, 7), (2, 8), (2, 16)])
+    def test_patterns_are_bit_identical_to_the_unpruned_loop(self, m, n):
+        t = DiscreteTorus(m, n)
+        for z in (0.4, 1.0):
+            for M in [default_truncation(m)] + ([6] if n <= 8 else []):
+                assert hexes(em_decompose(t, z, M=M)) == hexes(
+                    unpruned_em_decompose(t, z, M))
+
+    def test_interleaved_calls_match_separate_calls(self):
+        cases = [(2, 4, 4), (1, 8, 6), (2, 8, 6), (2, 4, 6), (1, 8, 2)]
+        alone = {c: hexes(em_decompose(DiscreteTorus(c[0], c[1]), 0.5, M=c[2]))
+                 for c in cases}
+        for c in cases[::-1] + cases:
+            assert hexes(em_decompose(DiscreteTorus(c[0], c[1]), 0.5,
+                                      M=c[2])) == alone[c]
+
+    def test_no_grid_for_vanishing_combos(self, monkeypatch):
+        # 12 atoms per axis at M = 4, 8 of them boundary derivatives: only
+        # the 4 x 4 combos without one build a grid, two axes each
+        calls = []
+
+        def counted(n, x):
+            calls.append(len(x))
+            return _axis_eigenvalues(n, x)
+
+        monkeypatch.setattr(em, "_axis_eigenvalues", counted)
+        vals, _ = em_decompose(DiscreteTorus(2, 4), 1.0)
+        assert len(calls) == 2 * 16
+        assert all(v == 0.0 for k, v in vals.items() if 2 in k)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("alpha", [0, -1])
+    def test_em_decompose_rejects_alpha_below_1(self, alpha):
+        with pytest.raises(InputError, match="alpha must be >= 1"):
+            em_decompose(DiscreteTorus(1, 8), 1.0, alpha=alpha)
+
+    def test_empty_coefficient_is_a_zero_array(self):
+        # alpha = 0 cancels every monomial of H_{3,1}
+        assert _h_monomials(3, 1, 0) == ()
+        h = _h_eval(3, 1, 0, _jet_matrix(16, np.array([0.0, 16.0]), 2))
+        assert isinstance(h, np.ndarray) and h.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("args", [(3, 1, 0, 0.0, 2), (3, 1, 16, 16.0, 0),
+                                      (3, 1, 16, 1.0, -2)])
+    def test_h_coefficient_rejects_bad_n_and_alpha(self, args):
+        with pytest.raises(InputError):
+            h_coefficient(*args)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+    def test_inv_power_derivative_rejects_bad_z(self, z):
+        with pytest.raises(InputError):
+            inv_power_derivative(1, 8, 0.0, z, 1)
+
+    def test_inv_power_derivative_rejects_bad_n_and_alpha(self):
+        for args in [(1, 0, 0.5, 1.0, 1), (1, 8, 0.5, 1.0, 0),
+                     (0, 8, 0.5, 1.0, 1)]:
+            with pytest.raises(InputError):
+                inv_power_derivative(*args)
+
+    def test_inv_power_derivative_out_of_float_range(self):
+        # z^(-2 (alpha + k)) overflows before any evaluation
+        with pytest.raises(NumericalError):
+            inv_power_derivative(1, 8, 0.5, 1e-200, 1)
 
 
 class TestHomogeneousStructure:
