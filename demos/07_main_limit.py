@@ -52,11 +52,11 @@ print(f"  fitted {coeffs[(2.0, 0)]:.10f}   (4G/pi = 1.1662436161)")
 
 print()
 print("Eigenvalue products are parameterization sensitive (m=1):")
-basis_p = BasisSpec(((1.0, 1), (1.0, 0), (0.0, 1), (0.0, 0), (-1.0, 0),
-                     (-3.0, 0)))
+# The basis is derived from m and the mode: x log x, x, log x, 1 and
+# Stirling's x^-1, x^-3 in the cutoff (or the count) x.
 c_cut, _, _ = eigenproduct_reglimit(1, "by_cutoff",
-                                    [16 * 2 ** i for i in range(9)], basis_p)
+                                    [16 * 2 ** i for i in range(9)])
 c_cnt, _, _ = eigenproduct_reglimit(1, "by_count",
-                                    [32 * 2 ** i for i in range(9)], basis_p)
+                                    [32 * 2 ** i for i in range(9)])
 print(f"  radius-cutoff products -> {c_cut:.10f}  (= 2 log 2pi: the determinant)")
 print(f"  count-cutoff products  -> {c_cnt:.10f}  (= 2 log pi: NOT the determinant)")

@@ -56,19 +56,6 @@ def parse_grid(spec: str, *, integer: bool = True):
     return out
 
 
-def parse_basis(spec: str) -> BasisSpec:
-    """Parse 'alpha,k;alpha,k;...' into a basis."""
-    pairs = []
-    for chunk in spec.split(";"):
-        try:
-            a, k = chunk.split(",")
-            pairs.append((float(a), int(k)))
-        except ValueError:
-            raise InputError(
-                f"basis must look like 1,1;0,0, got {spec!r}") from None
-    return BasisSpec(tuple(pairs))
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -230,8 +217,7 @@ def cmd_converge(args, report):
 
 def cmd_eigenproduct(args, report):
     grid = parse_grid(args.grid, integer=(args.mode == "by_count"))
-    basis = parse_basis(args.basis)
-    c, u, ref = smooth.eigenproduct_reglimit(args.m, args.mode, grid, basis)
+    c, u, ref = smooth.eigenproduct_reglimit(args.m, args.mode, grid)
     report.update(constant=c, uncertainty=u, reference=ref)
     if args.tol is None:
         return None
@@ -307,7 +293,6 @@ COMMANDS = {
         ("--mode", {"choices": ["by_cutoff", "by_count"],
                     "default": "by_cutoff"}),
         ("--grid", {"default": "16:4096:x2"}),
-        ("--basis", {"default": "1,1;1,0;0,1;0,0;-1,0;-3,0"}),
         ("--tol", {"type": _tolerance}),
         ("--target", {"type": _finite}))),
     "main-theorem": Command(

@@ -453,9 +453,8 @@ def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
 def spanning_tree_count(t: DiscreteTorus) -> int:
     """Exact number of spanning trees via an integer cofactor determinant.
 
-    m = 1: the lexicographic reduced circle Laplacian is tridiagonal
-    (diagonal 2, off-diagonal -1; [2] for the doubled-edge 2-circle), so
-    its determinant is a continuant, a 2x2 matrix power in Python ints.
+    m = 1: the reduced n-cycle Laplacian is tridiag(-1, 2, -1) of size
+    n - 1 ([2] for the doubled-edge 2-circle), whose determinant is n.
     m >= 2: CRT over ``_det_mod_primes`` residues modulo primes below 2^31,
     a prime with a zero pivot replaced by the next one, until their product
     exceeds Hadamard's bound ``(2m)^(N-1)`` on the positive-definite cofactor.
@@ -465,14 +464,10 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
         raise InputError(
             f"{nverts} vertices exceed the exact-determinant cap "
             f"{MAX_TREE_VERTICES}")
-    size = nverts - 1  # vertex 0 deleted
-    if t.m == 1:   # top row (a, b) of the power; (p, q; r, s) the squared base
-        (a, b), (p, q, r, s), e = (1, 0), (2, -1, 1, 0), size - 1
-        while e:
-            a, b = (a * p + b * r, a * q + b * s) if e & 1 else (a, b)
-            p, q, r, s, e = p*p + q*r, q*(p + s), r*(p + s), s*s + q*r, e >> 1
-        return 2 * a + b
-    return _crt(lambda primes: _det_mod_primes(t, primes), 2, (2 * t.m) ** size)
+    if t.m == 1:
+        return t.n
+    return _crt(lambda primes: _det_mod_primes(t, primes), 2,
+                (2 * t.m) ** (nverts - 1))   # vertex 0 deleted
 
 
 def _roots_of_unity(n: int, primes) -> list:

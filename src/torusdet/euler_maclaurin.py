@@ -214,16 +214,18 @@ def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray) -> np.ndarray:
 
 def h_coefficient(k: int, ell: int, n: int, x: float, alpha: int) -> float:
     """Value of the coefficient functional H_{k,ell} at a point."""
-    if not (0 <= ell <= k - 1 and n >= 1 and alpha >= 1):
-        raise InputError("need 0 <= ell <= k-1, n >= 1 and alpha >= 1")
+    if not (0 <= ell <= k - 1 and n >= 1 and alpha >= 1 and math.isfinite(x)):
+        raise InputError("need 0 <= ell <= k-1, n >= 1, alpha >= 1 and a "
+                         "finite x")
     jets = _jet_matrix(n, np.array([x]), max(k - 1, 0))
     return float(_h_eval(k, ell, alpha, jets)[0])
 
 
 def inv_power_derivative(k: int, n: int, x: float, z: float, alpha: int) -> float:
     """``d^k/dx^k (omega_1(n, x) + z^2)^(-alpha)`` from the exact recursion."""
-    if not (k >= 1 and n >= 1 and alpha >= 1):
-        raise InputError("need derivative order k >= 1, n >= 1 and alpha >= 1")
+    if not (k >= 1 and n >= 1 and alpha >= 1 and math.isfinite(x)):
+        raise InputError("need derivative order k >= 1, n >= 1, alpha >= 1 "
+                         "and a finite x")
     check_resolvent_parameter(z, alpha + k)
     axis = (None, np.array([float(x)]), k)
     return float(_mixed_deriv_grid(n, z, alpha, [axis], {})[0])

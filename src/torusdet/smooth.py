@@ -284,11 +284,15 @@ def logdet_limit_pipeline(m: int, n_grid):
     return constant, uncertainty, log_det_zeta(m)
 
 
-def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
+def eigenproduct_reglimit(m: int, mode: str, grid, basis=None):
     """Regularized limit of partial eigenvalue products.
 
     Returns ``(constant, uncertainty, reference)`` with the zeta
-    log-determinant as reference.
+    log-determinant as reference.  The theorem fixes the exponents of the
+    expansion: with e = m in the cutoff Lambda (``by_cutoff``) or e = 1 in
+    the count N (``by_count``), the basis is ``x^e log x``, ``x^e``,
+    ``log x`` and 1, plus Stirling's ``x^-1`` and ``x^-3`` at m = 1.
+    ``basis=None`` derives it; an explicit ``BasisSpec`` replaces it.
 
     For m >= 2 in cutoff mode the samples carry lattice-point counting
     oscillation of size ``Lambda^(1/2+)`` which a least-squares fit
@@ -307,6 +311,10 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis: BasisSpec):
     smoothed = mode == "by_cutoff" and m >= 2
     product = _product_table(m, mode, grid,
                              SMOOTH_HALFWIDTH if smoothed else 1.0)
+    if basis is None:
+        e = m if mode == "by_cutoff" else 1
+        basis = BasisSpec(((e, 1), (e, 0), (0, 1), (0, 0))
+                          + (((-1, 0), (-3, 0)) if m == 1 else ()))
     if smoothed:
         half = SMOOTH_POINTS // 2
         ratio = SMOOTH_HALFWIDTH ** (1.0 / half)

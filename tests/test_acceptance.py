@@ -220,17 +220,14 @@ def test_ac11_trace_limit():
 
 
 def test_ac12_eigenvalue_products():
-    basis = BasisSpec(((1.0, 1), (1.0, 0), (0.0, 1), (0.0, 0), (-1.0, 0),
-                       (-3.0, 0)))
     grid = [16 * 2 ** i for i in range(9)]
-    c_cut, _, ref = td.eigenproduct_reglimit(1, "by_cutoff", grid, basis)
+    c_cut, _, ref = td.eigenproduct_reglimit(1, "by_cutoff", grid)
     err_cut = abs(c_cut - LOG_4PI2)
     grid_n = [32 * 2 ** i for i in range(9)]
-    c_cnt, _, _ = td.eigenproduct_reglimit(1, "by_count", grid_n, basis)
+    c_cnt, _, _ = td.eigenproduct_reglimit(1, "by_count", grid_n)
     err_cnt = abs(c_cnt - 2 * math.log(math.pi))
     grid2 = [8.0 * 2 ** (i / 2) for i in range(11)]
-    basis2 = BasisSpec(((2.0, 1), (2.0, 0), (0.0, 1), (0.0, 0)))
-    c2, _, ref2 = td.eigenproduct_reglimit(2, "by_cutoff", grid2, basis2)
+    c2, _, ref2 = td.eigenproduct_reglimit(2, "by_cutoff", grid2)
     err2 = abs(c2 - td.log_det_zeta(2))
     ok = err_cut <= 1e-6 and err_cnt <= 1e-6 and err2 <= 5e-2
     report("AC12", ok,

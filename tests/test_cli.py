@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusdet
-from torusdet.cli import main, parse_basis, parse_grid
+from torusdet.cli import main, parse_grid
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE, MAX_TREE_VERTICES
 from torusdet.errors import InputError
 from torusdet.euler_maclaurin import EM_MAX_GRID, GL_ORDER_PATTERNS
@@ -34,10 +34,6 @@ class TestParsers:
     def test_grid_shape(self):
         with pytest.raises(InputError):
             parse_grid("2:8")
-
-    def test_basis(self):
-        b = parse_basis("1,1;0,0;-1,0")
-        assert b.pairs == ((1.0, 1), (0.0, 0), (-1.0, 0))
 
 
 class TestCommands:
@@ -164,6 +160,25 @@ class TestCommands:
                      "--json-out", str(out)])
         assert code == 0
 
+    # the basis is derived from m: at m = 2 the AC12 bound, at m = 3, 4 the
+    # constants stay finite and near the reference
+    @pytest.mark.parametrize("m,grid,bound", [(2, "8:512:x1.41", 5e-2),
+                                              (3, "8:64:x1.41", 0.25),
+                                              (4, "8:32:x1.2", 0.25)])
+    def test_eigenproduct_higher_m(self, m, grid, bound, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["eigenproduct", "--m", str(m), "--grid", grid,
+                     "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["reference"] == torusdet.log_det_zeta(m)
+        assert math.isfinite(report["constant"])
+        assert abs(report["constant"] - report["reference"]) <= bound
+        assert "basis" not in report["config"]
+
+    def test_eigenproduct_has_no_basis_option(self, capsys):
+        assert main(["eigenproduct", "--basis", "0,0"]) == 2
+        assert "--basis" in capsys.readouterr().err
+
     def test_spectrum(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["spectrum", "--n", "4", "--json-out", str(out)]) == 0
@@ -211,8 +226,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["eigenproduct", "--m", "1", "--mode", "by_count",
-         "--grid", "1e12:1e12:x2", "--basis", "0,0"],
-        ["eigenproduct", "--m", "2", "--grid", "1e5:1e5:x2", "--basis", "0,0"],
+         "--grid", "1e12:1e12:x2"],
+        ["eigenproduct", "--m", "2", "--grid", "1e5:1e5:x2"],
         ["eigenproduct", "--m", "1", "--grid", "1e300:1e300:x2"],
         ["spectrum", "--n", str(10 ** 12)],
         ["em-check", "--M", "1000"],
@@ -285,16 +300,8 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 2
 
     def test_too_few_samples_is_input_error(self):
-        code = main(["eigenproduct", "--m", "1", "--grid", "2:4:x2",
-                     "--basis", "0,0"])
+        code = main(["eigenproduct", "--m", "1", "--grid", "2:4:x2"])
         assert code == 2
-
-    def test_degenerate_fit_is_numerical_failure(self):
-        # two nearly identical exponents make the design matrix rank
-        # deficient past the condition cap
-        code = main(["eigenproduct", "--m", "1", "--grid", "16:4096:x2",
-                     "--basis", "50,0;50.0000001,0;0,0"])
-        assert code == 3
 
 
 class TestConfig:
@@ -500,18 +507,11 @@ class TestExitContract:
     @given(args=st.tuples(st.sampled_from(["by_cutoff", "by_count"]),
                           st.integers(-1, 6)).flatmap(
                lambda mode_m: st.tuples(st.just(mode_m),
-                                        _eigenproduct_grid(*mode_m))),
-           basis=st.one_of(
-               st.none(), st.text(max_size=12),
-               st.lists(st.tuples(st.integers(-3, 2), st.integers(0, 1)),
-                        unique=True, max_size=4).map(
-                   lambda pairs: ";".join(
-                       f"{a},{k}" for a, k in set(pairs) | {(0, 0)}))))
-    def test_eigenproduct(self, args, basis):
+                                        _eigenproduct_grid(*mode_m))))
+    def test_eigenproduct(self, args):
         (mode, m), grid = args
-        argv = ["eigenproduct", "--m", str(m), "--mode", mode,
-                "--grid={!r}:{!r}:x{!r}".format(*grid)]
-        self.check(argv + ([] if basis is None else [f"--basis={basis}"]))
+        self.check(["eigenproduct", "--m", str(m), "--mode", mode,
+                    "--grid={!r}:{!r}:x{!r}".format(*grid)])
 
     @settings(deadline=None, max_examples=40)
     @given(args=st.integers(-1, 6).flatmap(

@@ -365,7 +365,7 @@ class TestSpanningTrees:
             reduced_laplacian_det_mod(DiscreteTorus(2, 65), 2 ** 31 - 1)
 
     def test_m1_fast_path_matches_generic_elimination(self):
-        # the tridiagonal recurrence must agree with the generic sparse
+        # the closed form n must agree with the generic sparse
         # elimination run on the same reduced Laplacian: vertices 1..n-1 of
         # the circle, whose wrap edges end at the deleted vertex 0
         from fractions import Fraction

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -448,6 +449,17 @@ class TestInputChecks:
                      (0, 8, 0.5, 1.0, 1)]:
             with pytest.raises(InputError):
                 inv_power_derivative(*args)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_input_error(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite x"):
+                inv_power_derivative(1, 8, x, 1.0, 1)
+            with pytest.raises(InputError, match="finite x"):
+                inv_power_derivative(2, 8, x, 1.0, 1)
+            with pytest.raises(InputError, match="finite x"):
+                h_coefficient(3, 1, 8, x, 2)
 
     def test_inv_power_derivative_out_of_float_range(self):
         # z^(-2 (alpha + k)) overflows before any evaluation

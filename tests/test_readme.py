@@ -1,6 +1,8 @@
-"""Every ``torusdet`` line in README.md's fenced blocks exits 0."""
+"""Every ``torusdet`` line in README.md's fenced blocks exits 0, and every
+option README.md names exists."""
 
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -32,3 +34,12 @@ def test_readme_line_exits_0(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)   # a line may write its --csv-out file
     assert main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_readme_names_only_existing_options():
+    options = {flag for row in COMMANDS.values() for flag, _ in row.args}
+    options |= {"--json-out", "--csv-out"}
+    named = {flag for line in README.read_text().splitlines()
+             if "pip install" not in line
+             for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)}
+    assert named and named <= options, sorted(named - options)

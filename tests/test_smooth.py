@@ -258,8 +258,7 @@ class TestPartialProducts:
         with pytest.raises(InputError):
             partial_log_product(m, mode, parameter)
         with pytest.raises(InputError):
-            eigenproduct_reglimit(m, mode, [16.0, parameter],
-                                  BasisSpec(((0.0, 0),)))
+            eigenproduct_reglimit(m, mode, [16.0, parameter])
 
     @pytest.mark.parametrize("m,mode,parameter", [
         (2, "by_volume", 16), (1, "by_cutoff", 0.5), (2, "by_cutoff", 0.5),
@@ -268,8 +267,7 @@ class TestPartialProducts:
         with pytest.raises(InputError):
             partial_log_product(m, mode, parameter)
         with pytest.raises(InputError):
-            eigenproduct_reglimit(m, mode, [parameter, 16.0],
-                                  BasisSpec(((0.0, 0),)))
+            eigenproduct_reglimit(m, mode, [parameter, 16.0])
 
     # radii whose balls hold more than 400 nonzero points
     @pytest.mark.parametrize("m,r2max", [(1, 40000), (2, 169), (3, 36),
@@ -294,27 +292,39 @@ class TestPartialProducts:
 
 
 class TestEigenproductLimits:
-    BASIS = BasisSpec(((1.0, 1), (1.0, 0), (0.0, 1), (0.0, 0), (-1.0, 0),
-                       (-3.0, 0)))
-
     def test_m1_by_cutoff(self):
         grid = [16 * 2 ** i for i in range(9)]
-        c, unc, ref = eigenproduct_reglimit(1, "by_cutoff", grid, self.BASIS)
+        c, unc, ref = eigenproduct_reglimit(1, "by_cutoff", grid)
         assert ref == pytest.approx(LOG_4PI2, abs=1e-10)
         assert c == pytest.approx(LOG_4PI2, abs=1e-6)
 
     def test_m1_by_count_differs(self):
         grid = [32 * 2 ** i for i in range(9)]
-        c, unc, _ = eigenproduct_reglimit(1, "by_count", grid, self.BASIS)
+        c, unc, _ = eigenproduct_reglimit(1, "by_count", grid)
         assert c == pytest.approx(2 * math.log(math.pi), abs=1e-6)
         # the count parameterization does NOT reproduce the determinant
         assert abs(c - LOG_4PI2) > 0.5
 
     def test_m2_by_cutoff_with_averaging(self):
         grid = [8.0 * 2 ** (i / 2) for i in range(11)]
-        basis = BasisSpec(((2.0, 1), (2.0, 0), (0.0, 1), (0.0, 0)))
-        c, unc, ref = eigenproduct_reglimit(2, "by_cutoff", grid, basis)
+        c, unc, ref = eigenproduct_reglimit(2, "by_cutoff", grid)
         assert c == pytest.approx(ref, abs=5e-2)
+
+    @pytest.mark.parametrize("m,mode,grid,pairs", [
+        (1, "by_cutoff", [16 * 2 ** i for i in range(9)],
+         ((1, 1), (1, 0), (0, 1), (0, 0), (-1, 0), (-3, 0))),
+        (1, "by_count", [32 * 2 ** i for i in range(9)],
+         ((1, 1), (1, 0), (0, 1), (0, 0), (-1, 0), (-3, 0))),
+        (2, "by_cutoff", [8.0 * 2 ** (i / 2) for i in range(11)],
+         ((2, 1), (2, 0), (0, 1), (0, 0))),
+        (2, "by_count", [64 * 2 ** i for i in range(11)],
+         ((1, 1), (1, 0), (0, 1), (0, 0))),
+        (3, "by_cutoff", [8.0 * 1.41 ** i for i in range(7)],
+         ((3, 1), (3, 0), (0, 1), (0, 0)))])
+    def test_derived_basis_is_the_explicit_one(self, m, mode, grid, pairs):
+        # the same pairs in the same order: the same fit, bit for bit
+        assert eigenproduct_reglimit(m, mode, grid) == eigenproduct_reglimit(
+            m, mode, grid, BasisSpec(pairs))
 
 
 class TestConvergence:
