@@ -236,6 +236,20 @@ def cmd_main_theorem(args, report):
     return abs(c - ref) <= args.tol
 
 
+# Default grids derived from m: each stays inside the enumeration cap, and
+# main-theorem's within its default --tol.
+
+def _theorem_grid(args) -> str:
+    return {3: "8:128:x1.2", 4: "8:64:x1.2"}.get(args.m, "16:4096:x2")
+
+
+def _product_grid(args) -> str:
+    if args.mode == "by_count":
+        return "16:4096:x2"
+    return {2: "8:512:x1.41", 3: "8:64:x1.41", 4: "8:32:x1.2"}.get(
+        args.m, "16:4096:x2")
+
+
 class Command(NamedTuple):
     handler: Callable
     help: str
@@ -292,13 +306,13 @@ COMMANDS = {
         ARG_M,
         ("--mode", {"choices": ["by_cutoff", "by_count"],
                     "default": "by_cutoff"}),
-        ("--grid", {"default": "16:4096:x2"}),
+        ("--grid", {"default": _product_grid}),
         ("--tol", {"type": _tolerance}),
         ("--target", {"type": _finite}))),
     "main-theorem": Command(
         cmd_main_theorem, "regularized limit of log-determinants",
         lambda args: ["AC2" if args.m == 1 else "AC3"], True, (
-            ARG_M, ("--n-grid", {"default": "16:4096:x2"}),
+            ARG_M, ("--n-grid", {"default": _theorem_grid}),
             ("--tol", {"type": _tolerance, "default": 1e-6}))),
 }
 
@@ -324,6 +338,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     row = COMMANDS[args.command]
+    for key, value in list(vars(args).items()):
+        if callable(value):   # a default derived from the other options
+            setattr(args, key, value(args))
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("command", "json_out", "csv_out")}
     criteria = row.criteria(args) if callable(row.criteria) else row.criteria

@@ -11,9 +11,10 @@ eigenvalues k = 0..n//2 with multiplicity weights): the innermost axis is
 a row, the outer axes index the rows, and blocks of whole rows are
 evaluated at once, so no ``n^m`` eigenvalue array is ever materialized.
 The row partials are combined with one exact fsum, so the value does not
-depend on the block size and is bit-reproducible.  Log-determinants
-multiply the innermost axis out in closed form and reduce only the m - 1
-outer axes.
+depend on the block size and is bit-reproducible.  Log-determinants, and
+resolvent traces up to the power ``TRACE_MAX_ALPHA``, multiply the
+innermost axis out in closed form and reduce only the m - 1 outer axes;
+their cap counts those ``n^(m-1)`` outer modes.
 
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
@@ -33,6 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -50,6 +52,7 @@ SPECTRAL_BATCH = 1 << 16      # int64 elements per batch of spectral primes
 PRODUCT_MARGIN_BITS = 16      # CRT modulus headroom over exp(log_det_rescaled)
 LOGDET_CHECK_RTOL = 1e-12     # exact product against the float log-determinant
 LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
+TRACE_MAX_ALPHA = 8           # highest trace power summed in closed form
 DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
 LEAF = 16                     # most vertices in a nested-dissection leaf
 
@@ -98,29 +101,35 @@ def _half_axis(n: int):
     return _axis_eigenvalues(n, np.arange(half + 1)), w
 
 
+def _outer_modes(outer):
+    """Per-row offsets and weights of the outer axes ``[(s, w), ...]``.
+
+    Flattened once, in lexicographic order: ``base = s[i] + s[j] ...`` and
+    ``wt = w[i] * w[j] ...``, accumulated left to right.
+    """
+    (base, wt), *rest = outer
+    for s, w in rest:
+        base = np.add.outer(base, s).ravel()
+        wt = np.multiply.outer(wt, w).ravel()
+    return base, wt
+
+
 def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     """Reduce ``term_fn(omega)`` over the weighted product of axis spectra.
 
-    The innermost axis is a row; the outer axes are flattened once, in
-    lexicographic order, into per-row offsets ``base = 0.0 + s[i] + s[j]
-    ...`` and weights ``wt = 1.0 * w[i] * w[j] ...``, accumulated left to
-    right.
-    Blocks of whole rows, about ``LATTICE_BLOCK`` elements each, are
-    evaluated at once and reduced row by row with numpy's pairwise sum; the
-    row partials are combined with one exact ``math.fsum``, so the result
-    does not depend on the block size and is bit-reproducible.  With
-    ``skip_zero_mode`` the first element of row 0 (the all-zero mode) is
-    left out.
+    The innermost axis is a row; the outer axes index the rows through
+    ``_outer_modes``.  Blocks of whole rows, about ``LATTICE_BLOCK``
+    elements each, are evaluated at once and reduced row by row with
+    numpy's pairwise sum; the row partials are combined with one exact
+    ``math.fsum``, so the result does not depend on the block size and is
+    bit-reproducible.  With ``skip_zero_mode`` the first element of row 0
+    (the all-zero mode) is left out.
     """
     *outer, (s_in, w_in) = axes
     vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
     if not outer:
         return float(np.sum(wts * term_fn(vals)))
-    base = np.array([0.0])
-    wt = np.array([1.0])
-    for s, w in outer:
-        base = np.add.outer(base, s).ravel()
-        wt = np.multiply.outer(wt, w).ravel()
+    base, wt = _outer_modes(outer)
     partials = [float(np.sum((wt[0] * wts) * term_fn(base[0] + vals)))]
     step = max(1, LATTICE_BLOCK // len(s_in))
     for lo in range(1, len(base), step):
@@ -130,11 +139,25 @@ def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     return math.fsum(partials)
 
 
-def _check_sum_size(points: int):
-    if points > MAX_SUM_LATTICE:
+def _check_sum_size(modes: int):
+    if modes > MAX_SUM_LATTICE:
         raise InputError(
-            f"lattice of {points} points exceeds the iteration cap "
-            f"{MAX_SUM_LATTICE}")
+            f"{modes} lattice modes exceed the iteration cap {MAX_SUM_LATTICE}")
+
+
+def _reduced_modes(t: DiscreteTorus, alpha: int = 1) -> int:
+    """The modes a spectral sum over t reduces, for the cap.
+
+    The log-determinant and resolvent traces up to ``TRACE_MAX_ALPHA``
+    multiply the inner axis out in closed form: they reduce the ``n^(m-1)``
+    outer modes of an axis of at most ``MAX_SORTED`` points.  A higher
+    power reduces every point.
+    """
+    if alpha > TRACE_MAX_ALPHA:
+        return t.points
+    if t.n > MAX_SORTED:
+        raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
+    return t.n ** (t.m - 1)
 
 
 def omega(t: DiscreteTorus, x) -> float:
@@ -185,12 +208,8 @@ def log_det_rescaled(t: DiscreteTorus) -> float:
     The inner axis is multiplied out by ``_inner_axis_log_product``, so
     only the ``n^(m-1)`` outer modes are reduced; the outer zero mode gives
     ``log n^2``, the n-cycle's nonzero eigenvalue product (all of it at m = 1).
-    The cap is on the ``n^(m-1)`` outer modes and, for the one-axis table,
-    on n.
     """
-    if t.n > MAX_SORTED:
-        raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
-    _check_sum_size(t.n ** (t.m - 1))
+    _check_sum_size(_reduced_modes(t))
     if t.m == 1:
         return 2 * math.log(t.n)
     return 2 * math.log(t.n) + _lattice_sum(
@@ -198,15 +217,101 @@ def log_det_rescaled(t: DiscreteTorus) -> float:
         lambda v: _inner_axis_log_product(t.n, v), skip_zero_mode=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _inner_axis_monomials(alpha: int) -> tuple:
+    """``S_alpha`` as monomials in the variables ``(u, v, e, b)`` of
+    ``_inner_axis_traces``: the highest power of each variable, and per
+    monomial its coefficient and its ``(variable, power)`` factors.
+
+    With ``mu = 4 sinh^2(theta/2)``, ``S_alpha = sum_k (mu + 4 sin^2(pi
+    k/n))^(-alpha)`` starts at ``S_1 = (n/2) A B`` and steps by ``S_(alpha+1)
+    = -(B / 2 alpha) dS_alpha/dtheta``, where ``A = coth(n theta/2)``, ``E =
+    csch^2(n theta/2)``, ``B = csch(theta)``, ``C = coth(theta)`` and ``dA =
+    -(n/2) E``, ``dE = -n A E``, ``dB = -C B``, ``dC = -B^2``.  Every
+    derivative is negative, so every monomial ``n^(a+2e) A^a E^e B^b C^c``
+    has a positive coefficient: nothing cancels.  The coefficients are exact
+    fractions, rounded once.
+    """
+    terms = {(1, 0, 1, 0): Fraction(1, 2)}    # (a, e, b, c) of (n/2) A B
+    for j in range(1, alpha):
+        steps = {}
+        for (a, e, b, c), v in terms.items():
+            for key, f in (((a - 1, e + 1, b + 1, c), Fraction(a, 4 * j)),
+                           ((a + 1, e, b + 1, c), Fraction(e, 2 * j)),
+                           ((a, e, b + 1, c + 1), Fraction(b, 2 * j)),
+                           ((a, e, b + 3, c - 1), Fraction(c, 2 * j))):
+                if f:
+                    steps[key] = steps.get(key, 0) + v * f
+        terms = steps
+    # (2 pi/n)^(2 alpha) n^(a+2e) A^a E^e B^b C^c = 2^(a+b) 16^e u^a v^c e^e b^b
+    scaled = {(a, c, e, b): float(v * 2 ** (a + b) * 16 ** e)
+              for (a, e, b, c), v in sorted(terms.items())}
+    return (tuple(map(max, zip(*scaled))),
+            tuple((coef, tuple((i, k) for i, k in enumerate(p) if k))
+                  for p, coef in scaled.items()))
+
+
+def _inner_axis_traces(n: int, x: np.ndarray, alpha: int) -> np.ndarray:
+    """``sum_k (x + (n^2/pi^2) sin^2(pi k/n))^(-alpha)`` for each x > 0.
+
+    ``(2 pi/n)^(2 alpha) S_alpha(mu)`` at ``mu = 4 pi^2 x / n^2 = 4
+    sinh^2(theta/2)``.  The monomials of ``_inner_axis_monomials`` are
+    evaluated in ``u = pi A``, ``v = r C = 2 b + r tanh(theta/2)``, ``e =
+    pi^2 E / 4`` and ``b = r B / 2 = 1 / (2 sqrt(x) cosh(theta/2))`` with
+    ``r = 2 pi/n``, each at most about ``x^(-1/2)`` or ``x^(-1)``, so no
+    partial product leaves the float range before the trace does.  A and E
+    are taken from ``q = exp(-n theta)`` through ``expm1``; b, whose power
+    ``b^alpha`` is in every monomial, needs no exponential, whose relative
+    error grows with theta.  A variable that no monomial uses is not
+    evaluated.  A z whose square overflows gives ``b = 0`` and so the
+    trace 0.
+    """
+    tops, monomials = _inner_axis_monomials(alpha)
+    rx = np.sqrt(x)
+    s = (math.pi / n) * rx                  # sinh(theta/2)
+    half = np.arcsinh(s)                    # theta/2
+    b = 0.5 / np.hypot(1.0, s) / rx
+    y = (-2.0 * n) * half                   # -n theta
+    q = np.exp(y)
+    g = -math.pi / np.expm1(y)              # pi / (1 - q)
+    powers = [[None, g + g * q],
+              [None, 2 * b + (2 * math.pi / n) * np.tanh(half) if tops[1] else None],
+              [None, q * g * g if tops[2] else None],
+              [None, b]]
+    for table, top in zip(powers, tops):
+        while len(table) <= top:
+            table.append(table[-1] * table[1])
+    total = None
+    for coef, factors in monomials:
+        term = coef
+        for i, k in factors:
+            term = term * powers[i][k]
+        total = term if total is None else total + term
+    return total
+
+
 def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
-    """``sum over the full lattice of (omega + z^2)^(-alpha)``, kernel included."""
+    """``sum over the full lattice of (omega + z^2)^(-alpha)``, kernel included.
+
+    Up to ``TRACE_MAX_ALPHA`` the inner axis is summed in closed form by
+    ``_inner_axis_traces`` over the ``n^(m-1)`` outer modes, block by block,
+    and combined with one exact fsum; a higher power is a lattice sum.
+    """
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
     check_resolvent_parameter(z, alpha)
-    _check_sum_size(t.points)
+    _check_sum_size(_reduced_modes(t, alpha))
     z2 = z * z
-    return _lattice_sum([_half_axis(t.n)] * t.m,
-                        lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
+    if alpha > TRACE_MAX_ALPHA:
+        return _lattice_sum([_half_axis(t.n)] * t.m,
+                            lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
+    if t.m == 1:
+        return float(_inner_axis_traces(t.n, np.full(1, z2), alpha)[0])
+    base, wt = _outer_modes([_half_axis(t.n)] * (t.m - 1))
+    return math.fsum(itertools.chain.from_iterable(
+        (wt[i:i + LATTICE_BLOCK] * _inner_axis_traces(
+            t.n, base[i:i + LATTICE_BLOCK] + z2, alpha)).tolist()
+        for i in range(0, len(base), LATTICE_BLOCK)))
 
 
 def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:

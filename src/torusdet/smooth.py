@@ -28,7 +28,7 @@ from .errors import (InputError, NumericalError, check_dimension,
 from .expansion import (TO_INFINITY, BasisSpec, Expansion, Samples,
                         extract_reglimit)
 from .discrete import (MAX_SUM_LATTICE, DiscreteTorus, _check_sum_size,
-                       log_det_series, resolvent_trace)
+                       _reduced_modes, log_det_series, resolvent_trace)
 from . import finite_part
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -294,6 +294,9 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis=None):
     ``log x`` and 1, plus Stirling's ``x^-1`` and ``x^-3`` at m = 1.
     ``basis=None`` derives it; an explicit ``BasisSpec`` replaces it.
 
+    Unsmoothed, a partial product depends only on the floor of its
+    parameter, so it is fitted at the distinct floors of the grid.
+
     For m >= 2 in cutoff mode the samples carry lattice-point counting
     oscillation of size ``Lambda^(1/2+)`` which a least-squares fit
     amplifies into the constant, so two damping steps are applied before
@@ -311,6 +314,8 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis=None):
     smoothed = mode == "by_cutoff" and m >= 2
     product = _product_table(m, mode, grid,
                              SMOOTH_HALFWIDTH if smoothed else 1.0)
+    if not smoothed:   # a step function of the parameter's floor: fit there
+        grid = sorted({float(math.floor(g)) for g in grid})
     if basis is None:
         e = m if mode == "by_cutoff" else 1
         basis = BasisSpec(((e, 1), (e, 0), (0, 1), (0, 0))
@@ -357,24 +362,28 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     difference decreases, and verifies the derivative identity
     ``d/dz Tr(.+z^2)^(-alpha) = -2 alpha z Tr(.+z^2)^(-alpha-1)`` by a
     fourth-order finite difference with step ``z / 400`` on both sides of
-    the limit.  The table's points ``sum n^m``, plus ``5 n^m`` for the
-    derivative probes at the last n, are capped at ``MAX_SUM_LATTICE``.
+    the limit.  The modes the table's traces reduce, plus those of the five
+    derivative probes at the last n, are capped at ``MAX_SUM_LATTICE``, as
+    each trace is: ``n^(m-1)`` outer modes, or ``n^m`` points above
+    ``TRACE_MAX_ALPHA``.
     """
     check_dimension(m)
     if alpha < m:
         raise InputError("need alpha >= m for the convergence table")
-    _check_sum_size(sum(int(n) ** m for n in n_grid) + 5 * int(n_grid[-1]) ** m)
+    tori = [DiscreteTorus(m, int(n)) for n in n_grid]
+    t_big = tori[-1]
+    _check_sum_size(sum(_reduced_modes(t, alpha) for t in tori)
+                    + 4 * _reduced_modes(t_big, alpha)
+                    + _reduced_modes(t_big, alpha + 1))
     cont = resolvent_trace_continuum(m, z, alpha)
     rows = []
-    for n in n_grid:
-        t = DiscreteTorus(m, int(n))
+    for t in tori:
         d = resolvent_trace(t, z, alpha)
-        rows.append((int(n), d, cont, cont - d))
+        rows.append((t.n, d, cont, cont - d))
     diffs = [abs(r[3]) for r in rows]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
 
     h = z / 400.0   # the relative truncation error goes as (h/z)^4
-    t_big = DiscreteTorus(m, int(n_grid[-1]))
     fd_d = _fd4(lambda s: resolvent_trace(t_big, s, alpha), z, h)
     ident_d = -2.0 * alpha * z * resolvent_trace(t_big, z, alpha + 1)
     rel_d = abs(fd_d - ident_d) / max(abs(ident_d), 1e-300)

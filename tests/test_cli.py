@@ -152,6 +152,25 @@ class TestCommands:
         assert main(["converge", "--m", "1", "--n-grid", "8:1024:x2",
                      "--tol", "1e-4"]) == 0
 
+    def test_converge_m3_default_grid(self):
+        # the traces reduce n^2 outer modes, so 8:1024:x2 fits the cap
+        assert main(["converge", "--m", "3", "--alpha", "3"]) in (0, 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("command,grids", [
+        (["main-theorem"], ("16:4096:x2", "16:4096:x2", "8:128:x1.2",
+                            "8:64:x1.2")),
+        (["eigenproduct"], ("16:4096:x2", "8:512:x1.41", "8:64:x1.41",
+                            "8:32:x1.2")),
+        (["eigenproduct", "--mode", "by_count"], ("16:4096:x2",) * 4)])
+    def test_default_grid_derived_from_m(self, command, grids, m, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(command + ["--m", str(m), "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["n_grid" if "main-theorem" in command
+                                 else "grid"] == grids[m - 1]
+        assert math.isfinite(report["constant"])
+
     def test_eigenproduct(self, tmp_path):
         out = tmp_path / "e.json"
         code = main(["eigenproduct", "--m", "1", "--mode", "by_cutoff",
@@ -203,7 +222,7 @@ class TestExitCodes:
         ["regint", "--integrand", "log-kernel", "--lam", "-1"],
         ["regint", "--integrand", "log-kernel", "--lam", "0"],
         ["regint", "--integrand", "log-kernel", "--lam", "nan"],
-        ["main-theorem", "--m", "4"],
+        ["main-theorem", "--m", "4", "--n-grid", "16:4096:x2"],
         ["regint", "--window-end", "inf"],
         ["eigenproduct", "--m", "1", "--grid", "0.5:64:x2"],
     ])
@@ -234,8 +253,10 @@ class TestExitCodes:
         ["em-check", "--m", "2", "--n", "1024"],
         ["em-check", "--m", "2", "--n", "65"],
         ["em-check", "--m", "1", "--n", "131073"],
-        ["converge", "--m", "3", "--alpha", "3", "--n-grid", "8:256:x2"],
-        ["converge", "--m", "4", "--alpha", "4", "--n-grid", "8:64:x2"],
+        ["converge", "--m", "3", "--alpha", "3", "--n-grid", "8:8192:x2"],
+        ["converge", "--m", "4", "--alpha", "4", "--n-grid", "8:512:x2"],
+        ["converge", "--m", "3", "--alpha", "9", "--n-grid", "8:256:x2"],
+        ["trace", "--m", "3", "--n", "8192"],
     ])
     def test_oversized_enumeration_exits_at_once(self, argv, capsys):
         t0 = time.perf_counter()
@@ -416,9 +437,10 @@ def _eigenproduct_grid(mode: str, m: int):
 
 def _converge_grid(m: int):
     """(start, stop, ratio) of a grid that stops at 64 at most or whose last
-    n alone puts the table and its derivative probes past the cap: half the
-    draws a well-formed grid, half any."""
-    over = _root(MAX_SUM_LATTICE // 6, m) + 1 if 1 <= m <= 4 else 65
+    n alone puts the table's outer modes and its derivative probes past the
+    cap: half the draws a well-formed grid, half any."""
+    over = (65 if not 1 <= m <= 4 else MAX_SORTED + 1 if m == 1
+            else _root(MAX_SUM_LATTICE // 6, m - 1) + 1)
     stop = st.integers(over, 4 * over)
     return st.one_of(
         st.tuples(st.integers(2, 8), st.integers(32, 64) | stop,
@@ -477,8 +499,9 @@ class TestExitContract:
         self.check(["logdet", "--m", str(mn[0]), "--n", str(mn[1])]
                    + (["--rescaled"] if rescaled else []))
 
+    # up to alpha = 8 the trace reduces n^(m-1) outer modes, as logdet does
     @settings(deadline=None, max_examples=30)
-    @given(mn=_dims_and_sizes(256, lambda m: MAX_SUM_LATTICE),
+    @given(mn=_dims_and_sizes(256, lambda m: _logdet_max_n(m) ** m),
            alpha=st.integers(1, 8), exponent=st.floats(-300.0, 300.0))
     def test_trace(self, mn, alpha, exponent):
         self.check(["trace", "--m", str(mn[0]), "--n", str(mn[1]),

@@ -15,9 +15,11 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
                       reduced_laplacian_det_mod, resolvent_trace,
                       sorted_spectrum, spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
-from torusdet.discrete import (MAX_MODULUS, _crt, _fronts, _half_axis,
-                               _inner_axis_log_product, _is_prime, _lattice_sum,
-                               _matmul_mod, _primes, _roots_of_unity)
+from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
+                               TRACE_MAX_ALPHA, _crt, _fronts, _half_axis,
+                               _inner_axis_log_product, _inner_axis_monomials,
+                               _is_prime, _lattice_sum, _matmul_mod, _primes,
+                               _roots_of_unity)
 
 
 def closed_form_logdet_1d(n):
@@ -246,6 +248,16 @@ class TestInnerAxisProduct:
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
+def mp_resolvent_trace(m, n, z, alpha):
+    """``sum (omega + z^2)^(-alpha)`` over all n^m modes, to 40 digits."""
+    with mpmath.workdps(40):
+        axis = [(n / mpmath.pi) ** 2 * mpmath.sin(mpmath.pi * k / n) ** 2
+                for k in range(n)]
+        z2 = mpmath.mpf(z) ** 2
+        return float(mpmath.fsum((mpmath.fsum(ks) + z2) ** -alpha
+                                 for ks in itertools.product(axis, repeat=m)))
+
+
 class TestResolventTrace:
     def test_two_point_hand_sum(self):
         val = resolvent_trace(DiscreteTorus(1, 2), 1.0, 1)
@@ -301,6 +313,64 @@ class TestResolventTrace:
                     except NumericalError:
                         outcomes.add("numerical error")
         assert outcomes == {True, "numerical error"}
+
+    @pytest.mark.parametrize("m,n", [(1, 9), (2, 6), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("alpha", range(1, TRACE_MAX_ALPHA + 2))
+    def test_matches_40_digit_sum(self, m, n, alpha):
+        # the closed-form inner axis up to TRACE_MAX_ALPHA, the lattice sum
+        # above it, at small, unit and large z
+        for z in (1e-3, 1.0, 1e3):
+            ref = mp_resolvent_trace(m, n, z, alpha)
+            got = resolvent_trace(DiscreteTorus(m, n), z, alpha)
+            assert abs(got - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("m,n,alpha", [(1, 4096, 1), (2, 1024, 2),
+                                           (2, 1024, 3), (3, 128, 3),
+                                           (3, 128, 4), (4, 24, 4)])
+    def test_matches_lattice_sum(self, m, n, alpha):
+        z = 1.5
+        ref = _lattice_sum([_half_axis(n)] * m,
+                           lambda v: (v + z * z) ** -float(alpha),
+                           skip_zero_mode=False)
+        got = resolvent_trace(DiscreteTorus(m, n), z, alpha)
+        assert abs(got - ref) <= 1e-14 * ref
+
+    def test_repeated_calls_are_bit_identical(self):
+        # (4, 64) has 33^3 outer modes: three blocks
+        for (m, n), alpha in itertools.product([(1, 8), (3, 12), (4, 64)],
+                                               (1, 4, TRACE_MAX_ALPHA)):
+            t = DiscreteTorus(m, n)
+            first = resolvent_trace(t, 0.7, alpha)
+            _inner_axis_monomials.cache_clear()
+            assert resolvent_trace(t, 0.7, alpha) == first
+            assert resolvent_trace(t, 0.7, alpha) == first
+
+    @pytest.mark.parametrize("z", [1e150, 1e160, 1e300])
+    def test_huge_z_is_the_lattice_value_without_warnings(self, z):
+        # every numpy floating-point error raises but underflow, which numpy
+        # ignores by default and which the lattice terms meet too; from
+        # z = 1.4e154 on z^2 overflows and every term is 0
+        with np.errstate(all="raise", under="ignore"):
+            for m, n in [(1, 2), (1, 8), (2, 3), (2, 8), (3, 5), (4, 3)]:
+                t = DiscreteTorus(m, n)
+                vals = sorted_spectrum(t)
+                for alpha in range(1, TRACE_MAX_ALPHA + 2):
+                    expect = float(np.sum((vals + z * z) ** -float(alpha)))
+                    assert resolvent_trace(t, z, alpha) == pytest.approx(
+                        expect, rel=1e-14, abs=0)
+
+    def test_size_cap_counts_outer_modes(self):
+        # n^(m-1) outer modes of an axis of at most MAX_SORTED points up to
+        # TRACE_MAX_ALPHA, every point above it
+        t = DiscreteTorus(2, 8192)
+        assert t.points > MAX_SUM_LATTICE
+        assert math.isfinite(resolvent_trace(t, 1.0, TRACE_MAX_ALPHA))
+        with pytest.raises(InputError, match="iteration cap"):
+            resolvent_trace(t, 1.0, TRACE_MAX_ALPHA + 1)
+        with pytest.raises(InputError, match="iteration cap"):
+            resolvent_trace(DiscreteTorus(3, 5793), 1.0, 1)
+        with pytest.raises(InputError, match="capped"):
+            resolvent_trace(DiscreteTorus(1, MAX_SORTED + 1), 1.0, 1)
 
     def test_large_power_at_unit_z(self):
         # the zero mode contributes exactly 1, every other term underflows

@@ -12,7 +12,7 @@ from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       convergence_check, eigenproduct_reglimit, log_det_zeta,
                       logdet_zeta_via_regint, partial_log_product,
                       resolvent_trace_continuum, zeta_continued)
-from torusdet.discrete import MAX_SUM_LATTICE
+from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE
 from torusdet.smooth import _lead_radius, _shells
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
@@ -326,6 +326,17 @@ class TestEigenproductLimits:
         assert eigenproduct_reglimit(m, mode, grid) == eigenproduct_reglimit(
             m, mode, grid, BasisSpec(pairs))
 
+    @pytest.mark.parametrize("grid,tol", [
+        ([100 * 1.2 ** i for i in range(10)], 1e-8),
+        ([10 * 1.5 ** i for i in range(16)], 1e-7)])
+    def test_m1_by_cutoff_off_integer_grid(self, grid, tol):
+        # the product is a step function of floor(Lambda): fitted at the
+        # distinct floors, a non-integer grid gives the floors' constant
+        c, _, ref = eigenproduct_reglimit(1, "by_cutoff", grid)
+        floors = sorted({math.floor(g) for g in grid})
+        assert (c, _, ref) == eigenproduct_reglimit(1, "by_cutoff", floors)
+        assert abs(c - ref) <= tol
+
 
 class TestConvergence:
     def test_m1_dyadic(self):
@@ -349,15 +360,24 @@ class TestConvergence:
         assert rep.derivative_rel_err_discrete <= 1e-6
         assert rep.derivative_rel_err_continuum <= 1e-6
 
-    @pytest.mark.parametrize("m,grid", [(1, [8, MAX_SUM_LATTICE // 6]),
-                                        (3, [8, 128, 180]),
-                                        (4, [4, 50])])
+    @pytest.mark.parametrize("m,grid", [(1, [8, MAX_SORTED + 1]),
+                                        (3, [8, 128, 2600]),
+                                        (4, [4, 190])])
     def test_table_size_cap(self, m, grid):
-        # the rows plus five derivative probes at the last n: refused
-        # before any trace is evaluated
-        assert sum(n ** m for n in grid) + 5 * grid[-1] ** m > MAX_SUM_LATTICE
-        with pytest.raises(InputError, match="iteration cap"):
+        # the rows' outer modes plus five derivative probes at the last n,
+        # on axes of at most MAX_SORTED points: refused before any trace is
+        # evaluated
+        assert (grid[-1] > MAX_SORTED or sum(n ** (m - 1) for n in grid)
+                + 5 * grid[-1] ** (m - 1) > MAX_SUM_LATTICE)
+        with pytest.raises(InputError, match="cap"):
             convergence_check(m, grid, 1.0, m)
+
+    def test_table_size_cap_counts_points_above_closed_form_powers(self):
+        # alpha = 9 is a lattice sum: the rows' points count
+        grid = [8, 128, 180]
+        assert sum(n ** 3 for n in grid) + 5 * grid[-1] ** 3 > MAX_SUM_LATTICE
+        with pytest.raises(InputError, match="iteration cap"):
+            convergence_check(3, grid, 1.0, 9)
 
     def test_m1_module_contract_at_largest_n(self):
         rep = convergence_check(1, [512, 1024, 2048, 4096], 1.0, 1)
