@@ -13,8 +13,8 @@ evaluated at once, so no ``n^m`` eigenvalue array is ever materialized.
 The row partials are combined with one exact fsum, so the value does not
 depend on the block size and is bit-reproducible.  Log-determinants, and
 resolvent traces up to the power ``TRACE_MAX_ALPHA``, multiply the
-innermost axis out in closed form and reduce only the m - 1 outer axes;
-their cap counts those ``n^(m-1)`` outer modes.
+innermost axis out in closed form and hand ``_lattice_sum`` only the m - 1
+outer axes; their cap counts those ``n^(m-1)`` outer modes.
 
 The unnormalized graph Laplacian of the same torus has integer entries;
 its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
@@ -101,35 +101,25 @@ def _half_axis(n: int):
     return _axis_eigenvalues(n, np.arange(half + 1)), w
 
 
-def _outer_modes(outer):
-    """Per-row offsets and weights of the outer axes ``[(s, w), ...]``.
-
-    Flattened once, in lexicographic order: ``base = s[i] + s[j] ...`` and
-    ``wt = w[i] * w[j] ...``, accumulated left to right.
-    """
-    (base, wt), *rest = outer
-    for s, w in rest:
-        base = np.add.outer(base, s).ravel()
-        wt = np.multiply.outer(wt, w).ravel()
-    return base, wt
-
-
 def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     """Reduce ``term_fn(omega)`` over the weighted product of axis spectra.
 
-    The innermost axis is a row; the outer axes index the rows through
-    ``_outer_modes``.  Blocks of whole rows, about ``LATTICE_BLOCK``
-    elements each, are evaluated at once and reduced row by row with
-    numpy's pairwise sum; the row partials are combined with one exact
-    ``math.fsum``, so the result does not depend on the block size and is
-    bit-reproducible.  With ``skip_zero_mode`` the first element of row 0
-    (the all-zero mode) is left out.
+    The innermost axis is a row; the outer axes index the rows, flattened
+    once in lexicographic order into per-row offsets ``s[i] + s[j] ...``
+    and weights ``w[i] * w[j] ...``, accumulated left to right.  Blocks of
+    whole rows, about ``LATTICE_BLOCK`` elements each, are evaluated at
+    once and reduced row by row with numpy's pairwise sum; the row partials
+    are combined with one exact ``math.fsum``, so the result does not
+    depend on the block size and is bit-reproducible.  With
+    ``skip_zero_mode`` the first element of row 0 (the all-zero mode) is
+    left out.
     """
     *outer, (s_in, w_in) = axes
+    base, wt = np.zeros(1), np.ones(1)
+    for s, w in outer:
+        base = np.add.outer(base, s).ravel()
+        wt = np.multiply.outer(wt, w).ravel()
     vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
-    if not outer:
-        return float(np.sum(wts * term_fn(vals)))
-    base, wt = _outer_modes(outer)
     partials = [float(np.sum((wt[0] * wts) * term_fn(base[0] + vals)))]
     step = max(1, LATTICE_BLOCK // len(s_in))
     for lo in range(1, len(base), step):
@@ -294,8 +284,8 @@ def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
     """``sum over the full lattice of (omega + z^2)^(-alpha)``, kernel included.
 
     Up to ``TRACE_MAX_ALPHA`` the inner axis is summed in closed form by
-    ``_inner_axis_traces`` over the ``n^(m-1)`` outer modes, block by block,
-    and combined with one exact fsum; a higher power is a lattice sum.
+    ``_inner_axis_traces``, so ``_lattice_sum`` reduces only the ``n^(m-1)``
+    outer modes; a higher power is a lattice sum over every mode.
     """
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
@@ -307,11 +297,9 @@ def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
                             lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
     if t.m == 1:
         return float(_inner_axis_traces(t.n, np.full(1, z2), alpha)[0])
-    base, wt = _outer_modes([_half_axis(t.n)] * (t.m - 1))
-    return math.fsum(itertools.chain.from_iterable(
-        (wt[i:i + LATTICE_BLOCK] * _inner_axis_traces(
-            t.n, base[i:i + LATTICE_BLOCK] + z2, alpha)).tolist()
-        for i in range(0, len(base), LATTICE_BLOCK)))
+    return _lattice_sum([_half_axis(t.n)] * (t.m - 1),
+                        lambda v: _inner_axis_traces(t.n, v + z2, alpha),
+                        skip_zero_mode=False)
 
 
 def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
@@ -537,6 +525,12 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
     return out
 
 
+def _check_exact_size(t: DiscreteTorus):
+    if t.points > MAX_TREE_VERTICES:
+        raise InputError(f"{t.points} vertices exceed the exact-integer cap "
+                         f"{MAX_TREE_VERTICES}")
+
+
 def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
     """Graph-Laplacian cofactor determinant mod a prime int p <= MAX_MODULUS.
 
@@ -544,10 +538,7 @@ def reduced_laplacian_det_mod(t: DiscreteTorus, p: int) -> int:
     is answered from the exact eigenvalue product, ``n^m`` times the
     cofactor.
     """
-    if t.points > MAX_TREE_VERTICES:
-        raise InputError(
-            f"{t.points} vertices exceed the exact-determinant cap "
-            f"{MAX_TREE_VERTICES}")
+    _check_exact_size(t)
     if not (isinstance(p, int) and p <= MAX_MODULUS and _is_prime(p)):
         raise InputError(
             f"modulus must be a prime int <= {MAX_MODULUS}, got {p}")
@@ -564,15 +555,11 @@ def spanning_tree_count(t: DiscreteTorus) -> int:
     a prime with a zero pivot replaced by the next one, until their product
     exceeds Hadamard's bound ``(2m)^(N-1)`` on the positive-definite cofactor.
     """
-    nverts = t.points
-    if nverts > MAX_TREE_VERTICES:
-        raise InputError(
-            f"{nverts} vertices exceed the exact-determinant cap "
-            f"{MAX_TREE_VERTICES}")
+    _check_exact_size(t)
     if t.m == 1:
         return t.n
     return _crt(lambda primes: _det_mod_primes(t, primes), 2,
-                (2 * t.m) ** (nverts - 1))   # vertex 0 deleted
+                (2 * t.m) ** (t.points - 1))   # vertex 0 deleted
 
 
 def _roots_of_unity(n: int, primes) -> list:
@@ -619,10 +606,7 @@ def eigenvalue_product_integer(t: DiscreteTorus) -> int:
     ``log_det_rescaled`` errs by far less than a bit at every admissible
     size; a result whose log disagrees with it raises NumericalError.
     """
-    if t.points > MAX_TREE_VERTICES:
-        raise InputError(
-            f"{t.points} eigenvalues exceed the reconstruction cap "
-            f"{MAX_TREE_VERTICES}")
+    _check_exact_size(t)
     ldr = log_det_rescaled(t)
     product = _crt(lambda primes: _spectral_product_mod(t, primes),
                    t.n * (1 + t.n % 2),   # p odd and p = 1 (mod n)

@@ -289,22 +289,21 @@ def _axis_atoms(n: int, M: int) -> dict:
     Maps each label to atoms ``((key, coords, derivative order), weights,
     coefficient)``, keyed by label and position: the integral (1) and the
     remainder (3) run over the Gauss-Legendre cell nodes, the remainder
-    with the periodic Bernoulli weight; the boundary derivatives (2) and
-    the endpoint average (4) are point evaluations at x = 0 and x = n.
-    Grid atoms keep the 16 n nodes below n/2, doubly weighted: the
-    integrands are even under x -> n - x.
+    with the periodic Bernoulli weight; the boundary derivatives (2), one
+    atom per order, and the endpoint average (4) run over the two nodes
+    x = 0 and x = n, with weights (-1, 1) and (1/2, 1/2).  Grid atoms keep
+    the 16 n nodes below n/2, doubly weighted: the integrands are even
+    under x -> n - x.
     """
     xs, ws = (v[:len(v) // 2] for v in _gl_nodes(n, GL_ORDER_PATTERNS))
     bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
-    one = np.array([1.0])
-    pt0, ptn = np.array([0.0]), np.array([float(n)])
-    boundary = []
-    for k in range(1, M + 1):
-        c = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
-        boundary += [(ptn, one, 2 * k - 1, c), (pt0, one, 2 * k - 1, -c)]
-    ops = {1: [(xs, 2 * ws, 0, 1.0)], 2: boundary,
+    ends = np.array([0.0, float(n)])
+    ops = {1: [(xs, 2 * ws, 0, 1.0)],
+           2: [(ends, np.array([-1.0, 1.0]), 2 * k - 1,
+                float(bernoulli_number(2 * k)) / math.factorial(2 * k))
+               for k in range(1, M + 1)],
            3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
-           4: [(pt0, one, 0, 0.5), (ptn, one, 0, 0.5)]}
+           4: [(ends, np.array([0.5, 0.5]), 0, 1.0)]}
     return {b: [(((b, i), x, o), w, c) for i, (x, w, o, c) in enumerate(atoms)]
             for b, atoms in ops.items()}
 

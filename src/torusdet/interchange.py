@@ -15,6 +15,7 @@ small-z behaviour of f(., 1) follows from the declared n-expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,42 +112,36 @@ def correction_term(f: HomogeneousFn) -> float:
                         basis_inf=f.expansion_z, quad_tol=QUAD_TOL).value
 
 
-def _filled_basis(pairs, terms) -> BasisSpec:
-    """``pairs`` plus each term's exponent with its log power filled
-    downward, ordered by descending exponent, then ascending log power."""
-    pairs = set(pairs)
-    for t in terms:
-        pairs.update((t.alpha, j) for j in range(t.k + 1))
-    return BasisSpec(tuple(sorted(pairs, key=lambda p: (-p[0], p[1]))))
-
-
 def fp_integral_from_one(f: HomogeneousFn, n: float) -> float:
     """Finite-part integral of f(., n) over [1, inf).
 
-    Quadrature runs to the window end ``max(32, 16 n)``, which scales with
-    n because the function lives at z of order n by homogeneity; beyond it
-    the declared z-exponents are refitted at geometric samples and
-    integrated in closed form.  Their log powers are filled downward:
-    scaling in n mixes log(z/n)^k into lower powers of log z.
+    Quadrature runs to the window end ``W = max(32, 16 n)``, which scales
+    with n because the function lives at z of order n by homogeneity.
+    Beyond it ``f(z, n) = n^d f(z/n, 1)``: the declared z-expansion of
+    f(., 1) is integrated in closed form from ``W/n`` and scaled by
+    ``n^(d+1)``.  A term ``c u^-1 log(u)^k`` adds ``c (-log n)^(k+1)/(k+1)``
+    before the scaling: the constant that ``log(z/n)^(k+1)`` keeps at the
+    moving endpoint.
     """
     window_end = max(32.0, 16.0 * n)
-
-    def g(z):
-        return f.evaluator(z, n)
-
-    core, _ = _quad(g, 1.0, window_end, QUAD_TOL)
-    return core + _tail_part(g, "infinity", window_end,
-                             _filled_basis((), f.expansion_z.terms))[0]
+    core, _ = _quad(lambda z: f.evaluator(z, n), 1.0, window_end, QUAD_TOL)
+    tail, _ = _tail_part(None, "infinity", window_end / n, f.expansion_z)
+    shift = math.fsum(t.coeff * (-math.log(n)) ** (t.k + 1) / (t.k + 1)
+                      for t in f.expansion_z.terms if t.alpha == -1.0)
+    return core + n ** (f.degree + 1.0) * (tail + shift)
 
 
 def _default_basis_n(f: HomogeneousFn) -> BasisSpec:
     """Basis for the n-expansion of the per-n integrals.
 
     The coordinate-change picture gives exponents ``d + 1`` (with a log),
-    the declared n-exponents, and the constant.
+    the declared n-exponents with their log powers filled downward, and the
+    constant, ordered by descending exponent, then ascending log power.
     """
-    return _filled_basis({(f.degree + 1.0, 0), (f.degree + 1.0, 1), (0.0, 0)},
-                         f.expansion_n.terms)
+    pairs = {(f.degree + 1.0, 0), (f.degree + 1.0, 1), (0.0, 0)}
+    for t in f.expansion_n.terms:
+        pairs.update((t.alpha, j) for j in range(t.k + 1))
+    return BasisSpec(tuple(sorted(pairs, key=lambda p: (-p[0], p[1]))))
 
 
 def lhs_interchange(f: HomogeneousFn) -> float:

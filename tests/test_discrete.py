@@ -18,6 +18,7 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
 from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
                                TRACE_MAX_ALPHA, _crt, _fronts, _half_axis,
                                _inner_axis_log_product, _inner_axis_monomials,
+                               _inner_axis_traces,
                                _is_prime, _lattice_sum, _matmul_mod, _primes,
                                _roots_of_unity)
 
@@ -126,10 +127,14 @@ class TestBlockedLatticeSum:
         for term_fn, skip in cases:
             assert _lattice_sum(axes, term_fn, skip_zero_mode=skip) == \
                 per_row_lattice_sum(axes, term_fn, skip_zero_mode=skip)
-        if m > 1:   # log_det_rescaled: the inner axis is a closed form
-            outer_log = lambda v: _inner_axis_log_product(n, v)
-            assert _lattice_sum(axes[1:], outer_log, skip_zero_mode=True) == \
-                per_row_lattice_sum(axes[1:], outer_log, skip_zero_mode=True)
+        # log_det_rescaled and resolvent_trace: the inner axis is a closed form
+        if m > 1:
+            outer = [(lambda v: _inner_axis_log_product(n, v), True)] + [
+                (lambda v, a=a: _inner_axis_traces(n, v + 0.49, a), False)
+                for a in (m, TRACE_MAX_ALPHA)]
+            for term_fn, skip in outer:
+                assert _lattice_sum(axes[1:], term_fn, skip_zero_mode=skip) == \
+                    per_row_lattice_sum(axes[1:], term_fn, skip_zero_mode=skip)
 
 
 class TestOmega:

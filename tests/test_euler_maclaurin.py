@@ -407,8 +407,8 @@ class TestPrunedEvaluation:
                                       M=c[2])) == alone[c]
 
     def test_no_grid_for_vanishing_combos(self, monkeypatch):
-        # 12 atoms per axis at M = 4, 8 of them boundary derivatives: only
-        # the 4 x 4 combos without one build a grid, two axes each
+        # 7 atoms per axis at M = 4, 4 of them boundary derivatives: only
+        # the 3 x 3 combos without one build a grid, two axes each
         calls = []
 
         def counted(n, x):
@@ -417,7 +417,7 @@ class TestPrunedEvaluation:
 
         monkeypatch.setattr(em, "_axis_eigenvalues", counted)
         vals, _ = em_decompose(DiscreteTorus(2, 4), 1.0)
-        assert len(calls) == 2 * 16
+        assert len(calls) == 2 * 9
         assert all(v == 0.0 for k, v in vals.items() if 2 in k)
 
 

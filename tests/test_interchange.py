@@ -10,6 +10,7 @@ from torusdet import (Expansion, ExpTerm, HomogeneousFn, InputError,
                       TO_INFINITY, builtin_registry, check_interchange,
                       correction_term, lhs_interchange, rhs_interchange,
                       verify_homogeneity)
+from torusdet.interchange import fp_integral_from_one
 
 
 def by_name(name):
@@ -70,6 +71,19 @@ class TestSides:
         assert lhs_interchange(by_name("n^2/(z^2+n^2)")) == pytest.approx(
             -1.0, abs=1e-7)
         assert lhs_interchange(by_name("z^-2")) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [8.0, 64.0, 1024.0])
+    def test_from_one_keeps_the_log_of_a_z_inverse_tail(self, n):
+        # fp-integral of 1/(z+n) over [1, inf) is -log(1+n); its tail from
+        # the window end on is n^0 times that of 1/(u+1), whose z^-1 term
+        # contributes -log n through z/n
+        series = Expansion(TO_INFINITY, tuple(
+            ExpTerm(-1.0 - i, 0, (-1.0) ** i) for i in range(12)))
+        f = HomogeneousFn(name="1/(z+n)", evaluator=lambda z, n: 1.0 / (z + n),
+                          degree=-1.0, expansion_z=series, expansion_n=series)
+        verify_homogeneity(f)
+        assert fp_integral_from_one(f, n) == pytest.approx(-math.log1p(n),
+                                                           abs=1e-10)
 
     def test_rhs_values(self):
         assert rhs_interchange(by_name("n/(z^2+n^2)")) == pytest.approx(

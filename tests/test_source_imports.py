@@ -6,6 +6,8 @@ checked quadrature path, so only ``finite_part.py`` imports
 ``scipy.integrate``; reports are the command line's job, so only ``cli.py``
 imports ``json``.  Every import sits at the top of its module, so the
 module graph has no hidden edges and no cycle deferred into a function.
+``discrete._lattice_sum`` is the one reduction of spectral sums, so the
+sums built on it loop over nothing themselves.
 """
 
 import ast
@@ -82,3 +84,18 @@ def test_package_imports_form_no_cycle():
 
     for name in graph:
         visit(name, ())
+
+
+def test_spectral_sums_reduce_through_lattice_sum():
+    tree = ast.parse((SOURCES[0].parent / "discrete.py").read_text())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("resolvent_trace", "log_det_rescaled", "_extended_trace_sum"):
+        nodes = list(ast.walk(fns[name]))
+        assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                       for node in nodes), name
+        refs = {ast.unparse(node) for node in nodes
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        assert "math.fsum" not in refs, name
+        assert any(isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "_lattice_sum"
+                   for node in nodes), name
