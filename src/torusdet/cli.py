@@ -243,6 +243,10 @@ def _theorem_grid(args) -> str:
     return {3: "8:128:x1.2", 4: "8:64:x1.2"}.get(args.m, "16:4096:x2")
 
 
+def _converge_grid(args) -> str:
+    return {2: "8:2048:x2", 4: "8:128:x2"}.get(args.m, "8:1024:x2")
+
+
 def _product_grid(args) -> str:
     if args.mode == "by_count":
         return "16:4096:x2"
@@ -299,7 +303,8 @@ COMMANDS = {
                                (), False, (ARG_M, ARG_Z, ARG_ALPHA)),
     "converge": Command(cmd_converge, "discrete-to-continuum trace limit",
                         ("AC11",), False, (
-        ARG_M, ("--n-grid", {"default": "8:1024:x2"}), ARG_Z, ARG_ALPHA,
+        ARG_M, ("--n-grid", {"default": _converge_grid}), ARG_Z,
+        ("--alpha", {"type": int, "default": lambda args: args.m}),
         ("--tol", {"type": _tolerance, "default": 1e-4}))),
     "eigenproduct": Command(cmd_eigenproduct, "partial eigenvalue products",
                             ("AC12",), False, (

@@ -400,20 +400,14 @@ def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
     return n ** (q - 2.0 * m) * _window_integral(q, z / n, m)
 
 
-def homogeneous_weight(m: int, j: int) -> int:
-    """Net inclusion-exclusion multiplicity of the order ``-(m+j)`` block."""
-    q = m - j
-    return sum((-1) ** k * math.comb(m, k) * math.comb(m - k, q)
-               for k in range(0, j + 1))
-
-
 def homogeneous_components(m: int, z: float, n: float) -> dict:
-    """The jointly homogeneous terms ``j -> h_{-(m+j)}(z, n)`` of the trace."""
-    out = {}
-    for j in range(m + 1):
-        w = homogeneous_weight(m, j)
-        out[j] = 0.0 if w == 0 else w * scaled_bulk_term(m, m - j, z, n)
-    return out
+    """The jointly homogeneous terms ``j -> h_{-(m+j)}(z, n)`` of the trace.
+
+    The order ``-(m+j)`` block has net inclusion-exclusion multiplicity
+    ``sum_k (-1)^k C(m,k) C(m-k,m-j) = C(m,j) sum_k (-1)^k C(j,k)``, which
+    is ``[j == 0]``: only the all-integral block survives.
+    """
+    return {j: 0.0 if j else scaled_bulk_term(m, m, z, n) for j in range(m + 1)}
 
 
 def corner_term_cancellation(m: int):

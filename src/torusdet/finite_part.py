@@ -98,7 +98,7 @@ class RegIntResult:
     error_estimate: float
 
 
-def _quad(f, a, b, tol, *, points=None):
+def _quad(f, a, b, tol):
     """The package's one adaptive quadrature, ``tol`` absolute and relative.
 
     An IntegrationWarning or a non-finite value raises NumericalError.
@@ -107,7 +107,7 @@ def _quad(f, a, b, tol, *, points=None):
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
-                                      limit=400, points=points)
+                                      limit=400)
         except integrate.IntegrationWarning as exc:
             raise NumericalError(f"quadrature on [{a}, {b}] failed: {exc}") from exc
     if not math.isfinite(val):
@@ -221,39 +221,32 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     ``-kernel_dim`` of a closed manifold is used.  For m = 1 the
     correction is zero either way.
     """
-    return _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes,
-                          default_logdet_tail_basis(m))
+    return _logdet_regint(lambda z: z ** (2 * m - 1) * trace(z, m), m,
+                          kernel_dim, window_end, nonzero_modes,
+                          Expansion(TO_ZERO, ()), default_logdet_tail_basis(m))
 
 
-def _logdet_regint(trace, m, kernel_dim, window_end, nonzero_modes, tail):
-    """``logdet_via_regint`` with the tail of ``z**(2m-1) * trace`` a basis to
-    fit beyond ``window_end``, or a declared ``Expansion`` that ``trace``
-    leaves out from z = 1 on, integrated in closed form from 1."""
+def _logdet_regint(g, m, kernel_dim, window_end, nonzero_modes, zero, inf):
+    """``logdet_via_regint`` of ``g(z) = z**(2m-1) * trace``, with the tails
+    ``zero`` of ``g - kernel_dim/z`` below 1e-6 and ``inf`` of g beyond
+    ``window_end``, each anchored at its own window end."""
     if m < 1:
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
         raise InputError("kernel dimension must be >= 0")
     if not window_end > 1.0:
         raise InputError("need window_end > 1")
-
     kd = float(kernel_dim)
-    p = 2 * m - 1
 
-    def g(z):
-        return z ** p * trace(z, m)
+    def reduced(z):   # below eps0 its kernel cancellation leaves mostly noise
+        return g(z) - kd / z
 
-    def g_reduced(z):
-        return z ** p * (trace(z, m) - kd * z ** (-2 * m))
-
-    # below eps0 the kernel-subtracted integrand is O(z**(2m-1)); its exact
-    # contribution is negligible at DEFAULT_QUAD_TOL and quadrature noise
-    # from the kernel cancellation would dominate there
     eps0 = 1e-6
-    core_zero, _ = _quad(g_reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
+    core_zero, _ = _quad(reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
     core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
-    anchor = 1.0 if isinstance(tail, Expansion) else window_end
-    tail_value = _tail_part(g, "infinity", anchor, tail)[0]
-    raw = -2.0 * (core_zero + core_main + tail_value)
+    tail_zero = _tail_part(reduced, "zero", eps0, zero)[0]
+    tail_inf = _tail_part(g, "infinity", window_end, inf)[0]
+    raw = -2.0 * (core_zero + core_main + tail_zero + tail_inf)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
-    s0 = -float(kernel_dim) if nonzero_modes is None else float(nonzero_modes)
+    s0 = -kd if nonzero_modes is None else float(nonzero_modes)
     return raw - harmonic * s0

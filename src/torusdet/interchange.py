@@ -153,20 +153,18 @@ def lhs_interchange(f: HomogeneousFn) -> float:
     return constant
 
 
-def rhs_interchange(f: HomogeneousFn) -> float:
-    """Finite-part integral of the pointwise regularized limit, plus the
-    correction term.
+def _pointwise_limit_integral(f: HomogeneousFn) -> float:
+    """Finite-part integral over [1, inf) of the pointwise limit over n,
+    ``sum_k (-1)^k b_{0k} z^d log(z)^k`` from the constant-exponent block of
+    the declared n-expansion, term by term in closed form."""
+    return math.fsum((-1.0) ** t.k * t.coeff
+                     * finite_part_tail_inf(f.degree, t.k, 1.0)
+                     for t in f.expansion_n.terms if t.alpha == 0.0)
 
-    The pointwise limit over n is ``sum_k (-1)^k b_{0k} z^d log(z)^k`` built
-    from the constant-exponent block of the declared n-expansion; each term
-    integrates in closed form.
-    """
-    total = 0.0
-    for t in f.expansion_n.terms:
-        if t.alpha == 0.0:
-            coeff = (-1.0) ** t.k * t.coeff
-            total += coeff * finite_part_tail_inf(f.degree, t.k, 1.0)
-    return total + correction_term(f)
+
+def rhs_interchange(f: HomogeneousFn) -> float:
+    """Finite-part integral of the pointwise limit plus the correction."""
+    return _pointwise_limit_integral(f) + correction_term(f)
 
 
 def check_interchange(f: HomogeneousFn, tol: float = 1e-6) -> InterchangeReport:
@@ -174,7 +172,7 @@ def check_interchange(f: HomogeneousFn, tol: float = 1e-6) -> InterchangeReport:
     verify_homogeneity(f)
     lhs = lhs_interchange(f)
     corr = correction_term(f)
-    rhs = rhs_interchange(f)
+    rhs = _pointwise_limit_integral(f) + corr
     diff = abs(lhs - rhs)
     return InterchangeReport(name=f.name, lhs=lhs, rhs=rhs, corr=corr,
                              degree=f.degree, abs_diff=diff,

@@ -25,8 +25,8 @@ from scipy import special
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
-from .expansion import (TO_INFINITY, BasisSpec, Expansion, Samples,
-                        extract_reglimit)
+from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion,
+                        Samples, extract_reglimit)
 from .discrete import (MAX_SUM_LATTICE, DiscreteTorus, _check_sum_size,
                        _reduced_modes, log_det_series, resolvent_trace)
 from . import finite_part
@@ -179,13 +179,14 @@ def log_det_zeta(m: int) -> float:
 def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     """Log-determinant via the finite-part resolvent-trace integral.
 
-    Independent route: must agree with ``log_det_zeta(m)``.  From z = 1 on
-    the trace's lead term ``pi^(m/2) Gamma(m/2)/Gamma(m) z^(-m)`` is taken
-    out and integrated in closed form.  Beyond ``window_end`` the trace is
-    that term to rounding; a ``window_end`` below that floor (about 14 to
-    15.7 for m = 1..4) is refused.  Past twice the floor the reduced
-    integrand is zero to rounding, so the core quadrature stops there: on a
-    longer core it would miss the integrand's bump below the floor.
+    Independent route: must agree with ``log_det_zeta(m)``.  The trace's
+    lead term ``c z^(-m)``, ``c = pi^(m/2) Gamma(m/2)/Gamma(m)``, is taken
+    out at every z: ``c z^(m-1)`` has finite part 0 over (0, inf) and is the
+    declared tail below 1e-6.  Beyond ``window_end`` the rest is zero to
+    rounding; a ``window_end`` below that floor (about 14 to 15.7 for
+    m = 1..4) is refused.  Past twice the floor the reduced integrand is
+    zero to rounding, so the core quadrature stops there: on a longer core
+    it would miss the integrand's bump below the floor.
     """
     check_dimension(m)
     floor = _lead_radius(m)
@@ -194,15 +195,14 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
                          "where the trace reaches its lead term")
     lead = _lead(m, m)
 
-    def trace(z, alpha):   # from z = 1 on less its lead term lead z^(-m)
-        if z < 1.0:
-            return resolvent_trace_continuum(m, z, alpha)
-        return (_shell_series(m, z, alpha) - lead * z ** -m
-                * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
+    def g(z):   # z^(2m-1) times the trace less lead z^(-m)
+        return z ** (2 * m - 1) * (
+            _shell_series(m, z, m) - lead * z ** -m
+            * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
 
-    tail = Expansion(TO_INFINITY, ((m - 1.0, 0, lead),))
-    return finite_part._logdet_regint(trace, m, 1, min(window_end, 2 * floor),
-                                      None, tail)
+    return finite_part._logdet_regint(
+        g, m, 1, min(window_end, 2 * floor), None,
+        Expansion(TO_ZERO, ((m - 1.0, 0, -lead),)), Expansion(TO_INFINITY, ()))
 
 
 # -- partial eigenvalue products --------------------------------------------

@@ -156,6 +156,16 @@ class TestCommands:
         # the traces reduce n^2 outer modes, so 8:1024:x2 fits the cap
         assert main(["converge", "--m", "3", "--alpha", "3"]) in (0, 1)
 
+    @pytest.mark.parametrize("m,grid,code", [
+        (1, "8:1024:x2", 0), (2, "8:2048:x2", 0), (3, "8:1024:x2", 0),
+        # below the enumeration cap m = 4 ends near 1e-3, short of --tol 1e-4
+        (4, "8:128:x2", 1)])
+    def test_converge_defaults_derived_from_m(self, m, grid, code, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["converge", "--m", str(m), "--json-out", str(out)]) == code
+        config = json.loads(out.read_text())["config"]
+        assert (config["alpha"], config["n_grid"]) == (m, grid)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("command,grids", [
         (["main-theorem"], ("16:4096:x2", "16:4096:x2", "8:128:x1.2",

@@ -476,6 +476,12 @@ class TestHomogeneousStructure:
                 assert resid <= 1e-14 * z ** (-2 * m) or resid == 0.0
 
     def test_weights(self):
+        # the order -(m+j) block's inclusion-exclusion multiplicity is
+        # [j == 0], which homogeneous_components states
+        for m in range(1, 9):
+            for j in range(m + 1):
+                assert sum((-1) ** k * math.comb(m, k) * math.comb(m - k, m - j)
+                           for k in range(j + 1)) == (j == 0)
         comps = homogeneous_components(1, 1.0, 8.0)
         assert comps[1] == 0.0  # the order -2m term cancels
         comps2 = homogeneous_components(2, 1.0, 8.0)

@@ -14,6 +14,7 @@ from torusdet import (BasisSpec, Expansion, InputError, NumericalError,
                       finite_part_tail_zero, integral_term, logdet_via_regint,
                       reg_integral)
 from torusdet import DiscreteTorus, log_det, resolvent_trace
+from torusdet.finite_part import _logdet_regint
 
 LORENTZ_ZERO = BasisSpec(((0.0, 0), (2.0, 0), (4.0, 0), (6.0, 0)))
 LORENTZ_INF = BasisSpec(((-2.0, 0), (-4.0, 0), (-6.0, 0), (-8.0, 0)))
@@ -188,6 +189,16 @@ class TestLogdetRoute:
     @pytest.mark.parametrize("lam", [0.5, 4.0])
     def test_single_eigenvalue(self, lam):
         v = logdet_via_regint(lambda z, a: (lam + z * z) ** (-a), 1, 0)
+        assert v == pytest.approx(math.log(lam), abs=1e-10)
+
+    @pytest.mark.parametrize("window_end", [16.0, 64.0])
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    def test_declared_tail_anchored_at_window_end(self, lam, window_end):
+        # z/(lam + z^2) = sum_j (-1)^j lam^j z^(-2j-1) beyond sqrt(lam)
+        tail = Expansion(TO_INFINITY, tuple(
+            (-2.0 * j - 1.0, 0, (-lam) ** j) for j in range(8)))
+        v = _logdet_regint(lambda z: z / (lam + z * z), 1, 0, window_end,
+                           None, Expansion(TO_ZERO, ()), tail)
         assert v == pytest.approx(math.log(lam), abs=1e-10)
 
     def test_kernel_only(self):

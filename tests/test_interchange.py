@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from torusdet import (Expansion, ExpTerm, HomogeneousFn, InputError,
                       TO_INFINITY, builtin_registry, check_interchange,
-                      correction_term, lhs_interchange, rhs_interchange,
-                      verify_homogeneity)
+                      correction_term, lhs_interchange, reg_integral,
+                      rhs_interchange, verify_homogeneity)
+from torusdet import interchange
 from torusdet.interchange import fp_integral_from_one
 
 
@@ -102,6 +103,20 @@ class TestCheck:
         rep = check_interchange(by_name(name), tol=1e-6)
         assert rep.passed
         assert rep.abs_diff == abs(rep.lhs - rep.rhs)
+
+    def test_correction_integral_computed_once(self, monkeypatch):
+        # one finite-part integral per degree -1 function, shared by the
+        # correction and the right-hand side
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reg_integral(*args, **kwargs)
+
+        monkeypatch.setattr(interchange, "reg_integral", counted)
+        for f in builtin_registry():
+            check_interchange(f)
+        assert len(calls) == sum(f.degree == -1.0 for f in builtin_registry())
 
     def test_both_branches_covered(self):
         degrees = [f.degree for f in builtin_registry()]

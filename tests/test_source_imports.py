@@ -7,7 +7,9 @@ checked quadrature path, so only ``finite_part.py`` imports
 imports ``json``.  Every import sits at the top of its module, so the
 module graph has no hidden edges and no cycle deferred into a function.
 ``discrete._lattice_sum`` is the one reduction of spectral sums, so the
-sums built on it loop over nothing themselves.
+sums built on it loop over nothing themselves.  A finite-part tail means
+one thing wherever it is passed, so only ``finite_part._tail_part`` asks
+whether it is a declared ``Expansion``.
 """
 
 import ast
@@ -99,3 +101,17 @@ def test_spectral_sums_reduce_through_lattice_sum():
         assert any(isinstance(node, ast.Call)
                    and ast.unparse(node.func) == "_lattice_sum"
                    for node in nodes), name
+
+
+def test_only_tail_part_asks_whether_a_tail_is_declared():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.stem, fn.name) == ("finite_part", "_tail_part")
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "isinstance"
+                    and "Expansion" in ast.unparse(node.args[1])):
+                assert id(node) in allowed, (path.name, node.lineno)
