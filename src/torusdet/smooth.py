@@ -48,16 +48,25 @@ def _min_alpha(m: int) -> int:
 def _shells(m: int, r2max: int):
     """Squared norms ``0..r2max`` that occur in Z^m, zero first, with their
     multiplicities: the one-axis table (1 at 0, 2 at k^2), then per further
-    axis every shell s scattered over ``s + k^2`` in one dense count array."""
+    axis every shell s scattered over ``s + k^2`` in one dense count array.
+    The first scatter pairs {k^2} with itself: pairs i < j twice, i = j once.
+    Both arrays are read-only, as the cached tables are shared."""
     k2 = np.arange(math.isqrt(r2max) + 1, dtype=np.int64) ** 2
-    norms, counts = k2, np.where(k2 > 0, 2, 1)
-    for _ in range(m - 1):
-        dense = np.zeros(r2max + 1, dtype=np.int64)
-        for k, step in enumerate(k2.tolist()):
-            j = np.searchsorted(norms, r2max - step, side="right")
-            dense[norms[:j] + step] += counts[:j] * (2 if k else 1)
-        norms = np.flatnonzero(dense)
+    norms, counts = k2, np.where(k2 > 0, 2, 1).astype(np.int32)
+    for axis in range(1, m):
+        first = axis == 1   # {k^2} with itself: the rows i with 2 i^2 <= r2max
+        rows = math.isqrt(r2max // 2) + 1 if first else len(k2)
+        dense = np.zeros(r2max + 1, dtype=np.int32)
+        if first:   # the pairs (i, i); the loop adds i < j twice
+            dense[2 * k2[:rows]] = counts[:rows] ** 2
+        ends = np.searchsorted(norms, r2max - k2[:rows], side="right").tolist()
+        for k, (step, end) in enumerate(zip(k2.tolist(), ends)):
+            lo = k + 1 if first else 0
+            weight = (2 if k else 1) * (2 if first else 1)
+            dense[norms[lo:end] + step] += counts[lo:end] * weight
+        norms = np.nonzero(dense > 0)[0]
         counts = dense[norms]
+    norms.flags.writeable = counts.flags.writeable = False
     return norms, counts
 
 

@@ -13,7 +13,9 @@ from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       logdet_zeta_via_regint, partial_log_product,
                       resolvent_trace_continuum, zeta_continued)
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE
-from torusdet.smooth import _lead_radius, _shells
+from torusdet import smooth
+from torusdet.smooth import (TRACE_SHELLS, ZETA_SHELLS, _fixed_shells,
+                             _lead_radius, _shells)
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
 
@@ -178,9 +180,30 @@ class TestZeta:
         assert log_det_zeta(2) == pytest.approx(ref, abs=1e-10)
 
 
+def unpaired_shells(m, r2max):
+    """The shell table by the unpaired scatter: every row k of every further
+    axis adds the whole current table at ``s + k^2`` into an int64 array.
+    The library's paired int32 scatter must return the same integers."""
+    k2 = np.arange(math.isqrt(r2max) + 1, dtype=np.int64) ** 2
+    norms, counts = k2, np.where(k2 > 0, 2, 1)
+    for _ in range(m - 1):
+        dense = np.zeros(r2max + 1, dtype=np.int64)
+        for k, step in enumerate(k2.tolist()):
+            j = np.searchsorted(norms, r2max - step, side="right")
+            dense[norms[:j] + step] += counts[:j] * (2 if k else 1)
+        norms = np.flatnonzero(dense)
+        counts = dense[norms]
+    return norms, counts
+
+
+# k^2 and 2 k^2, plus or minus 1: where the paired first scatter ends a row
+ROW_ENDS = sorted({c * k * k + d for k in range(1, 5) for c in (1, 2)
+                   for d in (-1, 0, 1)} | {60, 500})
+
+
 class TestShells:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("r2max", [0, 1, 2, 60, 500])
+    @pytest.mark.parametrize("r2max", ROW_ENDS)
     def test_matches_enumerated_norms(self, m, r2max):
         norms, counts = _shells(m, r2max)
         ref_norms, ref_counts = np.unique(ball_norms(m, r2max),
@@ -201,6 +224,47 @@ class TestShells:
             assert r2.get(n, 0) == 4 * (sum(d % 4 == 1 for d in ds)
                                         - sum(d % 4 == 3 for d in ds))
             assert r4[n] == 8 * sum(d for d in ds if d % 4)
+
+    def test_jacobi_two_squares_sieved(self):
+        # r_2(n) = 4 (d_1(n) - d_3(n)) for every n <= 20011, by a divisor sieve
+        r2max = 20011
+        chi = np.zeros(r2max + 1, dtype=np.int64)
+        for d in range(1, r2max + 1, 2):
+            chi[d::d] += 1 if d % 4 == 1 else -1
+        dense = np.zeros(r2max + 1, dtype=np.int64)
+        norms, counts = _shells(2, r2max)
+        dense[norms] = counts
+        assert dense[0] == 1
+        assert (dense[1:] == 4 * chi[1:]).all()
+
+    @pytest.mark.parametrize("m,r2max", [(2, 1229 ** 2 + 1), (3, 40000),
+                                         (4, 3000)])
+    def test_equals_unpaired_scatter(self, m, r2max):
+        norms, counts = _shells(m, r2max)
+        ref_norms, ref_counts = unpaired_shells(m, r2max)
+        assert np.array_equal(norms, ref_norms)
+        assert np.array_equal(counts, ref_counts)
+
+    def test_eigenproduct_is_bit_identical_to_unpaired_scatter(
+            self, monkeypatch):
+        grid = [8.0 * 2 ** (i / 2) for i in range(15)]
+        paired = eigenproduct_reglimit(2, "by_cutoff", grid)
+        monkeypatch.setattr(smooth, "_shells", unpaired_shells)
+        assert paired == eigenproduct_reglimit(2, "by_cutoff", grid)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_cached_tables_are_read_only(self, m):
+        trace = resolvent_trace_continuum(m, 1.0, m)
+        zeta = zeta_continued(m, -0.5)
+        for r2max in (TRACE_SHELLS, ZETA_SHELLS):
+            for table in _fixed_shells(m, r2max):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[-1] = 0
+                with pytest.raises(ValueError):
+                    table += 1
+        assert resolvent_trace_continuum(m, 1.0, m) == trace
+        assert zeta_continued(m, -0.5) == zeta
 
 
 class TestRouteEquality:
