@@ -18,9 +18,13 @@ differentiation enters the main path.
 Odd-order axis derivatives carry a factor ``sin(2 pi x / n)`` and vanish at
 the lattice endpoints, so every pattern containing the boundary piece is an
 exact zero of its evaluated factors (angles are reduced modulo the period)
-and builds no grid.  Axis grids are folded to their nodes below n/2 (the
-integrands are even under x -> n - x), each axis factor is evaluated once
-per decomposition, and derivatives stream one ladder of powers of 1/f.
+and builds no grid; a coefficient monomial with an identically zero jet is
+skipped before any array arithmetic.  Axis grids are folded to their nodes
+below n/2 (the integrands are even under x -> n - x), each axis factor is
+evaluated once per decomposition, and derivatives stream one ladder of
+powers of 1/f through blocks of rows of the first axis, about
+``discrete.LATTICE_BLOCK`` elements each, so the working set stays in cache
+and the pattern values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import numpy as np
 from scipy import special
 
 from .errors import InputError, check_dimension, check_resolvent_parameter
-from .discrete import (DiscreteTorus, _axis_eigenvalues, _extended_trace_sum,
-                       resolvent_trace)
+from .discrete import (LATTICE_BLOCK, DiscreteTorus, _axis_eigenvalues,
+                       _extended_trace_sum, resolvent_trace)
 from .finite_part import _quad
 
 BERNOULLI_CAP = 250
@@ -206,9 +210,14 @@ def _jet_matrix(n: int, xs: np.ndarray, max_order: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray) -> np.ndarray:
+def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray,
+            dead=frozenset()) -> np.ndarray:
+    """``H_{k,ell}`` on the nodes of ``jets``, skipping every monomial with a
+    jet order in ``dead``, whose rows are 0.0 at every node: such terms are
+    signed zeros and leave the sum, started at +0.0, unchanged."""
     return sum((math.prod((jets[o] for o in mono), start=float(coef))
-                for mono, coef in _h_monomials(k, ell, alpha)),
+                for mono, coef in _h_monomials(k, ell, alpha)
+                if dead.isdisjoint(mono)),
                np.zeros(jets.shape[1]))
 
 
@@ -245,8 +254,10 @@ def _axis_factor(memo: dict, n: int, axis, ell: int, a: int):
     key, xs, o = axis
     if (key, o, ell, a) not in memo:
         if (key, o) not in memo:
-            memo[key, o] = _jet_matrix(n, xs, o - 1)
-        h = _h_eval(o, ell, a, memo[key, o])
+            jets = _jet_matrix(n, xs, o - 1)
+            dead = np.flatnonzero(~jets.any(axis=1)).tolist()
+            memo[key, o] = jets, set(dead)
+        h = _h_eval(o, ell, a, *memo[key, o])
         memo[key, o, ell, a] = h if h.any() else None
     return memo[key, o, ell, a]
 
@@ -260,26 +271,36 @@ def _mixed_deriv_grid(n, z, alpha, axes, memo):
     whose factor is exactly 0.0 at every node.  Such zeros are all or
     nothing per atom (odd orders vanish at x = 0 and x = n, never at a cell
     node), so kept terms start at the same power; with none kept the zero
-    grid returns before F is formed.  F is summed over the broadcast axes
-    in axis order; the sum walks the terms sorted by exponent, raising one
-    power grid by ``R = 1/F``, and adds each ``prod(c) F^(-a)`` pointwise.
+    grid returns before F is formed.  The grid is filled in blocks of rows
+    of the first axis, about ``LATTICE_BLOCK`` elements each: per block F
+    is summed over the broadcast axes in axis order, and the sum walks the
+    terms sorted by exponent, raising one power grid by ``R = 1/F`` and
+    adding each ``prod(c) F^(-a)`` pointwise.  Every element sees the same
+    operations in the same order whatever the block size.
     """
     m, terms = len(axes), [((), alpha)]
     for j, axis in reversed([(j, ax) for j, ax in enumerate(axes) if ax[2]]):
         terms = [(c + (h.reshape((-1,) + (1,) * (m - 1 - j)),), a + ell + 1)
                  for c, a in terms for ell in range(axis[2])
                  if (h := _axis_factor(memo, n, axis, ell, a)) is not None]
+    out = np.zeros([len(xs) for _, xs, _ in axes])
     if not terms:
-        return np.zeros([len(xs) for _, xs, _ in axes])
+        return out
     grids = [_axis_eigenvalues(n, xs).reshape((-1,) + (1,) * (m - 1 - j))
              for j, (_, xs, _) in enumerate(axes)]
-    F = sum(grids[1:], grids[0]) + z * z
-    power, R, out = min(a for _, a in terms), 1.0 / F, 0.0
-    P = F ** -float(power)
-    for c, a in sorted(terms, key=lambda term: term[1]):
-        for power in range(power + 1, a + 1):
-            P *= R
-        out += math.prod(c) * P
+    terms.sort(key=lambda term: term[1])
+    step = max(1, LATTICE_BLOCK // math.prod(out.shape[1:]))
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        # only the first axis's grid and factors have m dimensions
+        F = sum(grids[1:], grids[0][rows]) + z * z
+        power, R = terms[0][1], 1.0 / F
+        P = F ** -float(power)
+        for c, a in terms:
+            for power in range(power + 1, a + 1):
+                P *= R
+            out[rows] += math.prod(h[rows] if h.ndim == m else h
+                                   for h in c) * P
     return out
 
 

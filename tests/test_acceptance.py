@@ -13,6 +13,7 @@ import pytest
 import torusdet as td
 from torusdet import BasisSpec, DiscreteTorus, Samples
 from torusdet.expansion import fit_expansion
+from torusdet.smooth import _lead_radius
 
 LOG_4PI2 = math.log(4 * math.pi ** 2)          # = 2 log 2 pi
 LOGDET_ZETA_2 = float(mpmath.log(mpmath.gamma(0.25) ** 4 / (4 * mpmath.pi)))
@@ -125,12 +126,16 @@ def test_ac6_discrete_logdet_via_regint():
 
 
 def test_ac7_continuum_route_equality():
-    # one bound for every m, at the default window_end 64 and at 128; the
-    # largest measured error is 3.3e-12, at m = 1
+    # one bound for every m, at the default window_end 64, at 128, and at
+    # the window floor and 1.5 times it (windows from twice the floor on
+    # repeat one core quadrature); the largest measured error is 3.3e-12,
+    # at m = 1
     refs = {1: LOG_4PI2, 2: td.log_det_zeta(2), 3: td.log_det_zeta(3),
             4: td.log_det_zeta(4)}
+    windows = {m: (_lead_radius(m), 1.5 * _lead_radius(m), 64.0, 128.0)
+               for m in refs}
     errs = {(m, w): abs(td.logdet_zeta_via_regint(m, window_end=w) - refs[m])
-            for m in refs for w in (64.0, 128.0)}
+            for m in refs for w in windows[m]}
     report("AC7", max(errs.values()) <= 1e-11,
            ", ".join(f"m={m} window {w:g} err {e:.2e}"
                      for (m, w), e in errs.items()) + " (<=1e-11)")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import comb
@@ -390,13 +391,56 @@ class TestPrunedEvaluation:
                     assert h_coefficient(k, ell, n, 0.0, a) == 0.0
                     assert h_coefficient(k, ell, n, float(n), a) == 0.0
 
-    @pytest.mark.parametrize("m,n", [(1, 8), (2, 4), (2, 7), (2, 8), (2, 16)])
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_skipped_monomials_change_no_bit(self, n):
+        # at x = 0 and x = n the even-order jets are 0.0; skipping their
+        # monomials keeps every value, the sign of zero included, and
+        # leaves no monomial of an odd order
+        jets = _jet_matrix(n, np.array([0.0, float(n)]), 2 * EM_MAX_ORDER)
+        dead = {o for o in range(len(jets)) if not jets[o].any()}
+        assert dead == set(range(0, len(jets), 2))
+        for k in range(1, 2 * EM_MAX_ORDER + 2):
+            for ell in range(k):
+                for a in range(1, 15):
+                    assert _h_eval(k, ell, a, jets, dead).tobytes() == \
+                        _h_eval(k, ell, a, jets).tobytes()
+                    live = [mono for mono, _ in _h_monomials(k, ell, a)
+                            if dead.isdisjoint(mono)]
+                    assert k % 2 == 0 or not live
+
+    # (2, 12) fills its 192 rows in blocks of 85, the last one ragged; (2, 32)
+    # takes 16 blocks of 32 rows
+    @pytest.mark.parametrize("m,n", [(1, 8), (2, 4), (2, 7), (2, 8), (2, 12),
+                                     (2, 16), (2, 32)])
     def test_patterns_are_bit_identical_to_the_unpruned_loop(self, m, n):
         t = DiscreteTorus(m, n)
         for z in (0.4, 1.0):
             for M in [default_truncation(m)] + ([6] if n <= 8 else []):
                 assert hexes(em_decompose(t, z, M=M)) == hexes(
                     unpruned_em_decompose(t, z, M))
+
+    @pytest.mark.parametrize("block", [1, 1 << 30])
+    def test_patterns_do_not_depend_on_the_block_size(self, monkeypatch,
+                                                       block):
+        # one row of the first axis per block, and the whole grid in one
+        cases = [(1, 8, 0.4), (2, 7, 0.4), (2, 12, 1.0)]
+        blocked = {c: hexes(em_decompose(DiscreteTorus(c[0], c[1]), c[2]))
+                   for c in cases}
+        monkeypatch.setattr(em, "LATTICE_BLOCK", block)
+        for m, n, z in cases:
+            assert hexes(em_decompose(DiscreteTorus(m, n), z)) == \
+                blocked[m, n, z]
+
+    def test_peak_memory_of_the_bench_size(self):
+        # row blocks keep one full grid, the output, plus cache-sized
+        # temporaries: about 3.2 MiB traced, against 10.6 MiB for whole grids
+        tracemalloc.start()
+        try:
+            em_decompose(DiscreteTorus(2, 32), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_interleaved_calls_match_separate_calls(self):
         cases = [(2, 4, 4), (1, 8, 6), (2, 8, 6), (2, 4, 6), (1, 8, 2)]

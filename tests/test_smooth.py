@@ -270,10 +270,13 @@ class TestShells:
 class TestRouteEquality:
     # the AC7 bound at windows up to 1e6; the largest measured error is
     # 3.3e-12, at m = 1.  The core quadrature stops at twice the window
-    # floor: on a core as long as 4000 it misses the bump below z = 15
+    # floor: on a core as long as 4000 it misses the bump below z = 15.
+    # Every window from twice the floor on is one computation, so the floor
+    # and 1.5 times it are the windows with cores of their own
     @staticmethod
     def check(m, reference):
-        for window_end in (64.0, 128.0, 4000.0, 1e4, 1e6):
+        floor = _lead_radius(m)
+        for window_end in (floor, 1.5 * floor, 64.0, 128.0, 4000.0, 1e4, 1e6):
             assert abs(logdet_zeta_via_regint(m, window_end=window_end)
                        - reference) <= 1e-11
 
