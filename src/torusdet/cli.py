@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -322,6 +323,7 @@ COMMANDS = {
 }
 
 
+@functools.cache   # reusable: main changes only the Namespace it gets back
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="torusdet",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
@@ -224,31 +224,34 @@ def partial_log_product(m: int, mode: str, parameter) -> float:
     ascending order (ties within an eigenvalue shell are norm-equal, so the
     documented lexicographic tie-break does not change the value).
     """
-    return _product_table(m, mode, [float(parameter)])(float(parameter))[1]
+    return float(_log_products(m, mode, [parameter])[1][0, 0])
 
 
-def _product_table(m: int, mode: str, parameters, reach: float = 1.0):
-    """Partial products up to ``reach`` times the largest parameter (each at
-    least 1; a count, or the about ``V_m Lambda^m`` norms below a cutoff, at
-    most ``MAX_SUM_LATTICE``) from one table of Z^m shells: a function of a
-    parameter returning the eigenvalue count and the log product.  A count
-    N takes the shells up to radius ``r + sqrt(m)/2`` with
-    ``V_m r^m = N + 1``: the unit cubes centred on their points cover the
-    ball of radius r, so they hold N nonzero points.
+def _log_products(m: int, mode: str, parameters, window=(1.0,)):
+    """Eigenvalue counts and log products at every parameter (each at least
+    1) times every window factor: two arrays of shape
+    ``(len(parameters), len(window))``, read by one search from one table of
+    Z^m shells.  The largest sample, a count or the about ``V_m Lambda^m``
+    norms below a cutoff, is at most ``MAX_SUM_LATTICE``.  A count N takes
+    the shells up to radius ``r + sqrt(m)/2`` with ``V_m r^m = N + 1``: the
+    unit cubes centred on their points cover the ball of radius r, so they
+    hold N nonzero points.
     """
     check_dimension(m)
     if mode not in ("by_cutoff", "by_count"):
         raise InputError(f"unknown mode {mode!r}")
-    if not all(p >= 1 for p in parameters):
+    parameters = np.asarray(parameters, dtype=float)
+    if not (parameters >= 1).all():
         raise InputError(f"{mode[3:]} must be >= 1")
-    largest = max(parameters, default=1.0) * reach
+    samples = np.multiply.outer(parameters, window)
+    largest = float(samples.max(initial=1.0))
     vol = _ball_volume(m)
     if not largest <= (MAX_SUM_LATTICE if mode == "by_count"
                        else (MAX_SUM_LATTICE / vol) ** (1.0 / m)):
         raise InputError(f"{mode} parameter {largest:g} needs more than "
                          f"{MAX_SUM_LATTICE} lattice norms")
-    if mode == "by_cutoff":   # one more, for a window end rounded up
-        r2max = math.floor(largest * largest) + 1
+    if mode == "by_cutoff":
+        r2max = math.floor(largest * largest)
     else:
         r2max = math.ceil((((largest + 1.0) / vol) ** (1.0 / m)
                            + math.sqrt(m) / 2) ** 2)
@@ -256,17 +259,14 @@ def _product_table(m: int, mode: str, parameters, reach: float = 1.0):
     # the nonzero eigenvalues in the i smallest shells, and their log product
     count = np.concatenate(([0], np.cumsum(counts)))
     logs = np.concatenate(([0.0], np.cumsum(counts * np.log(norms))))
-
-    def by_cutoff(lam):
-        i = int(np.searchsorted(norms, math.floor(lam * lam), side="right"))
-        return int(count[i]), float(logs[i])
-
-    def by_count(n):
-        n = math.floor(n)
-        i = int(np.searchsorted(count, n))   # the i-th shell completes n
-        return n, float(logs[i] - (count[i] - n) * math.log(norms[i - 1]))
-
-    return by_cutoff if mode == "by_cutoff" else by_count
+    if mode == "by_cutoff":
+        i = np.searchsorted(norms, np.floor(samples * samples), side="right")
+        return count[i], logs[i]
+    n = np.floor(samples)
+    i = np.searchsorted(count, n)   # the i-th shell completes n
+    # math.log: np.log differs from it in the last bit on a few norms
+    last = np.vectorize(math.log, otypes=[float])(norms[i - 1])
+    return n, logs[i] - (count[i] - n) * last
 
 
 def _ball_volume(m: int) -> float:
@@ -303,8 +303,9 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis=None):
     ``log x`` and 1, plus Stirling's ``x^-1`` and ``x^-3`` at m = 1.
     ``basis=None`` derives it; an explicit ``BasisSpec`` replaces it.
 
-    Unsmoothed, a partial product depends only on the floor of its
-    parameter, so it is fitted at the distinct floors of the grid.
+    One search in one shell table reads every window cutoff.  Unsmoothed, a
+    window is one point, and as a product depends only on the floor of its
+    parameter, it is fitted at the distinct floors of the grid.
 
     For m >= 2 in cutoff mode the samples carry lattice-point counting
     oscillation of size ``Lambda^(1/2+)`` which a least-squares fit
@@ -319,33 +320,27 @@ def eigenproduct_reglimit(m: int, mode: str, grid, basis=None):
     window remixes each smooth basis group within itself and leaves the
     constant coefficient intact.
     """
-    grid = [float(g) for g in grid]
+    grid = np.asarray(grid, dtype=float)
     smoothed = mode == "by_cutoff" and m >= 2
-    product = _product_table(m, mode, grid,
-                             SMOOTH_HALFWIDTH if smoothed else 1.0)
+    ratio = SMOOTH_HALFWIDTH ** (1.0 / (SMOOTH_POINTS // 2))
+    half = SMOOTH_POINTS // 2 if smoothed else 0   # else one point
+    window = [ratio ** j for j in range(-half, half + 1)]
+    counts, logs = _log_products(m, mode, grid, window)
     if not smoothed:   # a step function of the parameter's floor: fit there
-        grid = sorted({float(math.floor(g)) for g in grid})
+        grid, first = np.unique(np.floor(grid), return_index=True)
+        counts, logs = counts[first], logs[first]
     if basis is None:
         e = m if mode == "by_cutoff" else 1
         basis = BasisSpec(((e, 1), (e, 0), (0, 1), (0, 0))
                           + (((-1, 0), (-3, 0)) if m == 1 else ()))
-    if smoothed:
-        half = SMOOTH_POINTS // 2
-        ratio = SMOOTH_HALFWIDTH ** (1.0 / half)
-        vol = _ball_volume(m)
-
-        def corrected(lam):
-            count, log_product = product(lam)
-            return log_product - (count - vol * lam ** m) * math.log(lam * lam)
-
-        ys = []
-        for lam in grid:
-            window = [lam * ratio ** j for j in range(-half, half + 1)]
-            ys.append(math.fsum(corrected(w) for w in window) / len(window))
-    else:
-        ys = [product(g)[1] for g in grid]
-    constant, uncertainty = extract_reglimit(
-        Samples(np.array(grid), np.array(ys)), basis)
+    vol = _ball_volume(m)
+    ys = []
+    for lam, ns, row in zip(grid.tolist(), counts.tolist(), logs.tolist()):
+        if smoothed:   # the counting term, on Python floats
+            row = [v - (n - vol * w ** m) * math.log(w * w) for n, v, w in
+                   zip(ns, row, (lam * f for f in window))]
+        ys.append(math.fsum(row) / len(row))
+    constant, uncertainty = extract_reglimit(Samples(grid, ys), basis)
     return constant, uncertainty, log_det_zeta(m)
 
 
@@ -358,10 +353,6 @@ class ConvergenceReport:
     final_abs_diff: float
     derivative_rel_err_discrete: float
     derivative_rel_err_continuum: float
-
-
-def _fd4(f, z: float, h: float) -> float:
-    return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
 
 
 def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport:
@@ -393,15 +384,11 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
 
     h = z / 400.0   # the relative truncation error goes as (h/z)^4
-    fd_d = _fd4(lambda s: resolvent_trace(t_big, s, alpha), z, h)
-    ident_d = -2.0 * alpha * z * resolvent_trace(t_big, z, alpha + 1)
-    rel_d = abs(fd_d - ident_d) / max(abs(ident_d), 1e-300)
-
-    fd_c = _fd4(lambda s: resolvent_trace_continuum(m, s, alpha), z, h)
-    ident_c = -2.0 * alpha * z * resolvent_trace_continuum(m, z, alpha + 1)
-    rel_c = abs(fd_c - ident_c) / max(abs(ident_c), 1e-300)
-
-    return ConvergenceReport(rows=rows, strictly_decreasing=decreasing,
-                             final_abs_diff=diffs[-1],
-                             derivative_rel_err_discrete=rel_d,
-                             derivative_rel_err_continuum=rel_c)
+    rel = []
+    for trace in (partial(resolvent_trace, t_big),
+                  partial(resolvent_trace_continuum, m)):
+        f = [trace(z + k * h, alpha) for k in (2, 1, -1, -2)]
+        fd = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
+        ident = -2.0 * alpha * z * trace(z, alpha + 1)
+        rel.append(abs(fd - ident) / max(abs(ident), 1e-300))
+    return ConvergenceReport(rows, decreasing, diffs[-1], *rel)

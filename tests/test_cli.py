@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusdet
-from torusdet.cli import main, parse_grid
+from torusdet.cli import build_parser, main, parse_grid
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE, MAX_TREE_VERTICES
 from torusdet.errors import InputError
 from torusdet.euler_maclaurin import EM_MAX_GRID, GL_ORDER_PATTERNS
@@ -377,6 +377,23 @@ class TestReproducibility:
         ra.pop("timings")
         rb.pop("timings")
         assert ra == rb
+
+    def test_reused_parser_gives_identical_reports(self, tmp_path):
+        # one parser serves every main call in a process: a run with other
+        # options in between, defaults derived from m included, leaves the
+        # next report as the first
+        assert build_parser() is build_parser()
+        reports = []
+        for i, argv in enumerate((["eigenproduct", "--m", "2"],
+                                  ["eigenproduct", "--m", "3", "--mode",
+                                   "by_count", "--tol", "1"],
+                                  ["eigenproduct", "--m", "2"])):
+            out = tmp_path / f"{i}.json"
+            assert main(argv + ["--json-out", str(out)]) in (0, 1)
+            reports.append(json.loads(out.read_text()))
+            reports[-1].pop("timings")
+        assert reports[0] == reports[2] != reports[1]
+        assert reports[0]["config"]["grid"] == "8:512:x1.41"
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "8"],

@@ -14,6 +14,7 @@ from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       resolvent_trace_continuum, zeta_continued)
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE
 from torusdet import smooth
+from torusdet.cli import parse_grid
 from torusdet.smooth import (TRACE_SHELLS, ZETA_SHELLS, _fixed_shells,
                              _lead_radius, _shells)
 
@@ -404,6 +405,94 @@ class TestEigenproductLimits:
         assert (c, _, ref) == eigenproduct_reglimit(1, "by_cutoff", floors)
         assert abs(c - ref) <= tol
 
+
+
+# float.hex of (constant, uncertainty, reference): the AC12 fits, the
+# benchmark's grids (m = 1 at seeded starts 15 and 17; 16 is AC12's) and
+# the CLI's default grids (m = 1 by cutoff is AC12's).  The benchmark passes
+# an explicit basis equal to the derived one.
+GOLDEN_FITS = [
+    (1, "by_cutoff", [16 * 2 ** i for i in range(9)],
+     ("0x1.d67f1c88ae0abp+1", "0x1.acbac3d84e3eep-36",
+      "0x1.d67f1c864beb2p+1")),
+    (1, "by_count", [32 * 2 ** i for i in range(9)],
+     ("0x1.250d049119c25p+1", "0x1.5dac5c3e669ecp-35",
+      "0x1.d67f1c864beb2p+1")),
+    (2, "by_cutoff", [8.0 * 2 ** (i / 2) for i in range(11)],
+     ("0x1.4eea1de3875dep+1", "0x1.1c14498c52500p-5",
+      "0x1.4f7f15f91f01ep+1")),
+    (1, "by_cutoff", [15 * 2 ** i for i in range(9)],
+     ("0x1.d67f1c8923aabp+1", "0x1.2380d1359e946p-35",
+      "0x1.d67f1c864beb2p+1")),
+    (1, "by_count", [30 * 2 ** i for i in range(9)],
+     ("0x1.250d0491badccp+1", "0x1.9070450245a46p-35",
+      "0x1.d67f1c864beb2p+1")),
+    (1, "by_cutoff", [17 * 2 ** i for i in range(9)],
+     ("0x1.d67f1c87811acp+1", "0x1.10865df9967b0p-35",
+      "0x1.d67f1c864beb2p+1")),
+    (1, "by_count", [34 * 2 ** i for i in range(9)],
+     ("0x1.250d048fdce5fp+1", "0x1.4709fea123ddap-35",
+      "0x1.d67f1c864beb2p+1")),
+    (2, "by_cutoff", [8.0 * 2 ** (i / 2) for i in range(15)],
+     ("0x1.501ed7678f89fp+1", "0x1.163cf00d36c00p-8",
+      "0x1.4f7f15f91f01ep+1")),
+    (1, "by_count", parse_grid("16:4096:x2"),
+     ("0x1.250d04f6d0300p+1", "0x1.e8c8d0a28257fp-32",
+      "0x1.d67f1c864beb2p+1")),
+    (2, "by_cutoff", parse_grid("8:512:x1.41", integer=False),
+     ("0x1.4e540b2c15e57p+1", "0x1.e4ab3008c4600p-8",
+      "0x1.4f7f15f91f01ep+1")),
+    (2, "by_count", parse_grid("16:4096:x2"),
+     ("0x1.2e59236bf3623p+1", "0x1.585758de7d110p-3",
+      "0x1.4f7f15f91f01ep+1")),
+    (3, "by_cutoff", parse_grid("8:64:x1.41", integer=False),
+     ("0x1.34dcce80154ffp+1", "0x1.3d3158a20ce8fp-5",
+      "0x1.1c6776912f98bp+1")),
+    (3, "by_count", parse_grid("16:4096:x2"),
+     ("0x1.55b84cfc6c3b1p+0", "0x1.8504749492330p+2",
+      "0x1.1c6776912f98bp+1")),
+    (4, "by_cutoff", parse_grid("8:32:x1.2", integer=False),
+     ("0x1.f5b5bee8a7d64p+0", "0x1.1758082d44011p+3",
+      "0x1.f97b57b73c3a0p+0")),
+    (4, "by_count", parse_grid("16:4096:x2"),
+     ("0x1.2c3ae59f304b8p+0", "0x1.41b2dfabdc2bap+3",
+      "0x1.f97b57b73c3a0p+0")),
+]
+
+# float.hex of single partial products: whole and split shells, cutoffs
+# between shells.  The last count splits the m = 3 shell of norm 9170, where
+# np.log and math.log differ in the last bit and so does the product.
+GOLDEN_PRODUCTS = [
+    (1, "by_cutoff", 1, "0x0.0p+0"),
+    (1, "by_cutoff", 33, "0x1.5437c633ace4bp+8"),
+    (1, "by_cutoff", 1000000.5, "0x1.87193cc4f1e13p+25"),
+    (1, "by_count", 4, "0x1.62e42fefa39efp+1"),
+    (1, "by_count", 1000001, "0x1.71f22eeb867e8p+24"),
+    (2, "by_cutoff", 1, "0x0.0p+0"),
+    (2, "by_cutoff", 11.3, "0x1.828e72d0416d4p+10"),
+    (2, "by_cutoff", 9.6, "0x1.039315c8f7a46p+10"),
+    (2, "by_cutoff", 2000.5, "0x1.5494804d22914p+27"),
+    (2, "by_count", 5, "0x1.62e42fefa39f0p-1"),
+    (2, "by_count", 100000, "0x1.c9701192e8a40p+19"),
+    (3, "by_cutoff", 7.5, "0x1.7992130fbfecap+12"),
+    (3, "by_count", 1000, "0x1.75b5935ede513p+11"),
+    (4, "by_cutoff", 5.0, "0x1.09cac11ac23cap+13"),
+    (4, "by_count", 12345, "0x1.492bfbe0e5bc1p+15"),
+    (3, "by_cutoff", 76.8, "0x1.d03714f86a528p+23"),
+    (4, "by_cutoff", math.sqrt(2), "0x1.0a2b23f3bab73p+4"),
+    (3, "by_count", 3677987, "0x1.da9e93612e51ep+24"),
+]
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("m,mode,grid,expected", GOLDEN_FITS)
+    def test_eigenproduct_reglimit(self, m, mode, grid, expected):
+        result = eigenproduct_reglimit(m, mode, grid)
+        assert tuple(v.hex() for v in result) == expected
+
+    @pytest.mark.parametrize("m,mode,parameter,expected", GOLDEN_PRODUCTS)
+    def test_partial_log_product(self, m, mode, parameter, expected):
+        assert partial_log_product(m, mode, parameter).hex() == expected
 
 class TestConvergence:
     def test_m1_dyadic(self):
