@@ -22,10 +22,11 @@ an exact integer cross-check of the rescaled log-determinant:
 ``exp(log_det_rescaled) = n^m * #spanning trees``.  One GF(p)
 elimination, ``_det_mod_primes``, computes every cofactor residue: a
 multifrontal elimination in nested-dissection order, batched over the
-fronts of each depth and over primes.  Tree counts for m >= 2 are the CRT
-reconstruction (``_crt``) of these residues, as is the eigenvalue product
-from its GF(p) values at an n-th root of unity, p = 1 (mod n).  For n = 2
-the circle degenerates to a doubled edge (eigenvalue 4, tree count 2).
+fronts of each depth and over primes, its pivots in panels.  Tree counts
+for m >= 2 are the CRT reconstruction (``_crt``) of these residues, as is
+the eigenvalue product from its GF(p) values at an n-th root of unity, p
+= 1 (mod n), its inner axis by a Lucas ladder.  For n = 2 the circle
+degenerates to a doubled edge (eigenvalue 4, tree count 2).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ LATTICE_BLOCK = 1 << 14       # elements per block of lattice-sum rows
 TRACE_MAX_ALPHA = 8           # highest trace power summed in closed form
 DENSITY_QUAD_TOL = 1e-12      # bulk-density quadrature, absolute and relative
 LEAF = 16                     # most vertices in a nested-dissection leaf
+PANEL = 32                    # own slots eliminated before one trailing update
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,7 @@ def _is_prime(p: int) -> bool:
 
 
 _PRIME_RUNS = {}   # step -> the primes _primes(step) has drawn so far
+_ROOTS = {}        # n -> {p: the root _roots_of_unity(n, [p]) gives}
 
 
 def _primes(step: int):
@@ -480,13 +483,13 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
 
     Multifrontal GF(p) elimination over ``_fronts``, deepest depth first,
     each depth one int64 array ``(primes, fronts, f, f)``: the children's
-    Schur complements are added in, then the own slots are eliminated in
-    order with symmetric pivots, one rank-1 update of the own rows per pivot
-    for every front and prime, its column read from the pivot row.  An
-    update lies in ``(-p^2, p)`` and is reduced once, as ``x - x // p * p``
-    (numpy's libdivide floor division is twice as fast as its ``%``).  The
-    boundary block's update is then one ``_matmul_mod``, ``(U / pivots)^T
-    U`` over the own rows U.  There is no pivoting: a prime at which a pivot
+    Schur complements are added in, then the own slots are eliminated with
+    symmetric pivots in panels of ``PANEL``: per pivot a rank-1 update of
+    the panel's later rows, then one ``_matmul_mod`` subtracts ``(U /
+    pivots)^T U`` over the panel's rows U from the trailing block, after
+    the last panel the boundary's Schur complement.  Each update is reduced
+    once, as ``x - x // p * p`` (numpy's libdivide floor division is twice
+    as fast as its ``%``).  There is no pivoting: a prime at which a pivot
     vanishes gets None.  A batch of primes keeps each depth's arrays under a
     quarter of the dense ``N x N`` matrix (at least 2^18 elements).
     """
@@ -505,20 +508,25 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
             for f, s in zip(front, below):
                 np.add.at(f.reshape(-1), to, s.reshape(-1))
             del below   # free the children's depth before eliminating
-            front %= ps
+            front -= front // ps * ps
             inv = np.zeros(front.shape[:2] + (own, 1), dtype=np.int64)
-            for k in range(own):
-                inv[:, :, k, 0] = [[pow(x, -1, p) if x else 0 for x in row] for row, p
-                                   in zip(front[:, :, k, k].tolist(), chunk)]
-                col = front[:, :, k, k + 1:own] * inv[:, :, k] % ps[..., 0]
-                rest = front[:, :, k + 1:own, k + 1:]
-                rest -= col[..., None] * front[:, :, k, None, k + 1:]
+            for k0 in range(0, own, PANEL):
+                k1 = min(k0 + PANEL, own)
+                for k in range(k0, k1):
+                    inv[:, :, k, 0] = [
+                        [pow(x, -1, p) if x else 0 for x in row]
+                        for row, p in zip(front[:, :, k, k].tolist(), chunk)]
+                    col = front[:, :, k, k + 1:k1] * inv[:, :, k] % ps[..., 0]
+                    rest = front[:, :, k + 1:k1, k + 1:]
+                    rest -= col[..., None] * front[:, :, k, None, k + 1:]
+                    rest -= rest // ps * ps
+                u = front[:, :, k0:k1, k1:]
+                lu = np.swapaxes(u * inv[:, :, k0:k1] % ps, 2, 3)   # (U / pivots)^T
+                rest = front[:, :, k1:, k1:]
+                rest -= _matmul_mod(lu, u, ps)
                 rest -= rest // ps * ps
             pivots.append(front[:, :, range(own), range(own)].reshape(len(chunk), -1))
-            u = front[:, :, :own, own:]
-            below = front[:, :, own:, own:] - _matmul_mod(
-                np.swapaxes(u * inv % ps, 2, 3), u, ps)
-            up = rows
+            below, up = front[:, :, own:, own:].copy(), rows
         piv = np.concatenate(pivots, axis=1)
         out += [None if z else r for z, r in zip(
             (piv == 0).any(axis=1), _product_mod(piv, ps[:, :, 0, 0]).tolist())]
@@ -577,23 +585,35 @@ def _spectral_product_mod(t: DiscreteTorus, primes) -> list:
     """Nonzero-eigenvalue product modulo each prime p = 1 (mod n).
 
     Per batch of primes: axis values ``2 - zeta^k - zeta^-k`` from powers
-    of zeta by doubling, their sums over the axes, then a halving product
-    tree without the zero mode.  Residues are below 2^31, so every product
-    fits int64.
+    of zeta (memoized in ``_ROOTS``) by doubling, summed over the m - 1
+    outer axes to one a per outer mode.  The inner axis is the GF(p) twin of
+    ``_inner_axis_log_product``, ``prod_j (a + 2 - zeta^j - zeta^-j) = V_n(a
+    + 2) - 2`` for the Lucas sequence ``V_n(x + 1/x) = x^n + x^-n`` (Q = 1),
+    by a ladder on ``(V_k, V_(k+1))`` over the bits of n; the zero outer
+    mode, less its zero eigenvalue, gives n^2.  A halving product tree
+    multiplies the factors; residues are below 2^31, so products fit int64.
     """
-    n, size, out = t.n, t.points, []
-    roots, batch = _roots_of_unity(n, primes), max(1, SPECTRAL_BATCH // size)
+    n, out, batch = t.n, [], max(1, SPECTRAL_BATCH // t.n ** (t.m - 1))
+    roots = _ROOTS.setdefault(n, {})
+    fresh = [p for p in primes if p not in roots]
+    roots.update(zip(fresh, _roots_of_unity(n, fresh)))
     for lo in range(0, len(primes), batch):
-        ps, zeta = np.array([primes[lo:lo + batch], roots[lo:lo + batch]],
+        chunk = primes[lo:lo + batch]
+        ps, zeta = np.array([chunk, [roots[p] for p in chunk]],
                             dtype=np.int64)[:, :, None]
         pw = np.ones((len(ps), n), dtype=np.int64)
         for s in (1 << i for i in range((n - 1).bit_length())):
             pw[:, s:2 * s] = pw[:, :min(s, n - s)] * zeta % ps   # * zeta^s
             zeta = zeta * zeta % ps
-        axis = lam = (2 - pw - np.roll(pw[:, ::-1], 1, axis=1)) % ps
-        for _ in range(t.m - 1):
-            lam = (lam[:, :, None] + axis[:, None, :]).reshape(len(ps), -1) % ps
-        out += _product_mod(lam[:, 1:], ps).tolist()
+        axis, x = (2 - pw - np.roll(pw[:, ::-1], 1, axis=1)) % ps, np.full_like(ps, 2)
+        for _ in range(t.m - 1):   # x = a + 2 per outer mode
+            x = (x[:, :, None] + axis[:, None, :]).reshape(len(ps), -1) % ps
+        v, w = np.full_like(x, 2), x   # V_0, V_1
+        for bit in bin(n)[2:]:
+            vw = (v * w - x) % ps
+            v, w = (vw, (w * w - 2) % ps) if bit == "1" else ((v * v - 2) % ps, vw)
+        v = np.where(np.arange(v.shape[1]) > 0, v - 2, n * n) % ps
+        out += _product_mod(v, ps).tolist()
     return out
 
 

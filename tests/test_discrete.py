@@ -1,6 +1,7 @@
 """Tests for discrete torus spectra, determinants, traces, and tree counts."""
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -20,7 +21,8 @@ from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
                                _inner_axis_log_product, _inner_axis_monomials,
                                _inner_axis_traces,
                                _is_prime, _lattice_sum, _matmul_mod, _primes,
-                               _roots_of_unity)
+                               _product_mod, _roots_of_unity,
+                               _spectral_product_mod)
 
 
 def closed_form_logdet_1d(n):
@@ -496,6 +498,25 @@ def mpmath_eigenvalue_product(t):
         return int(nearest)
 
 
+def full_spectral_product_mod(t, primes):
+    """Reference: the residue product over every nonzero mode of the n^m,
+    each eigenvalue the axis sum of ``2 - zeta^k - zeta^-k`` mod p."""
+    out = []
+    for p, zeta in zip(primes, _roots_of_unity(t.n, primes)):
+        ps = np.array([[p]], dtype=np.int64)
+        powers = np.array([[pow(zeta, k, p) for k in range(t.n)]], dtype=np.int64)
+        axis = lam = (2 - powers - np.roll(powers[:, ::-1], 1, axis=1)) % ps
+        for _ in range(t.m - 1):
+            lam = (lam[:, :, None] + axis[:, None, :]).reshape(1, -1) % ps
+        out += _product_mod(lam[:, 1:], ps).tolist()
+    return out
+
+
+def assert_primitive_root(zeta, n, p):
+    assert pow(zeta, n, p) == 1
+    assert all(pow(zeta, d, p) != 1 for d in range(1, n) if n % d == 0)
+
+
 class TestSpectralProduct:
     @pytest.mark.parametrize("m,n", [(1, 2), (1, 17), (1, 4093), (1, 4096),
                                      (2, 2), (2, 3), (2, 12), (2, 37),
@@ -524,10 +545,52 @@ class TestSpectralProduct:
         primes = list(itertools.islice(
             (p for p in range(2 ** 31 - 1, 0, -2) if p % n == 1 and isprime(p)),
             20))
-        divisors = [d for d in range(1, n) if n % d == 0]
         for p, zeta in zip(primes, _roots_of_unity(n, primes), strict=True):
-            assert pow(zeta, n, p) == 1
-            assert all(pow(zeta, d, p) != 1 for d in divisors)
+            assert_primitive_root(zeta, n, p)
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5)
+                                     for n in (2, 3, 4, 5, 6, 12, 17, 64)
+                                     if n ** m <= 1 << 18])
+    def test_lucas_ladder_matches_the_full_residue_product(self, m, n):
+        # the inner axis in closed form against every one of the n^m modes,
+        # at the top primes of the CRT stream and at primes near 2^30; m = 1
+        # is the zero outer mode alone, n^2, and n = 2 the doubled edge
+        t, step = DiscreteTorus(m, n), n * (1 + n % 2)
+        low = range(2 ** 30 - 2 ** 30 % step + 1, 2 ** 31, step)   # p = 1 (mod step)
+        primes = list(itertools.islice(_primes(step), 3)) + list(
+            itertools.islice(filter(isprime, low), 2))
+        residues = _spectral_product_mod(t, primes)
+        assert residues == full_spectral_product_mod(t, primes)
+        if m == 1:
+            assert residues == [n * n % p for p in primes]
+
+    def test_roots_are_memoized_per_n_not_per_step(self, monkeypatch):
+        # n = 3 and 6 draw primes of step 6, n = 5 and 10 of step 10: calls
+        # interleaved on shared primes must each keep their own n-th roots
+        import torusdet.discrete as discrete
+
+        monkeypatch.setattr(discrete, "_ROOTS", {})
+        for count in (2, 5, 3):
+            for n in (3, 6, 5, 10):
+                t = DiscreteTorus(2, n)
+                primes = list(itertools.islice(_primes(n * (1 + n % 2)), count))
+                assert (_spectral_product_mod(t, primes)
+                        == full_spectral_product_mod(t, primes))
+        assert sorted(discrete._ROOTS) == [3, 5, 6, 10]
+        for n, roots in discrete._ROOTS.items():
+            assert len(roots) == 5
+            for p, zeta in roots.items():
+                assert [zeta] == _roots_of_unity(n, [p])
+                assert_primitive_root(zeta, n, p)
+
+    @pytest.mark.parametrize("m,n,digest", [
+        (2, 32, "c5b46aea9f34f546976b4b9e05130f4638c6c9f680fed6e4050dffd7318df005"),
+        (2, 64, "5f8cfecb58b4d31115c1fd86364c546fa4aeca6418234f91e1daabb4c4b8abc3"),
+        (3, 8, "be063ca654e468d0c626379d1d7305987c3c622002111ece8fcc19de75b3174b")])
+    def test_golden_products(self, m, n, digest):
+        # sha256 of the decimal product, recorded before the Lucas ladder
+        product = eigenvalue_product_integer(DiscreteTorus(m, n))
+        assert hashlib.sha256(str(product).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("step,bound", [(2, 4 ** 15), (2, 6 ** 63),
                                             (64, 2 ** 400), (34, 10 ** 50)])
@@ -735,3 +798,33 @@ class TestBulkDensity:
     def test_dimension_outside_1_to_4_refused(self, m):
         with pytest.raises(InputError):
             square_lattice_logdet_density(m)
+
+
+class TestPanels:
+    LARGEST = max(q for q in range(MAX_MODULUS - 200, MAX_MODULUS + 1) if isprime(q))
+
+    @pytest.mark.parametrize("m,n", [(2, 17), (2, 33), (3, 5), (4, 3)])
+    def test_panel_width_leaves_every_residue(self, m, n, monkeypatch):
+        # PANEL = 1 is one trailing update per pivot, 5 leaves a partial last
+        # panel wherever the own slots are no multiple of 5 (34 at the root
+        # of (2, 17)), 4096 is one panel per depth
+        # (the limb product's inner length is the panel width); small primes
+        # meet zero pivots at the same slot whatever the width
+        import torusdet.discrete as discrete
+
+        t, primes = DiscreteTorus(m, n), SMALL_PRIMES + [2 ** 31 - 1, self.LARGEST]
+        default = discrete._det_mod_primes(t, primes)
+        assert None in default
+        for panel in (1, 5, 4096):
+            monkeypatch.setattr(discrete, "PANEL", panel)
+            assert discrete._det_mod_primes(t, primes) == default
+            assert ([reduced_laplacian_det_mod(t, p) for p in primes]
+                    == [tree_count(m, n) % p for p in primes])
+
+    @pytest.mark.parametrize("m,n,residues", [
+        (2, 64, [2123219229, 116446031]), (3, 8, [947824, 1277932507])])
+    def test_golden_residues(self, m, n, residues):
+        # recorded before the panels
+        t = DiscreteTorus(m, n)
+        assert [reduced_laplacian_det_mod(t, p)
+                for p in (2 ** 31 - 1, 2 ** 31 - 19)] == residues
