@@ -18,7 +18,7 @@ from .finite_part import (RegIntResult, antiderivative_term,
 from .discrete import (DiscreteTorus, eigenvalue_product_integer, log_det,
                        log_det_rescaled, log_det_series, omega,
                        reduced_laplacian_det_mod, resolvent_trace,
-                       sorted_spectrum, spanning_tree_count, spectrum_1d,
+                       spanning_tree_count, spectrum_1d,
                        square_lattice_logdet_density, trace_inclusion_exclusion)
 from .euler_maclaurin import (EMParts, bernoulli_number,
                               boundary_inclusive_lattice_sum,

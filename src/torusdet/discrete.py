@@ -21,8 +21,11 @@ its spanning-tree count (any cofactor, by the matrix-tree theorem) gives
 an exact integer cross-check of the rescaled log-determinant:
 ``exp(log_det_rescaled) = n^m * #spanning trees``.  One GF(p)
 elimination, ``_det_mod_primes``, computes every cofactor residue: a
-multifrontal elimination in nested-dissection order, batched over the
-fronts of each depth and over primes, its pivots in panels.  Tree counts
+multifrontal elimination in nested-dissection order, batched over primes,
+its pivots in panels.  The torus is vertex-transitive, so the fronts of a
+depth are translates of a few boxes and most assemble to the same matrix:
+one representative per class of identical fronts is eliminated, its
+pivots raised to the class's multiplicity.  Tree counts
 for m >= 2 are the CRT reconstruction (``_crt``) of these residues, as is
 the eigenvalue product from its GF(p) values at an n-th root of unity, p
 = 1 (mod n), its inner axis by a Lucas ladder.  For n = 2 the circle
@@ -326,17 +329,6 @@ def trace_inclusion_exclusion(t: DiscreteTorus, z: float) -> float:
     return math.fsum(total)
 
 
-def sorted_spectrum(t: DiscreteTorus) -> np.ndarray:
-    """All ``n^m`` eigenvalues ascending (materialized; capped)."""
-    if t.points > MAX_SORTED:
-        raise InputError(f"sorted spectrum capped at {MAX_SORTED} eigenvalues")
-    s = spectrum_1d(t.n)
-    full = s
-    for _ in range(t.m - 1):
-        full = np.add.outer(full, s).ravel()
-    return np.sort(full)
-
-
 # -- integer matrix-tree machinery ------------------------------------------
 
 def _is_prime(p: int) -> bool:
@@ -399,22 +391,28 @@ def _fronts(t: DiscreteTorus) -> tuple:
     with lo >= 1.  Its longest axis is cut, a circle at 0 and n//2, an
     interval at its middle; a box of at most ``LEAF`` vertices is a leaf.
     A front is the cut (or leaf), then the boundary: the box's faces lo - 1
-    and hi mod n on each interval axis.  Per depth ``(template, own,
-    rows)``: the fronts share one layout, ``own`` own slots (padding is an
-    identity row) then boundary slots.  The int8 template holds the graph
-    Laplacian with vertex 0's row and column replaced by e0, each entry in
-    the front of the deeper owner of its two vertices.  ``rows`` is the row
-    of each boundary slot in the parent depth's fronts stacked as one
-    matrix, so its Schur complement adds at (rows_i, rows_j mod width);
-    padding, whose updates stay 0, adds to slot 0.  The plan is built once
-    per torus and its arrays are read-only.
+    and hi mod n on each interval axis.  The fronts of a depth share one
+    layout, ``own`` own slots (padding is an identity row) then boundary
+    slots.  The int8 template holds the graph Laplacian with vertex 0's row
+    and column replaced by e0, each entry in the front of the deeper owner
+    of its two vertices.  The torus is vertex-transitive and the boxes of a
+    depth are translates of a few shapes, so most fronts coincide: deepest
+    depth first, two fronts are one class when their templates agree and
+    their children agree as a multiset of (child's class, child's boundary
+    slots in the parent).  Such fronts assemble to one matrix, with the
+    same pivots and Schur complement.  Per depth ``(template, own, mult,
+    src, to)``: one template per class, each class's multiplicity, and the
+    scatter of the children of the representatives: ``src`` is each
+    child's class, ``to`` the flat index of its boundary block in the
+    stacked ``(class, f, f)`` fronts.  Padding, whose updates stay 0, adds
+    to slot 0.  The plan is built once per torus and is read-only.
     """
     n, m, points = t.n, t.m, t.points
     stride = n ** np.arange(m - 1, -1, -1)[:, None]
 
     def ids(axes):   # lexicographic ids of a product of coordinate lists
         return functools.reduce(lambda v, x: np.add.outer(v * n, x).ravel(), axes, 0)
-    plan, above, level = [], np.full((1, 1), -1), [(0, [(0, n)] * m)]
+    depths, above, level = [], np.full((1, 1), -1), [(0, [(0, n)] * m)]
     while level:
         nodes, kids = [], []
         for parent, box in level:
@@ -448,13 +446,28 @@ def _fronts(t: DiscreteTorus) -> tuple:
         tmpl = np.zeros((len(nodes),) + front.shape[1:] * 2, dtype=np.int8)
         tmpl[:, range(own), range(own)] = np.where(front[:, :own] > 0, 2 * m, 1)
         np.add.at(tmpl, (np.r_[kk, kk[up]], np.r_[ii, ss[up]], np.r_[ss, ii[up]]), -1)
-        par = np.array([p for p, _, _ in nodes])[:, None]
-        slot = _slots(above, par, front[:, own:], points).clip(min=0)
-        rows = par * above.shape[1] + slot
-        tmpl.flags.writeable = rows.flags.writeable = False
-        plan.append((tmpl, own, rows))
+        par = np.array([p for p, _, _ in nodes])
+        slot = _slots(above, par[:, None], front[:, own:], points).clip(min=0)
+        depths.append((tmpl, own, par, slot))
         above, level = front, kids
-    return tuple(plan)
+    plan, cls, par, slot = [], np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)
+    for tmpl, own, *links in reversed(depths):   # cls, par, slot: child depth
+        kids = [[] for _ in tmpl]
+        for c, k, s in zip(cls.tolist(), par.tolist(), slot):
+            kids[k].append((c, s.tobytes()))
+        key = {}
+        label = np.array([key.setdefault((x.tobytes(), tuple(sorted(y))), len(key))
+                          for x, y in zip(tmpl, kids)])
+        rep = np.unique(label, return_index=True)[1]   # class c's first front
+        e, w = np.isin(par, rep), tmpl.shape[-1]   # children of representatives
+        r, s = label[par[e]][:, None, None] * w, slot[e]
+        to = ((r + s[:, :, None]) * w + s[:, None, :]).ravel()
+        plan.append((tmpl[rep], own, np.bincount(label), cls[e], to))
+        cls, (par, slot) = label, links
+    for tmpl, _, *arrays in plan:
+        for a in [tmpl] + arrays:
+            a.flags.writeable = False
+    return tuple(plan[::-1])
 
 
 def _product_mod(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -482,31 +495,33 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
     """Cofactor determinant of the graph Laplacian modulo each prime, or None.
 
     Multifrontal GF(p) elimination over ``_fronts``, deepest depth first,
-    each depth one int64 array ``(primes, fronts, f, f)``: the children's
-    Schur complements are added in, then the own slots are eliminated with
+    each depth one int64 array ``(primes, classes, f, f)`` holding one
+    representative front per class: the children's Schur complements are
+    gathered by class and added in, then the own slots are eliminated with
     symmetric pivots in panels of ``PANEL``: per pivot a rank-1 update of
     the panel's later rows, then one ``_matmul_mod`` subtracts ``(U /
     pivots)^T U`` over the panel's rows U from the trailing block, after
     the last panel the boundary's Schur complement.  Each update is reduced
     once, as ``x - x // p * p`` (numpy's libdivide floor division is twice
-    as fast as its ``%``).  There is no pivoting: a prime at which a pivot
-    vanishes gets None.  A batch of primes keeps each depth's arrays under a
-    quarter of the dense ``N x N`` matrix (at least 2^18 elements).
+    as fast as its ``%``).  The determinant is the product of the pivots,
+    each repeated once per front of its class.  There is no pivoting: a
+    prime at which a pivot vanishes gets None.  A batch of primes keeps each
+    depth's arrays (its fronts, about four fronts of trailing-update
+    temporaries, the gathered children) under a quarter of the dense ``N x
+    N`` matrix (at least 2^18 elements).
     """
     plan = _fronts(t)
-    size = max(tmpl.size + 4 * rows.size * (2 * own + rows.shape[1])
-               for tmpl, own, rows in plan)
+    size = max(5 * tmpl.size + to.size for tmpl, _, _, _, to in plan)
     batch = max(1, max(t.points ** 2, 1 << 20) // (4 * size))
     out = []
     for lo in range(0, len(primes), batch):
         chunk = primes[lo:lo + batch]
         ps = np.array(chunk, dtype=np.int64)[:, None, None, None]
-        pivots, below, up = [], (), np.zeros((0, 0), dtype=np.int64)
-        for tmpl, own, rows in reversed(plan):
-            front, w = tmpl % ps, tmpl.shape[-1]
-            to = (up[:, :, None] * w + up[:, None, :] % w).ravel()
+        pivots, below = [], ()
+        for tmpl, own, mult, src, to in reversed(plan):
+            front = tmpl % ps
             for f, s in zip(front, below):
-                np.add.at(f.reshape(-1), to, s.reshape(-1))
+                np.add.at(f.reshape(-1), to, s[src].reshape(-1))
             del below   # free the children's depth before eliminating
             front -= front // ps * ps
             inv = np.zeros(front.shape[:2] + (own, 1), dtype=np.int64)
@@ -525,8 +540,9 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
                 rest = front[:, :, k1:, k1:]
                 rest -= _matmul_mod(lu, u, ps)
                 rest -= rest // ps * ps
-            pivots.append(front[:, :, range(own), range(own)].reshape(len(chunk), -1))
-            below, up = front[:, :, own:, own:].copy(), rows
+            pivots.append(np.repeat(front[:, :, range(own), range(own)], mult,
+                                    axis=1).reshape(len(chunk), -1))
+            below = front[:, :, own:, own:].copy()
         piv = np.concatenate(pivots, axis=1)
         out += [None if z else r for z, r in zip(
             (piv == 0).any(axis=1), _product_mod(piv, ps[:, :, 0, 0]).tolist())]

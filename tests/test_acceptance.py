@@ -269,8 +269,8 @@ def test_ac13_matrix_tree_oracle():
             exact_ok = False
             break
     # m=2, 17 <= n <= 64: an exact CRT tree count needs about n^2/15
-    # eliminations modulo 31-bit primes (at n = 64: 35-45 ms each once the
-    # torus's plan is cached, 55 ms with the plan build, 14 s in all,
+    # eliminations modulo 31-bit primes (at n = 64: 12-15 ms each once the
+    # torus's plan is cached, 33-56 ms with the plan build, 3-5 s in all,
     # measured on a 2-vCPU VM), so the exact spectral product is certified
     # against the reduced-Laplacian determinant modulo two such primes
     # (three at n = 64)

@@ -14,10 +14,11 @@ from mpmath.libmp import isprime
 from torusdet import (DiscreteTorus, InputError, NumericalError,
                       eigenvalue_product_integer, log_det, log_det_rescaled, omega,
                       reduced_laplacian_det_mod, resolvent_trace,
-                      sorted_spectrum, spanning_tree_count, spectrum_1d,
+                      spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
 from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
-                               TRACE_MAX_ALPHA, _crt, _fronts, _half_axis,
+                               TRACE_MAX_ALPHA, _crt, _det_mod_primes, _fronts,
+                               _half_axis,
                                _inner_axis_log_product, _inner_axis_monomials,
                                _inner_axis_traces,
                                _is_prime, _lattice_sum, _matmul_mod, _primes,
@@ -28,6 +29,14 @@ from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
 def closed_form_logdet_1d(n):
     # n-cycle has n spanning trees, so det = n^2 (n^2 / 4 pi^2)^(n-1)
     return 2 * math.log(n) + (n - 1) * math.log(n * n / (4 * math.pi ** 2))
+
+
+def sorted_spectrum(t):
+    # brute-force reference: all n^m eigenvalues, materialized and sorted
+    full = s = spectrum_1d(t.n)
+    for _ in range(t.m - 1):
+        full = np.add.outer(full, s).ravel()
+    return np.sort(full)
 
 
 class TestTorusType:
@@ -721,10 +730,11 @@ class TestModularDeterminant:
         t, ps = DiscreteTorus(2, 17), [2 ** 31 - 1, 2 ** 31 - 19]
         first = [reduced_laplacian_det_mod(t, p) for p in ps]
         assert first == [tree_count(2, 17) % p for p in ps]
-        for tmpl, _, rows in _fronts(t):
-            assert not tmpl.flags.writeable and not rows.flags.writeable
-            with pytest.raises(ValueError):
-                rows[...] = 0
+        for tmpl, _, mult, src, to in _fronts(t):
+            for a in (tmpl, mult, src, to):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
         for m, n, p in [(3, 5, 2 ** 31 - 61), (2, 16, ps[0]), (4, 3, 2 ** 31 - 1)]:
             reduced_laplacian_det_mod(DiscreteTorus(m, n), p)
         before = _fronts.cache_info()
@@ -828,3 +838,47 @@ class TestPanels:
         t = DiscreteTorus(m, n)
         assert [reduced_laplacian_det_mod(t, p)
                 for p in (2 ** 31 - 1, 2 ** 31 - 19)] == residues
+
+
+class TestFrontClasses:
+    # the plan keeps one representative front per class of identical fronts
+    @pytest.mark.parametrize("m,n", [(2, 32), (2, 48), (2, 64), (3, 8),
+                                     (3, 16), (4, 8)])
+    def test_one_class_below_the_root_children(self, m, n):
+        # translates of one box at every depth below the root's two children
+        plan = _fronts(DiscreteTorus(m, n))
+        assert [len(mult) for _, _, mult, _, _ in plan[2:]] == [1] * (len(plan) - 2)
+
+    @pytest.mark.parametrize("m,n", [(2, 32), (2, 48), (2, 64), (3, 8), (3, 16),
+                                     (4, 8), (2, 17), (2, 63), (3, 7), (4, 5)])
+    def test_multiplicities_cover_every_front_and_vertex(self, m, n):
+        # one root; each depth's fronts are the children of the fronts above,
+        # counted per class from the scatter (its flat index names the
+        # representative); own slots with diagonal 2m are the vertices but
+        # vertex 0 (an e0 row, like padding), so each is eliminated once
+        plan = _fronts(DiscreteTorus(m, n))
+        assert plan[0][2].tolist() == [1]
+        for (tmpl, _, mult, src, to), (_, _, kids, _, _) in zip(plan, plan[1:]):
+            assert sorted(set(src.tolist())) == list(range(len(kids)))
+            rep = to.reshape(len(src), -1)[:, 0] // tmpl[0].size
+            assert mult @ np.bincount(rep, minlength=len(mult)) == kids.sum()
+        assert sum(int(mult @ (tmpl[:, range(own), range(own)] == 2 * m).sum(1))
+                   for tmpl, own, mult, _, _ in plan) == n ** m - 1
+
+    # recorded before the front classes, on tori whose depths keep several
+    # classes (up to 18 in a depth of (2, 63)); of the primes below 400 only
+    # those listed, with their residues, meet no zero pivot
+    @pytest.mark.parametrize("m,n,residues,small", [
+        (2, 33, [1800011367, 1195888243],
+         {131: 48, 149: 17, 211: 80, 233: 232, 281: 202, 349: 239, 353: 65}),
+        (2, 63, [142292787, 2040020479], {263: 148, 293: 267, 347: 73}),
+        (3, 7, [1498641025, 1758840149],
+         {61: 29, 149: 45, 157: 32, 191: 111, 223: 68, 269: 3, 277: 83, 307: 146,
+          317: 266, 331: 12, 347: 179, 373: 27, 383: 301, 389: 221}),
+    ])
+    def test_golden_residues_with_several_classes(self, m, n, residues, small):
+        t = DiscreteTorus(m, n)
+        assert [reduced_laplacian_det_mod(t, p)
+                for p in (2 ** 31 - 1, 2 ** 31 - 19)] == residues
+        primes = SMALL_PRIMES + list(small)
+        assert _det_mod_primes(t, primes) == [small.get(p) for p in primes]

@@ -7,8 +7,7 @@ from torusdet import (TO_INFINITY, TO_ZERO, BasisSpec, DiscreteTorus,
                       antiderivative_term, bernoulli_number,
                       corner_term_cancellation, deriv_coefficient_bound_scan,
                       eigenvalue_product_integer, em_sum_1d, logdet_via_regint,
-                      periodic_bernoulli, poly_evaluator, resolvent_trace,
-                      sorted_spectrum)
+                      periodic_bernoulli, poly_evaluator, resolvent_trace)
 
 
 def _trace(z, alpha):
@@ -24,7 +23,6 @@ def _homogeneous(z_side, n_side):
 
 BAD_CALLS = {
     "trace_alpha_0": lambda: resolvent_trace(DiscreteTorus(2, 8), 1.0, 0),
-    "sorted_spectrum_cap": lambda: sorted_spectrum(DiscreteTorus(2, 2049)),
     "eigenvalue_product_cap": lambda: eigenvalue_product_integer(
         DiscreteTorus(2, 65)),
     "bernoulli_negative": lambda: bernoulli_number(-1),
