@@ -44,7 +44,7 @@ import numpy as np
 from scipy import special
 
 from .errors import (InputError, NumericalError, check_dimension,
-                     check_resolvent_parameter)
+                     check_integer, check_resolvent_parameter)
 from .expansion import Samples
 from .finite_part import _quad
 
@@ -70,6 +70,8 @@ class DiscreteTorus:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):   # numpy integers become ints, which never wrap
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_dimension(self.m)
         if self.n < 2:
             raise InputError(f"need at least 2 points per axis, got {self.n}")
@@ -153,21 +155,6 @@ def _reduced_modes(t: DiscreteTorus, alpha: int = 1) -> int:
     if t.n > MAX_SORTED:
         raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
     return t.n ** (t.m - 1)
-
-
-def omega(t: DiscreteTorus, x) -> float:
-    """``(n^2/pi^2) sum_i sin^2(pi x_i / n)`` for real coordinates in [0, n].
-
-    The reflection ``x_i -> n - x_i`` is an exact symmetry of the float
-    result.
-    """
-    xs = np.array([float(v) for v in x])
-    if len(xs) != t.m:
-        raise InputError(f"expected {t.m} coordinates, got {len(xs)}")
-    for v in xs:
-        if not (0.0 <= v <= t.n):
-            raise InputError(f"coordinate {v} outside [0, {t.n}]")
-    return float(np.sum(_axis_eigenvalues(t.n, xs)))
 
 
 def _extended_trace_sum(n: int, dims: int, z: float, alpha: int) -> float:
@@ -292,7 +279,7 @@ def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
     ``_inner_axis_traces``, so ``_lattice_sum`` reduces only the ``n^(m-1)``
     outer modes; a higher power is a lattice sum over every mode.
     """
-    if alpha < 1:
+    if check_integer("alpha", alpha) < 1:
         raise InputError("resolvent power alpha must be >= 1")
     check_resolvent_parameter(z, alpha)
     _check_sum_size(_reduced_modes(t, alpha))

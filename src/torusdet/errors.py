@@ -6,6 +6,7 @@ entry points live here too, so each range is stated once.
 """
 
 import math
+import operator
 
 
 class TorusdetError(Exception):
@@ -28,9 +29,17 @@ class TailModelError(NumericalError):
     """A declared tail basis cannot represent the sampled tail behaviour."""
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, numpy integers included; InputError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_dimension(m: int) -> None:
     """Reject torus dimensions outside the supported range 1..4."""
-    if not (1 <= m <= 4):
+    if not (1 <= check_integer("dimension m", m) <= 4):
         raise InputError(f"dimension m must be in 1..4, got {m}")
 
 

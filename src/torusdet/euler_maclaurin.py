@@ -39,7 +39,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import InputError, check_dimension, check_resolvent_parameter
+from .errors import (InputError, check_dimension, check_integer,
+                     check_resolvent_parameter)
 from .discrete import (LATTICE_BLOCK, DiscreteTorus, _axis_eigenvalues,
                        _extended_trace_sum, resolvent_trace)
 from .finite_part import _quad
@@ -53,8 +54,6 @@ EM_QUAD_TOL = 1e-12       # adaptive quadratures, absolute and relative
 # nearly doubles with each order.
 EM_MAX_ORDER = 6
 EM_MAX_GRID = 1 << 22     # unfolded nodes (32 n)^m of one pattern grid
-BOUND_SCAN_SIZES = (8, 16, 32, 64, 128, 256)   # n grid of the bound scan
-BOUND_SCAN_ALPHA = 2      # resolvent power of the bound scan
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -84,13 +83,6 @@ def _bernoulli_poly_coeffs(i: int):
     """Float coefficients of the i-th Bernoulli polynomial, highest power first."""
     bs = _bernoulli_list(i)
     return tuple(float(math.comb(i, j) * bs[j]) for j in range(i + 1))
-
-
-def periodic_bernoulli(i: int, x: float) -> float:
-    """The i-th Bernoulli polynomial evaluated at the fractional part of x."""
-    if i < 1:
-        raise InputError("periodic Bernoulli needs index >= 1")
-    return float(np.polyval(_bernoulli_poly_coeffs(i), x % 1.0))
 
 
 # -- one-axis Euler-Maclaurin -------------------------------------------------
@@ -221,25 +213,6 @@ def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray,
                np.zeros(jets.shape[1]))
 
 
-def h_coefficient(k: int, ell: int, n: int, x: float, alpha: int) -> float:
-    """Value of the coefficient functional H_{k,ell} at a point."""
-    if not (0 <= ell <= k - 1 and n >= 1 and alpha >= 1 and math.isfinite(x)):
-        raise InputError("need 0 <= ell <= k-1, n >= 1, alpha >= 1 and a "
-                         "finite x")
-    jets = _jet_matrix(n, np.array([x]), max(k - 1, 0))
-    return float(_h_eval(k, ell, alpha, jets)[0])
-
-
-def inv_power_derivative(k: int, n: int, x: float, z: float, alpha: int) -> float:
-    """``d^k/dx^k (omega_1(n, x) + z^2)^(-alpha)`` from the exact recursion."""
-    if not (k >= 1 and n >= 1 and alpha >= 1 and math.isfinite(x)):
-        raise InputError("need derivative order k >= 1, n >= 1, alpha >= 1 "
-                         "and a finite x")
-    check_resolvent_parameter(z, alpha + k)
-    axis = (None, np.array([float(x)]), k)
-    return float(_mixed_deriv_grid(n, z, alpha, [axis], {})[0])
-
-
 # -- multi-axis operator decomposition ----------------------------------------
 
 def default_truncation(m: int) -> int:
@@ -358,11 +331,11 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
         raise InputError(
             f"decomposition implemented for m <= 2 and pattern grids of "
             f"(32 n)^m <= {EM_MAX_GRID} nodes, got m = {t.m}, n = {t.n}")
-    alpha = t.m if alpha is None else int(alpha)
+    alpha = t.m if alpha is None else check_integer("alpha", alpha)
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
     floor = default_truncation(t.m)
-    M = floor if M is None else int(M)
+    M = floor if M is None else check_integer("M", M)
     if not floor <= M <= EM_MAX_ORDER:
         raise InputError(
             f"truncation order must be in {floor}..{EM_MAX_ORDER} for "
@@ -450,49 +423,6 @@ def corner_term_cancellation(m: int):
 
 
 @dataclass
-class BoundScanReport:
-    k: int
-    ell: int
-    branch: str                # "n-power" or "x-power"
-    per_n: dict                # n -> max ratio |H| / bound over the x grid
-    max_ratio: float
-    spread: float              # max over n divided by min over n
-
-
-def deriv_coefficient_bound_scan(k: int, ell: int) -> BoundScanReport:
-    """Empirical constants in the odd-order coefficient bounds.
-
-    For odd k, ``|H_{k,ell}|`` is bounded by a constant times
-    ``n**(2(ell+1) - k)`` when ``k >= 2(ell+1)`` and ``x**(2(ell+1) - k)``
-    otherwise; the scan reports the observed constant per n over
-    ``BOUND_SCAN_SIZES``, at resolvent power ``BOUND_SCAN_ALPHA``, and its
-    spread across the grid (a bounded spread is the check).
-    """
-    if k % 2 != 1:
-        raise InputError("the bound applies to odd derivative orders")
-    if not (0 <= ell <= k - 1):
-        raise InputError("need 0 <= ell <= k-1")
-    n_branch = k >= 2 * (ell + 1)
-    expo = 2 * (ell + 1) - k
-    per_n = {}
-    for n in BOUND_SCAN_SIZES:
-        xs = np.unique(np.concatenate([
-            np.linspace(0.05, 2.0, 16),
-            np.linspace(0.02, 0.5, 16) * n,
-        ]))
-        xs = xs[(xs > 0) & (xs <= n / 2)]
-        jets = _jet_matrix(n, xs, k - 1)
-        hv = np.abs(_h_eval(k, ell, BOUND_SCAN_ALPHA, jets))
-        bound = float(n) ** expo if n_branch else xs ** expo
-        per_n[n] = float(np.max(hv / bound))
-    vals = list(per_n.values())
-    return BoundScanReport(k=k, ell=ell,
-                           branch="n-power" if n_branch else "x-power",
-                           per_n=per_n, max_ratio=max(vals),
-                           spread=max(vals) / max(min(vals), 1e-300))
-
-
-@dataclass
 class RemainderReport:
     table: dict                 # z -> {n: |H(z,n)| * z^(2m+2)}
     sup_per_z: dict             # z -> sup over n
@@ -507,6 +437,8 @@ def remainder_uniformity_scan(m: int, *, z_grid=(4.0, 8.0, 16.0),
     values ``|H| z^(2m+2)`` should stay bounded uniformly in n and stop
     growing in z.
     """
+    if not len(n_grid):
+        raise InputError("n_grid is empty")
     table = {}
     for z in z_grid:
         table[z] = row = {}

@@ -58,11 +58,6 @@ def antiderivative_term(alpha: float, k: int, x: float) -> float:
     return total * x ** ap1
 
 
-def integral_term(alpha: float, k: int, a: float, b: float) -> float:
-    """Proper integral of ``z**alpha log(z)**k`` over [a, b], 0 < a <= b."""
-    return antiderivative_term(alpha, k, b) - antiderivative_term(alpha, k, a)
-
-
 def finite_part_tail_inf(alpha: float, k: int, A: float) -> float:
     """Finite part of the integral of ``z**alpha log(z)**k`` over [A, inf).
 
@@ -220,6 +215,12 @@ def logdet_via_regint(trace, m: int, kernel_dim: int, *,
     (total modes minus kernel); by default the zeta-regularized count
     ``-kernel_dim`` of a closed manifold is used.  For m = 1 the
     correction is zero either way.
+
+    The default ``window_end`` suits small tori only.  On the lattice traces,
+    with ``nonzero_modes`` = N - 1, the error against ``log_det`` is 5.3e-7,
+    9.7e-2 and 22.0 at m = 1, n = 32, 128, 256 (TailModelError at 512) and
+    8.0e-7, 7.9e-4, 0.69 at m = 2, n = 16, 32, 64; ``window_end`` = 8n keeps
+    it at most 4.7e-8 at m = 1, n = 8, 32, 128, 512 and m = 2, n = 8..64.
     """
     return _logdet_regint(lambda z: z ** (2 * m - 1) * trace(z, m), m,
                           kernel_dim, window_end, nonzero_modes,

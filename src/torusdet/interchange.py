@@ -153,26 +153,16 @@ def lhs_interchange(f: HomogeneousFn) -> float:
     return constant
 
 
-def _pointwise_limit_integral(f: HomogeneousFn) -> float:
-    """Finite-part integral over [1, inf) of the pointwise limit over n,
-    ``sum_k (-1)^k b_{0k} z^d log(z)^k`` from the constant-exponent block of
-    the declared n-expansion, term by term in closed form."""
-    return math.fsum((-1.0) ** t.k * t.coeff
-                     * finite_part_tail_inf(f.degree, t.k, 1.0)
-                     for t in f.expansion_n.terms if t.alpha == 0.0)
-
-
-def rhs_interchange(f: HomogeneousFn) -> float:
-    """Finite-part integral of the pointwise limit plus the correction."""
-    return _pointwise_limit_integral(f) + correction_term(f)
-
-
 def check_interchange(f: HomogeneousFn, tol: float = 1e-6) -> InterchangeReport:
     """Evaluate both sides of the interchange identity and compare."""
     verify_homogeneity(f)
     lhs = lhs_interchange(f)
     corr = correction_term(f)
-    rhs = _pointwise_limit_integral(f) + corr
+    # the finite-part integral over [1, inf) of the pointwise limit over n,
+    # sum_k (-1)^k b_{0k} z^d log(z)^k, term by term, plus the correction
+    rhs = math.fsum((-1.0) ** t.k * t.coeff
+                    * finite_part_tail_inf(f.degree, t.k, 1.0)
+                    for t in f.expansion_n.terms if t.alpha == 0.0) + corr
     diff = abs(lhs - rhs)
     return InterchangeReport(name=f.name, lhs=lhs, rhs=rhs, corr=corr,
                              degree=f.degree, abs_diff=diff,

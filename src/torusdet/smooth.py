@@ -216,26 +216,16 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
 
 # -- partial eigenvalue products --------------------------------------------
 
-def partial_log_product(m: int, mode: str, parameter) -> float:
-    """Log of a finite product of nonzero torus eigenvalues.
-
-    ``mode = "by_cutoff"``: product over ``0 < |k| <= parameter``.
-    ``mode = "by_count"``: product of the first ``parameter`` eigenvalues in
-    ascending order (ties within an eigenvalue shell are norm-equal, so the
-    documented lexicographic tie-break does not change the value).
-    """
-    return float(_log_products(m, mode, [parameter])[1][0, 0])
-
-
 def _log_products(m: int, mode: str, parameters, window=(1.0,)):
     """Eigenvalue counts and log products at every parameter (each at least
-    1) times every window factor: two arrays of shape
-    ``(len(parameters), len(window))``, read by one search from one table of
-    Z^m shells.  The largest sample, a count or the about ``V_m Lambda^m``
-    norms below a cutoff, is at most ``MAX_SUM_LATTICE``.  A count N takes
-    the shells up to radius ``r + sqrt(m)/2`` with ``V_m r^m = N + 1``: the
-    unit cubes centred on their points cover the ball of radius r, so they
-    hold N nonzero points.
+    1) times every window factor, over ``0 < |k| <= parameter`` (``by_cutoff``)
+    or the ``parameter`` smallest nonzero eigenvalues (``by_count``): two
+    arrays of shape ``(len(parameters), len(window))``, read by one search
+    from one table of Z^m shells.  The largest sample, a count or the about
+    ``V_m Lambda^m`` norms below a cutoff, is at most ``MAX_SUM_LATTICE``.
+    A count N takes the shells up to radius ``r + sqrt(m)/2`` with ``V_m
+    r^m = N + 1``: the unit cubes centred on their points cover the ball of
+    radius r, so they hold N nonzero points.
     """
     check_dimension(m)
     if mode not in ("by_cutoff", "by_count"):
@@ -371,6 +361,8 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     if alpha < m:
         raise InputError("need alpha >= m for the convergence table")
     tori = [DiscreteTorus(m, int(n)) for n in n_grid]
+    if not tori:
+        raise InputError("n_grid is empty")
     t_big = tori[-1]
     _check_sum_size(sum(_reduced_modes(t, alpha) for t in tori)
                     + 4 * _reduced_modes(t_big, alpha)

@@ -1,13 +1,17 @@
 """Every public input check raises InputError, whichever module it guards."""
 
+import math
+
 import pytest
 
 from torusdet import (TO_INFINITY, TO_ZERO, BasisSpec, DiscreteTorus,
                       Expansion, ExpTerm, HomogeneousFn, InputError, Samples,
-                      antiderivative_term, bernoulli_number,
-                      corner_term_cancellation, deriv_coefficient_bound_scan,
-                      eigenvalue_product_integer, em_sum_1d, logdet_via_regint,
-                      periodic_bernoulli, poly_evaluator, resolvent_trace)
+                      antiderivative_term, bernoulli_number, convergence_check,
+                      corner_term_cancellation, eigenvalue_product_integer,
+                      em_decompose, em_sum_1d, log_det, log_det_zeta,
+                      logdet_via_regint, poly_evaluator,
+                      remainder_uniformity_scan, resolvent_trace,
+                      spanning_tree_count)
 
 
 def _trace(z, alpha):
@@ -23,13 +27,24 @@ def _homogeneous(z_side, n_side):
 
 BAD_CALLS = {
     "trace_alpha_0": lambda: resolvent_trace(DiscreteTorus(2, 8), 1.0, 0),
+    "trace_alpha_2.5": lambda: resolvent_trace(DiscreteTorus(2, 8), 1.0, 2.5),
+    "torus_n_4.5": lambda: spanning_tree_count(DiscreteTorus(2, 4.5)),
+    "torus_n_nan": lambda: spanning_tree_count(DiscreteTorus(2, math.nan)),
+    "torus_n_8.5": lambda: log_det(DiscreteTorus(2, 8.5)),
+    "torus_n_8.0": lambda: DiscreteTorus(2, 8.0),
+    "torus_n_string": lambda: DiscreteTorus(2, "8"),
+    "torus_m_2.5": lambda: DiscreteTorus(2.5, 8),
+    "zeta_m_2.5": lambda: log_det_zeta(2.5),
+    "em_alpha_1.5": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, alpha=1.5),
+    "em_M_6.9": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, M=6.9),
+    "converge_empty_grid": lambda: convergence_check(1, [], 1.0, 1),
+    "remainder_scan_empty_grid": lambda: remainder_uniformity_scan(
+        1, n_grid=()),
     "eigenvalue_product_cap": lambda: eigenvalue_product_integer(
         DiscreteTorus(2, 65)),
     "bernoulli_negative": lambda: bernoulli_number(-1),
-    "periodic_bernoulli_0": lambda: periodic_bernoulli(0, 0.5),
     "em_sum_1d_n_0": lambda: em_sum_1d(poly_evaluator([1.0]), 0, 1),
     "corner_cancellation_m_0": lambda: corner_term_cancellation(0),
-    "bound_scan_ell_too_big": lambda: deriv_coefficient_bound_scan(3, 3),
     "expansion_direction": lambda: Expansion("sideways", ()),
     "basis_negative_log": lambda: BasisSpec(((0.0, -1),)),
     "samples_lengths": lambda: Samples([1.0, 2.0], [1.0]),

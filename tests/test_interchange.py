@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from torusdet import (Expansion, ExpTerm, HomogeneousFn, InputError,
                       TO_INFINITY, builtin_registry, check_interchange,
                       correction_term, lhs_interchange, reg_integral,
-                      rhs_interchange, verify_homogeneity)
+                      verify_homogeneity)
 from torusdet import interchange
 from torusdet.interchange import fp_integral_from_one
 
@@ -87,13 +87,13 @@ class TestSides:
                                                            abs=1e-10)
 
     def test_rhs_values(self):
-        assert rhs_interchange(by_name("n/(z^2+n^2)")) == pytest.approx(
-            math.pi / 2, abs=1e-8)
-        assert rhs_interchange(by_name("n^2/(z^2+n^2)")) == pytest.approx(
-            -1.0, abs=1e-12)
-        assert rhs_interchange(by_name("z^-2")) == pytest.approx(1.0, abs=1e-12)
-        assert rhs_interchange(by_name("n^3/(z^2+n^2)^2")) == pytest.approx(
-            math.pi / 4, abs=1e-8)
+        def rhs(name):
+            return check_interchange(by_name(name)).rhs
+
+        assert rhs("n/(z^2+n^2)") == pytest.approx(math.pi / 2, abs=1e-8)
+        assert rhs("n^2/(z^2+n^2)") == pytest.approx(-1.0, abs=1e-12)
+        assert rhs("z^-2") == pytest.approx(1.0, abs=1e-12)
+        assert rhs("n^3/(z^2+n^2)^2") == pytest.approx(math.pi / 4, abs=1e-8)
 
 
 class TestCheck:
@@ -141,9 +141,7 @@ class TestCheck:
                 ExpTerm(t.alpha, t.k, c * t.coeff)
                 for t in base.expansion_n.terms)),
         )
-        assert rhs_interchange(scaled) == pytest.approx(
-            c * rhs_interchange(base), rel=1e-9)
-        assert correction_term(scaled) == pytest.approx(
-            c * correction_term(base), rel=1e-9)
-        assert lhs_interchange(scaled) == pytest.approx(
-            c * lhs_interchange(base), rel=1e-6)
+        rep, ref = check_interchange(scaled), check_interchange(base)
+        assert rep.rhs == pytest.approx(c * ref.rhs, rel=1e-9)
+        assert rep.corr == pytest.approx(c * ref.corr, rel=1e-9)
+        assert rep.lhs == pytest.approx(c * ref.lhs, rel=1e-6)

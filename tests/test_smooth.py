@@ -10,13 +10,20 @@ import pytest
 
 from torusdet import (BasisSpec, DiscreteTorus, InputError, NumericalError,
                       convergence_check, eigenproduct_reglimit, log_det_zeta,
-                      logdet_zeta_via_regint, partial_log_product,
-                      resolvent_trace_continuum, zeta_continued)
+                      logdet_zeta_via_regint, resolvent_trace_continuum,
+                      zeta_continued)
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE
 from torusdet import smooth
 from torusdet.cli import parse_grid
 from torusdet.smooth import (TRACE_SHELLS, ZETA_SHELLS, _fixed_shells,
-                             _lead_radius, _shells)
+                             _lead_radius, _log_products, _shells)
+
+
+def partial_log_product(m, mode, parameter):
+    """Log of the product of the nonzero torus eigenvalues with
+    ``0 < |k| <= parameter`` (``by_cutoff``) or of the ``parameter``
+    smallest (``by_count``), as the eigenvalue-product samples read it."""
+    return float(_log_products(m, mode, [parameter])[1][0, 0])
 
 LOG_4PI2 = 2 * math.log(2 * math.pi)
 
@@ -493,6 +500,7 @@ class TestGoldenValues:
     @pytest.mark.parametrize("m,mode,parameter,expected", GOLDEN_PRODUCTS)
     def test_partial_log_product(self, m, mode, parameter, expected):
         assert partial_log_product(m, mode, parameter).hex() == expected
+
 
 class TestConvergence:
     def test_m1_dyadic(self):

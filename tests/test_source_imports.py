@@ -9,13 +9,16 @@ module graph has no hidden edges and no cycle deferred into a function.
 ``discrete._lattice_sum`` is the one reduction of spectral sums, so the
 sums built on it loop over nothing themselves.  A finite-part tail means
 one thing wherever it is passed, so only ``finite_part._tail_part`` asks
-whether it is a declared ``Expansion``.
+whether it is a declared ``Expansion``.  Every name the package exports
+has a caller outside the tests: another library module, its own module
+outside its definition, the bench or a demo.
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "torusdet").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "torusdet").glob("*.py"))
 
 
 def imported_modules(path):
@@ -115,3 +118,57 @@ def test_only_tail_part_asks_whether_a_tail_is_declared():
                     and ast.unparse(node.func) == "isinstance"
                     and "Expansion" in ast.unparse(node.args[1])):
                 assert id(node) in allowed, (path.name, node.lineno)
+
+
+
+def bound_names(fn):
+    """The parameters and assigned locals of ``fn``, its nested functions'
+    included."""
+    return {node.arg if isinstance(node, ast.arg) else node.id
+            for node in ast.walk(fn) if isinstance(node, ast.arg)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def references(tree, skip=None):
+    """The names ``tree`` refers to outside the node ``skip``: imported
+    names, attribute names, and names read where no parameter or local of
+    an enclosing function binds them (``omega`` is also a parameter name)."""
+    found = set()
+
+    def visit(node, local):
+        if node is skip:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | bound_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    init = SOURCES[0].parent / "__init__.py"
+    exports = {alias.asname or alias.name: node.module
+               for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = ([path for path in SOURCES if path != init]
+               + sorted((ROOT / "bench").glob("*.py"))
+               + sorted((ROOT / "demos").glob("*.py")))
+    trees = {path: ast.parse(path.read_text()) for path in callers}
+    unused = []
+    for name, module in sorted(exports.items()):
+        definition = next((node for node in trees[init.parent / f"{module}.py"].body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                           and node.name == name), None)
+        if not any(name in references(tree, definition)
+                   for tree in trees.values()):
+            unused.append(name)
+    assert exports and not unused, unused
