@@ -23,9 +23,10 @@ an exact integer cross-check of the rescaled log-determinant:
 elimination, ``_det_mod_primes``, computes every cofactor residue: a
 multifrontal elimination in nested-dissection order, batched over primes,
 its pivots in panels.  The torus is vertex-transitive, so the fronts of a
-depth are translates of a few boxes and most assemble to the same matrix:
-one representative per class of identical fronts is eliminated, its
-pivots raised to the class's multiplicity.  Tree counts
+depth whose boxes have one shape are translates that assemble to the same
+matrix: one front per box shape is eliminated, its pivots raised to the
+shape's count of boxes.  Vertex 0 is eliminated last, and the cofactor is
+the product of every pivot but that last one, which is 0.  Tree counts
 for m >= 2 are the CRT reconstruction (``_crt``) of these residues, as is
 the eigenvalue product from its GF(p) values at an n-th root of unity, p
 = 1 (mod n), its inner axis by a Lucas ladder.  For n = 2 the circle
@@ -361,15 +362,6 @@ def _crt(residues_mod, step: int, bound: int) -> int:
                for r, p in pairs) % modulus
 
 
-def _slots(front: np.ndarray, node, verts, points: int) -> np.ndarray:
-    """Slot of each vertex ``verts`` in row ``node`` of ``front``, else -1."""
-    key = (np.arange(len(front))[:, None] * (points + 1) + front + 1).ravel()
-    order = np.argsort(key)
-    q = node * (points + 1) + verts + 1
-    i = np.searchsorted(key[order], q).clip(max=key.size - 1)
-    return np.where(key[order[i]] == q, order[i] % front.shape[1], -1)
-
-
 @functools.lru_cache(maxsize=16)
 def _fronts(t: DiscreteTorus) -> tuple:
     """Multifrontal plan of the torus in nested-dissection order, root first.
@@ -378,83 +370,82 @@ def _fronts(t: DiscreteTorus) -> tuple:
     with lo >= 1.  Its longest axis is cut, a circle at 0 and n//2, an
     interval at its middle; a box of at most ``LEAF`` vertices is a leaf.
     A front is the cut (or leaf), then the boundary: the box's faces lo - 1
-    and hi mod n on each interval axis.  The fronts of a depth share one
-    layout, ``own`` own slots (padding is an identity row) then boundary
-    slots.  The int8 template holds the graph Laplacian with vertex 0's row
-    and column replaced by e0, each entry in the front of the deeper owner
-    of its two vertices.  The torus is vertex-transitive and the boxes of a
-    depth are translates of a few shapes, so most fronts coincide: deepest
-    depth first, two fronts are one class when their templates agree and
-    their children agree as a multiset of (child's class, child's boundary
-    slots in the parent).  Such fronts assemble to one matrix, with the
-    same pivots and Schur complement.  Per depth ``(template, own, mult,
-    src, to)``: one template per class, each class's multiplicity, and the
-    scatter of the children of the representatives: ``src`` is each
-    child's class, ``to`` the flat index of its boundary block in the
-    stacked ``(class, f, f)`` fronts.  Padding, whose updates stay 0, adds
-    to slot 0.  The plan is built once per torus and is read-only.
+    and hi mod n on each interval axis.  The cut rule sees only a box's
+    shape, its axis lengths, so on the vertex-transitive torus the boxes of
+    one shape and depth are translates, with translated fronts and
+    subtrees: one class.  Breadth first, each depth is ``{shape: [a box,
+    its count of fronts]}``, and each class is built once.  The classes of
+    a depth share one layout, ``own`` own slots (padding is an identity
+    row) then boundary slots; the root's own slots end with vertex 0.  The
+    int8 template holds the graph Laplacian, each entry in the front of the
+    deeper owner of its two vertices, found through a dense vertex-to-slot
+    table per class.  Per depth ``(template, own, mult, src, to)``: one
+    template and count per class, and the scatter of each class's children:
+    ``src`` is the child's class, ``to`` the flat index of its boundary
+    block in the stacked ``(class, f, f)`` fronts.  Boundary padding, whose
+    updates stay 0, adds to slot 0.  The plan is built once per torus and is
+    read-only.
     """
     n, m, points = t.n, t.m, t.points
     stride = n ** np.arange(m - 1, -1, -1)[:, None]
 
     def ids(axes):   # lexicographic ids of a product of coordinate lists
         return functools.reduce(lambda v, x: np.add.outer(v * n, x).ravel(), axes, 0)
-    depths, above, level = [], np.full((1, 1), -1), [(0, [(0, n)] * m)]
+
+    def faces(box):
+        axes = [np.arange(lo, hi) for lo, hi in box]
+        return np.concatenate([ids(axes[:a] + [[lo - 1, hi % n]] + axes[a + 1:])
+                               for a, (lo, hi) in enumerate(box) if lo]
+                              + [np.zeros(0, np.int64)])
+    plan, level = [], {(n,) * m: [[(0, n)] * m, 1]}
     while level:
-        nodes, kids = [], []
-        for parent, box in level:
+        owns, links, kids = [], [], {}   # links: (class, child's class, its faces)
+        for k, (box, count) in enumerate(level.values()):
             axes = [np.arange(lo, hi) for lo, hi in box]
-            faces = [ids(axes[:a] + [[lo - 1, hi % n]] + axes[a + 1:])
-                     for a, (lo, hi) in enumerate(box) if lo]
             a = max(range(m), key=lambda a: box[a][1] - box[a][0])
             lo, hi = box[a]
-            if math.prod(len(x) for x in axes) <= LEAF:
+            if math.prod(map(len, axes)) <= LEAF:
                 cut, sides = axes[a], ()
             elif lo == 0:
                 cut, sides = [0, n // 2], ((1, n // 2), (n // 2 + 1, n))
             else:
                 c = (lo + hi) // 2
                 cut, sides = [c], ((lo, c), (c + 1, hi))
-            kids += [(len(nodes), box[:a] + [s] + box[a + 1:])
-                     for s in sides if s[0] < s[1]]
-            nodes.append((parent, ids(axes[:a] + [cut] + axes[a + 1:]),
-                          np.concatenate(faces + [np.zeros(0, np.int64)])))
-        own = max(len(x) for _, x, _ in nodes)
-        front = np.full((len(nodes), own + max(len(y) for _, _, y in nodes)), -1)
-        for k, (_, x, y) in enumerate(nodes):
+            owns.append(ids(axes[:a] + [cut] + axes[a + 1:]))
+            for child in (box[:a] + [s] + box[a + 1:] for s in sides if s[0] < s[1]):
+                shape = tuple(hi - lo for lo, hi in child)
+                kids.setdefault(shape, [child, 0])[1] += count
+                links.append((k, list(kids).index(shape), faces(child)))
+        if not plan:
+            owns[0] = np.roll(owns[0], -1)   # vertex 0 last
+        bounds = [faces(box) for box, _ in level.values()]
+        own = max(map(len, owns))
+        front = np.full((len(owns), own + max(map(len, bounds))), -1)
+        for k, (x, y) in enumerate(zip(owns, bounds)):
             front[k, :len(x)], front[k, own:own + len(y)] = x, y
-        v, node = front[:, :own, None, None], np.arange(len(nodes))[:, None, None]
-        x = v // stride % n
-        nb = (v + ((x + (-1, 1)) % n - x) * stride).reshape(len(nodes), own, -1)
-        s = _slots(front, node, nb, points)
-        kk, ii, ss = (z[(v[..., 0] > 0) & (nb > 0) & (s >= 0)] for z in
-                      np.broadcast_arrays(node, np.arange(own)[:, None], s))
-        up = ss >= own
-        tmpl = np.zeros((len(nodes),) + front.shape[1:] * 2, dtype=np.int8)
-        tmpl[:, range(own), range(own)] = np.where(front[:, :own] > 0, 2 * m, 1)
-        np.add.at(tmpl, (np.r_[kk, kk[up]], np.r_[ii, ss[up]], np.r_[ss, ii[up]]), -1)
-        par = np.array([p for p, _, _ in nodes])
-        slot = _slots(above, par[:, None], front[:, own:], points).clip(min=0)
-        depths.append((tmpl, own, par, slot))
-        above, level = front, kids
-    plan, cls, par, slot = [], np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)
-    for tmpl, own, *links in reversed(depths):   # cls, par, slot: child depth
-        kids = [[] for _ in tmpl]
-        for c, k, s in zip(cls.tolist(), par.tolist(), slot):
-            kids[k].append((c, s.tobytes()))
-        key = {}
-        label = np.array([key.setdefault((x.tobytes(), tuple(sorted(y))), len(key))
-                          for x, y in zip(tmpl, kids)])
-        rep = np.unique(label, return_index=True)[1]   # class c's first front
-        e, w = np.isin(par, rep), tmpl.shape[-1]   # children of representatives
-        r, s = label[par[e]][:, None, None] * w, slot[e]
-        to = ((r + s[:, :, None]) * w + s[:, None, :]).ravel()
-        plan.append((tmpl[rep], own, np.bincount(label), cls[e], to))
-        cls, (par, slot) = label, links
+        w = front.shape[1]
+        slot = np.full((len(front), points + 1), -1)   # column N: padding, -1
+        slot[np.arange(len(front))[:, None], front] = range(w)
+        tmpl = np.zeros((len(front), w, w), dtype=np.int8)
+        tmpl[:, range(own), range(own)] = np.where(front[:, :own] < 0, 1, 2 * m)
+        for k, v in enumerate(owns):
+            v = v[:, None, None]
+            x = v // stride % n
+            s = slot[k, v + ((x + (-1, 1)) % n - x) * stride]   # of the neighbours
+            i, s = np.nonzero(s >= 0)[0], s[s >= 0]
+            up = s >= own
+            np.add.at(tmpl[k], (np.r_[i, s[up]], np.r_[s, i[up]]), -1)
+        par, src = (np.array([link[j] for link in links], int) for j in (0, 1))
+        s = np.zeros((len(links), max((len(f) for *_, f in links), default=0)), int)
+        for j, (k, _, f) in enumerate(links):
+            s[j, :len(f)] = slot[k, f]
+        to = ((par[:, None, None] * w + s[:, :, None]) * w + s[:, None, :]).ravel()
+        plan.append((tmpl, own, np.array([c for _, c in level.values()]), src, to))
+        level = kids
     for tmpl, _, *arrays in plan:
         for a in [tmpl] + arrays:
             a.flags.writeable = False
-    return tuple(plan[::-1])
+    return tuple(plan)
 
 
 def _product_mod(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -483,16 +474,18 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
 
     Multifrontal GF(p) elimination over ``_fronts``, deepest depth first,
     each depth one int64 array ``(primes, classes, f, f)`` holding one
-    representative front per class: the children's Schur complements are
+    front per class: the children's Schur complements are
     gathered by class and added in, then the own slots are eliminated with
     symmetric pivots in panels of ``PANEL``: per pivot a rank-1 update of
     the panel's later rows, then one ``_matmul_mod`` subtracts ``(U /
     pivots)^T U`` over the panel's rows U from the trailing block, after
     the last panel the boundary's Schur complement.  Each update is reduced
     once, as ``x - x // p * p`` (numpy's libdivide floor division is twice
-    as fast as its ``%``).  The determinant is the product of the pivots,
-    each repeated once per front of its class.  There is no pivoting: a
-    prime at which a pivot vanishes gets None.  A batch of primes keeps each
+    as fast as its ``%``).  The cofactor deleting vertex 0 is the product of
+    the pivots, each repeated once per front of its class, all but the
+    last: vertex 0 is eliminated last, and its pivot is 0 because the
+    Laplacian is singular.  There is no pivoting: a prime at which another
+    pivot vanishes gets None.  A batch of primes keeps each
     depth's arrays (its fronts, about four fronts of trailing-update
     temporaries, the gathered children) under a quarter of the dense ``N x
     N`` matrix (at least 2^18 elements).
@@ -530,7 +523,7 @@ def _det_mod_primes(t: DiscreteTorus, primes) -> list:
             pivots.append(np.repeat(front[:, :, range(own), range(own)], mult,
                                     axis=1).reshape(len(chunk), -1))
             below = front[:, :, own:, own:].copy()
-        piv = np.concatenate(pivots, axis=1)
+        piv = np.concatenate(pivots, axis=1)[:, :-1]   # vertex 0's pivot is 0
         out += [None if z else r for z, r in zip(
             (piv == 0).any(axis=1), _product_mod(piv, ps[:, :, 0, 0]).tolist())]
     return out
@@ -664,9 +657,7 @@ def square_lattice_logdet_density(m: int) -> float:
 
 def log_det_series(m: int, n_grid, *, rescaled: bool = False) -> Samples:
     """Log-determinants sampled over a grid of discretization parameters."""
-    ns = [int(n) for n in n_grid]
-    vals = []
-    for n in ns:
-        t = DiscreteTorus(m, n)
-        vals.append(log_det_rescaled(t) if rescaled else log_det(t))
-    return Samples(np.array(ns, dtype=float), np.array(vals))
+    tori = [DiscreteTorus(m, n) for n in n_grid]
+    return Samples(np.array([t.n for t in tori], dtype=float),
+                   np.array([log_det_rescaled(t) if rescaled else log_det(t)
+                             for t in tori]))

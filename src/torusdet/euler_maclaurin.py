@@ -71,7 +71,7 @@ def _bernoulli_list(upto: int):
 
 def bernoulli_number(i: int) -> Fraction:
     """Exact Bernoulli number via the binomial recurrence (B_1 = -1/2)."""
-    if i < 0:
+    if check_integer("Bernoulli index", i) < 0:
         raise InputError("Bernoulli index must be non-negative")
     if i > BERNOULLI_CAP:
         raise InputError(f"Bernoulli index cap is {BERNOULLI_CAP}")
@@ -390,6 +390,7 @@ def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
     about ``z/n = 1/2048`` down.
     """
     check_dimension(m)
+    check_integer("q", q)
     check_resolvent_parameter(z, m)   # the q = 0 block is z^(-2m)
     return n ** (q - 2.0 * m) * _window_integral(q, z / n, m)
 
@@ -412,7 +413,7 @@ def corner_term_cancellation(m: int):
     sum of the corner values ``(omega_at_corner + z^2)^(-m)`` across
     z in {0.5, 1, 2}.
     """
-    if m < 1:
+    if check_integer("dimension m", m) < 1:
         raise InputError("dimension must be >= 1")
     levels = [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
     # omega vanishes exactly at every lattice corner
@@ -437,15 +438,16 @@ def remainder_uniformity_scan(m: int, *, z_grid=(4.0, 8.0, 16.0),
     values ``|H| z^(2m+2)`` should stay bounded uniformly in n and stop
     growing in z.
     """
-    if not len(n_grid):
+    tori = [DiscreteTorus(m, n) for n in n_grid]
+    if not tori:
         raise InputError("n_grid is empty")
     table = {}
     for z in z_grid:
         table[z] = row = {}
-        for n in n_grid:
-            tr = resolvent_trace(DiscreteTorus(m, int(n)), z, m)
-            h = tr - math.fsum(homogeneous_components(m, z, float(n)).values())
-            row[int(n)] = abs(h) * z ** (2 * m + 2)
+        for t in tori:
+            h = resolvent_trace(t, z, m) - math.fsum(
+                homogeneous_components(m, z, float(t.n)).values())
+            row[t.n] = abs(h) * z ** (2 * m + 2)
     return RemainderReport(
         table=table, sup_per_z={z: max(r.values()) for z, r in table.items()},
-        anchor_per_z={z: r[int(n_grid[0])] for z, r in table.items()})
+        anchor_per_z={z: r[tori[0].n] for z, r in table.items()})

@@ -360,7 +360,7 @@ def convergence_check(m: int, n_grid, z: float, alpha: int) -> ConvergenceReport
     check_dimension(m)
     if alpha < m:
         raise InputError("need alpha >= m for the convergence table")
-    tori = [DiscreteTorus(m, int(n)) for n in n_grid]
+    tori = [DiscreteTorus(m, n) for n in n_grid]
     if not tori:
         raise InputError("n_grid is empty")
     t_big = tori[-1]

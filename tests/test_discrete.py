@@ -16,7 +16,7 @@ from torusdet import (DiscreteTorus, InputError, NumericalError,
                       reduced_laplacian_det_mod, resolvent_trace,
                       spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
-from torusdet.discrete import (MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
+from torusdet.discrete import (LEAF, MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
                                TRACE_MAX_ALPHA, _axis_eigenvalues, _crt,
                                _det_mod_primes, _fronts, _half_axis,
                                _inner_axis_log_product, _inner_axis_monomials,
@@ -846,22 +846,54 @@ class TestPanels:
                 for p in (2 ** 31 - 1, 2 ** 31 - 19)] == residues
 
 
+def boxes_per_depth(m, n):
+    # every box of the nested dissection, depth by depth, by the cut rule:
+    # the longest axis, a circle (0, n) at 0 and n//2, an interval [lo, hi)
+    # at its middle, down to leaves of at most LEAF vertices
+    level, depths = [[(0, n)] * m], []
+    while level:
+        depths.append(level)
+        deeper = []
+        for box in level:
+            lens = [hi - lo for lo, hi in box]
+            a = lens.index(max(lens))
+            lo, hi = box[a]
+            c = n // 2 if lo == 0 else (lo + hi) // 2
+            if math.prod(lens) > LEAF:
+                deeper += [box[:a] + [s] + box[a + 1:]
+                           for s in [(max(lo, 1), c), (c + 1, hi)] if s[0] < s[1]]
+        level = deeper
+    return depths
+
+
 class TestFrontClasses:
-    # the plan keeps one representative front per class of identical fronts
+    # the plan keeps one front per box shape and depth
     @pytest.mark.parametrize("m,n", [(2, 32), (2, 48), (2, 64), (3, 8),
                                      (3, 16), (4, 8)])
     def test_one_class_below_the_root_children(self, m, n):
-        # translates of one box at every depth below the root's two children
+        # translates of one box at every depth below the root, its two
+        # children included: vertex 0 is an ordinary vertex below the root
         plan = _fronts(DiscreteTorus(m, n))
-        assert [len(mult) for _, _, mult, _, _ in plan[2:]] == [1] * (len(plan) - 2)
+        assert [len(mult) for _, _, mult, _, _ in plan[1:]] == [1] * (len(plan) - 1)
+
+    @pytest.mark.parametrize("m,n,classes", [
+        (2, 22, [1, 1, 1, 2, 4, 3]), (2, 33, [1, 2, 4, 6, 4, 6, 4]),
+        (2, 63, [1, 2, 4, 4, 4, 4, 4, 4, 3])])
+    def test_classes_are_the_box_shapes_of_a_depth(self, m, n, classes):
+        depths = boxes_per_depth(m, n)
+        plan = _fronts(DiscreteTorus(m, n))
+        assert [len(mult) for _, _, mult, _, _ in plan] == classes
+        assert classes == [len({tuple(hi - lo for lo, hi in box) for box in level})
+                           for level in depths]
+        assert [int(mult.sum()) for _, _, mult, _, _ in plan] == list(map(len, depths))
 
     @pytest.mark.parametrize("m,n", [(2, 32), (2, 48), (2, 64), (3, 8), (3, 16),
                                      (4, 8), (2, 17), (2, 63), (3, 7), (4, 5)])
     def test_multiplicities_cover_every_front_and_vertex(self, m, n):
         # one root; each depth's fronts are the children of the fronts above,
         # counted per class from the scatter (its flat index names the
-        # representative); own slots with diagonal 2m are the vertices but
-        # vertex 0 (an e0 row, like padding), so each is eliminated once
+        # parent's class); own slots with diagonal 2m are the vertices,
+        # vertex 0 the root's last, so each is eliminated once
         plan = _fronts(DiscreteTorus(m, n))
         assert plan[0][2].tolist() == [1]
         for (tmpl, _, mult, src, to), (_, _, kids, _, _) in zip(plan, plan[1:]):
@@ -869,7 +901,7 @@ class TestFrontClasses:
             rep = to.reshape(len(src), -1)[:, 0] // tmpl[0].size
             assert mult @ np.bincount(rep, minlength=len(mult)) == kids.sum()
         assert sum(int(mult @ (tmpl[:, range(own), range(own)] == 2 * m).sum(1))
-                   for tmpl, own, mult, _, _ in plan) == n ** m - 1
+                   for tmpl, own, mult, _, _ in plan) == n ** m
 
     # recorded before the front classes, on tori whose depths keep several
     # classes (up to 18 in a depth of (2, 63)); of the primes below 400 only

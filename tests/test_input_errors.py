@@ -8,10 +8,10 @@ from torusdet import (TO_INFINITY, TO_ZERO, BasisSpec, DiscreteTorus,
                       Expansion, ExpTerm, HomogeneousFn, InputError, Samples,
                       antiderivative_term, bernoulli_number, convergence_check,
                       corner_term_cancellation, eigenvalue_product_integer,
-                      em_decompose, em_sum_1d, log_det, log_det_zeta,
-                      logdet_via_regint, poly_evaluator,
+                      em_decompose, em_sum_1d, log_det, log_det_series,
+                      log_det_zeta, logdet_via_regint, poly_evaluator,
                       remainder_uniformity_scan, resolvent_trace,
-                      spanning_tree_count)
+                      scaled_bulk_term, spanning_tree_count)
 
 
 def _trace(z, alpha):
@@ -38,13 +38,20 @@ BAD_CALLS = {
     "em_alpha_1.5": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, alpha=1.5),
     "em_M_6.9": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, M=6.9),
     "converge_empty_grid": lambda: convergence_check(1, [], 1.0, 1),
+    "converge_n_8.5": lambda: convergence_check(1, [8.5, 16.2, 32.9], 1.0, 1),
+    "log_det_series_n_8.5": lambda: log_det_series(1, [8.5, 16.9]),
     "remainder_scan_empty_grid": lambda: remainder_uniformity_scan(
         1, n_grid=()),
+    "remainder_scan_n_8.5": lambda: remainder_uniformity_scan(
+        1, n_grid=(8.5, 16)),
     "eigenvalue_product_cap": lambda: eigenvalue_product_integer(
         DiscreteTorus(2, 65)),
     "bernoulli_negative": lambda: bernoulli_number(-1),
+    "bernoulli_2.5": lambda: bernoulli_number(2.5),
+    "bulk_term_q_1.5": lambda: scaled_bulk_term(2, 1.5, 1.0, 8.0),
     "em_sum_1d_n_0": lambda: em_sum_1d(poly_evaluator([1.0]), 0, 1),
     "corner_cancellation_m_0": lambda: corner_term_cancellation(0),
+    "corner_cancellation_m_2.5": lambda: corner_term_cancellation(2.5),
     "expansion_direction": lambda: Expansion("sideways", ()),
     "basis_negative_log": lambda: BasisSpec(((0.0, -1),)),
     "samples_lengths": lambda: Samples([1.0, 2.0], [1.0]),
