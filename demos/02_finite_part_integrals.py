@@ -3,7 +3,9 @@
 Divergent power-law tails are assigned their finite part: the constant
 coefficient of the partial integrals' expansion in the moving endpoint.
 The numerical route is adaptive quadrature on a window plus closed-form
-finite parts of fitted tail expansions.
+finite parts of fitted tail expansions.  The determinant route needs no
+window: its integrand goes as a constant over z at both ends, so z = 1/x
+folds (0, inf) into one quadrature over (0, 1].
 """
 
 import math

@@ -12,6 +12,11 @@ caller-declared expansion or a least-squares fit of a declared basis to
 samples at geometric points beyond the window, integrated term by term in
 closed form.  The reported error combines the quadrature estimate with the
 tail-fit residual scaled by the window endpoint.
+
+The log-determinant integrand ``z**(2m-1)`` times a resolvent trace needs
+neither window nor tail: it goes as a constant over z at both ends, whose
+finite parts over (0, 1] and [1, inf) vanish, so z = 1/x folds it into one
+quadrature over (0, 1].
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ DEFAULT_QUAD_TOL = 1e-10
 TAIL_SAMPLE_RATIO = 2.0
 TAIL_EXTRA_POINTS = 4
 TAIL_RESIDUAL_REL = 1e-6
+FAR_Z = 1e16   # m lam_max / z^2 is below rounding, z^(-2m) a normal float
 
 
 def antiderivative_term(alpha: float, k: int, x: float) -> float:
@@ -186,68 +192,51 @@ def reg_integral(f: Callable[[float], float], window=DEFAULT_WINDOW,
                         error_estimate=quad_err + tz_err + ti_err)
 
 
-def default_logdet_tail_basis(m: int) -> BasisSpec:
-    """Tail basis for ``z**(2m-1) * trace`` at infinity: a finite spectrum
-    gives odd negative powers starting at ``z**-1``."""
-    pairs = [(float(j), 0) for j in range(m - 1, 0, -1)]
-    pairs += [(0.0, 0), (-1.0, 0), (-3.0, 0), (-5.0, 0), (-7.0, 0)]
-    return BasisSpec(tuple(pairs))
-
-
 def logdet_via_regint(trace, m: int, kernel_dim: int, *,
                       window_end: float = 64.0,
                       nonzero_modes: float | None = None) -> float:
     """Log-determinant from the finite-part resolvent-trace integral.
 
     Evaluates ``-2 * fp-integral of z**(2m-1) * trace(z, m) over (0, inf)``
-    where ``trace(z, alpha)`` returns the resolvent trace and behaves like
-    ``kernel_dim * z**(-2m)`` as z -> 0.  The kernel contribution is
-    subtracted on (0, 1], where its own finite part ``kernel_dim * log(1)``
-    is exactly 0, and the tail beyond ``window_end`` is fitted with
-    ``default_logdet_tail_basis`` and integrated term by term.
+    for a finite spectrum: ``trace(z, alpha)`` is the resolvent trace, which
+    behaves like ``kernel_dim * z**(-2m)`` as z -> 0 and like
+    ``N * z**(-2m)`` as z -> inf, with N the total mode count.  A trace with
+    no finite mode count, such as the continuum torus's, ends in
+    NumericalError; ``smooth.logdet_zeta_via_regint`` is its route.
 
     For m >= 2 the iterated integration by parts that raises the trace
     power from 1 to m leaves boundary terms: per nonzero eigenvalue the
     finite part of ``-2 int z**(2m-1) (lam + z^2)^(-m)`` is
-    ``log(lam) + H_{m-1}`` with the harmonic number ``H_{m-1}``.  The
-    returned value therefore subtracts ``H_{m-1}`` times the regularized
-    count of nonzero modes: pass ``nonzero_modes`` for a finite spectrum
-    (total modes minus kernel); by default the zeta-regularized count
-    ``-kernel_dim`` of a closed manifold is used.  For m = 1 the
-    correction is zero either way.
+    ``log(lam) + H_{m-1}`` with the harmonic number ``H_{m-1}``, so the
+    returned value subtracts ``H_{m-1} * (N - kernel_dim)``.
 
-    The default ``window_end`` suits small tori only.  On the lattice traces,
-    with ``nonzero_modes`` = N - 1, the error against ``log_det`` is 5.3e-7,
-    9.7e-2 and 22.0 at m = 1, n = 32, 128, 256 (TailModelError at 512) and
-    8.0e-7, 7.9e-4, 0.69 at m = 2, n = 16, 32, 64; ``window_end`` = 8n keeps
-    it at most 4.7e-8 at m = 1, n = 8, 32, 128, 512 and m = 2, n = 8..64.
+    ``window_end`` and ``nonzero_modes`` do not change the value: the
+    integral has no window, and N is measured.  They remain only because
+    ``bench/workloads.py`` and ``bench/run.py`` pass them.
     """
     return _logdet_regint(lambda z: z ** (2 * m - 1) * trace(z, m), m,
-                          kernel_dim, window_end, nonzero_modes,
-                          Expansion(TO_ZERO, ()), default_logdet_tail_basis(m))
+                          kernel_dim)
 
 
-def _logdet_regint(g, m, kernel_dim, window_end, nonzero_modes, zero, inf):
-    """``logdet_via_regint`` of ``g(z) = z**(2m-1) * trace``, with the tails
-    ``zero`` of ``g - kernel_dim/z`` below 1e-6 and ``inf`` of g beyond
-    ``window_end``, each anchored at its own window end."""
+def _logdet_regint(g, m, kernel_dim):
+    """``logdet_via_regint`` of ``g(z) = z**(2m-1) * trace``.
+
+    With ``g ~ k/z`` at 0 and ``g ~ N/z`` at infinity, the map z = 1/x
+    folds [1, inf) onto (0, 1], and the finite parts of both 1/z terms
+    vanish there (log 1 = 0): the finite part over (0, inf) is the
+    integral over (0, 1] of ``g(x) - k/x + g(1/x)/x^2 - N/x``.  N is
+    ``z g(z)`` at ``FAR_Z``.
+    """
     if m < 1:
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
         raise InputError("kernel dimension must be >= 0")
-    if not window_end > 1.0:
-        raise InputError("need window_end > 1")
     kd = float(kernel_dim)
+    modes = FAR_Z * g(FAR_Z)
 
-    def reduced(z):   # below eps0 its kernel cancellation leaves mostly noise
-        return g(z) - kd / z
+    def folded(x):
+        return g(x) - kd / x + (g(1.0 / x) / x - modes) / x
 
-    eps0 = 1e-6
-    core_zero, _ = _quad(reduced, eps0, 1.0, DEFAULT_QUAD_TOL)
-    core_main, _ = _quad(g, 1.0, window_end, DEFAULT_QUAD_TOL)
-    tail_zero = _tail_part(reduced, "zero", eps0, zero)[0]
-    tail_inf = _tail_part(g, "infinity", window_end, inf)[0]
-    raw = -2.0 * (core_zero + core_main + tail_zero + tail_inf)
+    fp, _ = _quad(folded, 0.0, 1.0, DEFAULT_QUAD_TOL)
     harmonic = math.fsum(1.0 / j for j in range(1, m))
-    s0 = -kd if nonzero_modes is None else float(nonzero_modes)
-    return raw - harmonic * s0
+    return -2.0 * fp - harmonic * (modes - kd)

@@ -10,8 +10,8 @@ over one table of shells plus closed-form terms, with no quadrature; one
 such table per call also gives the partial eigenvalue products.  Two
 independent routes to the log-determinant are provided: the zeta
 continuation (the reference oracle), and the finite-part resolvent-trace
-integral evaluated with the machinery used for the discrete tori, whose
-declared tail is the trace's lead term.
+integral, one quadrature folded onto (0, 1] as for the discrete tori,
+with the trace's lead term taken out in closed form.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from scipy import special
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
-from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion,
-                        Samples, extract_reglimit)
+from .expansion import BasisSpec, Samples, extract_reglimit
 from .discrete import (MAX_SUM_LATTICE, DiscreteTorus, _check_sum_size,
                        _reduced_modes, log_det_series, resolvent_trace)
 from . import finite_part
@@ -36,7 +35,6 @@ SMOOTH_POINTS = 41       # cutoffs per eigenproduct smoothing window
 SMOOTH_HALFWIDTH = 1.2   # the window spans [Lambda/1.2, Lambda*1.2]
 EWALD_SPLIT = 0.2        # Mellin split c of the trace: drops exp(-pi^2/c) = 4e-22
 TRACE_SHELLS = 250       # squared norms in the trace: drops < 1e-17 for m <= 4
-EWALD_TAIL = 1e-17       # shell weight below which the trace is its lead term
 ZETA_SHELLS = 60         # squared norms kept in the zeta lattice series
 GAMMA_OVERFLOW = 171.0   # Gamma(x) overflows a double just above x = 171.6
 
@@ -78,12 +76,6 @@ def _lead(m: int, alpha: int) -> float:
     it is the trace's whole-space integral."""
     return math.pi ** (m / 2.0) * math.exp(
         math.lgamma(alpha - m / 2.0) - math.lgamma(alpha))
-
-
-def _lead_radius(alpha: int) -> float:
-    """The z beyond which the trace is its whole-space term to rounding: every
-    shell's weight ``Q(alpha, c (|k|^2 + z^2))`` is below ``EWALD_TAIL``."""
-    return math.sqrt(float(special.gammainccinv(alpha, EWALD_TAIL)) / EWALD_SPLIT)
 
 
 def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
@@ -190,18 +182,12 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
 
     Independent route: must agree with ``log_det_zeta(m)``.  The trace's
     lead term ``c z^(-m)``, ``c = pi^(m/2) Gamma(m/2)/Gamma(m)``, is taken
-    out at every z: ``c z^(m-1)`` has finite part 0 over (0, inf) and is the
-    declared tail below 1e-6.  Beyond ``window_end`` the rest is zero to
-    rounding; a ``window_end`` below that floor (about 14 to 15.7 for
-    m = 1..4) is refused.  Past twice the floor the reduced integrand is
-    zero to rounding, so the core quadrature stops there: on a longer core
-    it would miss the integrand's bump below the floor.
+    out at every z: ``c z^(m-1)`` has finite part 0 over (0, inf), and the
+    rest of the integrand decays exponentially, so it counts no modes at
+    infinity.  ``window_end`` does not change the value; it remains only
+    because ``bench/workloads.py`` passes it.
     """
     check_dimension(m)
-    floor = _lead_radius(m)
-    if not window_end >= floor:
-        raise InputError(f"window_end must be at least {floor:.4g} for m = {m}, "
-                         "where the trace reaches its lead term")
     lead = _lead(m, m)
 
     def g(z):   # z^(2m-1) times the trace less lead z^(-m)
@@ -209,9 +195,7 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
             _shell_series(m, z, m) - lead * z ** -m
             * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
 
-    return finite_part._logdet_regint(
-        g, m, 1, min(window_end, 2 * floor), None,
-        Expansion(TO_ZERO, ((m - 1.0, 0, -lead),)), Expansion(TO_INFINITY, ()))
+    return finite_part._logdet_regint(g, m, 1)
 
 
 # -- partial eigenvalue products --------------------------------------------

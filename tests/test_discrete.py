@@ -903,9 +903,10 @@ class TestFrontClasses:
         assert sum(int(mult @ (tmpl[:, range(own), range(own)] == 2 * m).sum(1))
                    for tmpl, own, mult, _, _ in plan) == n ** m
 
-    # recorded before the front classes, on tori whose depths keep several
-    # classes (up to 18 in a depth of (2, 63)); of the primes below 400 only
-    # those listed, with their residues, meet no zero pivot
+    # recorded before front classes existed, on tori whose depths keep
+    # several classes (today at most 6 in a depth of (2, 33), 4 of (2, 63)
+    # and 8 of (3, 7)); of the primes below 400 only those listed, with
+    # their residues, meet no zero pivot
     @pytest.mark.parametrize("m,n,residues,small", [
         (2, 33, [1800011367, 1195888243],
          {131: 48, 149: 17, 211: 80, 233: 232, 281: 202, 349: 239, 353: 65}),

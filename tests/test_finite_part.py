@@ -13,7 +13,6 @@ from torusdet import (BasisSpec, Expansion, InputError, NumericalError,
                       antiderivative_term, finite_part_tail_inf,
                       finite_part_tail_zero, logdet_via_regint, reg_integral)
 from torusdet import DiscreteTorus, log_det, resolvent_trace
-from torusdet.finite_part import _logdet_regint
 
 LORENTZ_ZERO = BasisSpec(((0.0, 0), (2.0, 0), (4.0, 0), (6.0, 0)))
 LORENTZ_INF = BasisSpec(((-2.0, 0), (-4.0, 0), (-6.0, 0), (-8.0, 0)))
@@ -186,20 +185,15 @@ class TestLogdetRoute:
         v = logdet_via_regint(lambda z, a: (1.0 + z * z) ** (-a), 1, 0)
         assert v == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    @pytest.mark.parametrize("lam", [1e-4, 0.5, 4.0, 1e6])
     def test_single_eigenvalue(self, lam):
         v = logdet_via_regint(lambda z, a: (lam + z * z) ** (-a), 1, 0)
         assert v == pytest.approx(math.log(lam), abs=1e-10)
 
-    @pytest.mark.parametrize("window_end", [16.0, 64.0])
-    @pytest.mark.parametrize("lam", [0.5, 4.0])
-    def test_declared_tail_anchored_at_window_end(self, lam, window_end):
-        # z/(lam + z^2) = sum_j (-1)^j lam^j z^(-2j-1) beyond sqrt(lam)
-        tail = Expansion(TO_INFINITY, tuple(
-            (-2.0 * j - 1.0, 0, (-lam) ** j) for j in range(8)))
-        v = _logdet_regint(lambda z: z / (lam + z * z), 1, 0, window_end,
-                           None, Expansion(TO_ZERO, ()), tail)
-        assert v == pytest.approx(math.log(lam), abs=1e-10)
+    def test_single_eigenvalue_m2_counts_its_mode(self):
+        # the measured mode count gives the harmonic correction H_1 = 1
+        v = logdet_via_regint(lambda z, a: (4.0 + z * z) ** (-a), 2, 0)
+        assert v == pytest.approx(math.log(4.0), abs=1e-10)
 
     def test_kernel_only(self):
         v = logdet_via_regint(lambda z, a: (z * z) ** (-a), 1, 1)
@@ -217,6 +211,24 @@ class TestLogdetRoute:
         v = logdet_via_regint(lambda z, a: resolvent_trace(t, z, int(a)),
                               2, 1, nonzero_modes=t.points - 1)
         assert v == pytest.approx(log_det(t), abs=1e-8)
+
+    def test_value_ignores_window_end_and_mode_count(self):
+        t = DiscreteTorus(2, 16)
+
+        def trace(z, a):
+            return resolvent_trace(t, z, int(a))
+
+        values = {logdet_via_regint(trace, 2, 1, **kw) for kw in (
+            {}, {"nonzero_modes": t.points - 1}, {"window_end": 1.0},
+            {"window_end": 16.0}, {"window_end": 128.0, "nonzero_modes": 0})}
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_trace_without_mode_count_is_numerical_error(self, m):
+        # the continuum trace grows like z^(-m) at infinity: no finite N
+        with pytest.raises(NumericalError):
+            logdet_via_regint(
+                lambda z, a: td.resolvent_trace_continuum(m, z, a), m, 1)
 
 
 class TestQuadratureChecks:

@@ -61,8 +61,6 @@ BAD_CALLS = {
     "antiderivative_k_negative": lambda: antiderivative_term(1.0, -1, 1.0),
     "regint_m_0": lambda: logdet_via_regint(_trace, 0, 1),
     "regint_kernel_negative": lambda: logdet_via_regint(_trace, 1, -1),
-    "regint_window_end_1": lambda: logdet_via_regint(_trace, 1, 1,
-                                                     window_end=1.0),
     "homogeneous_z_to_zero": lambda: _homogeneous(TO_ZERO, TO_INFINITY),
     "homogeneous_n_to_zero": lambda: _homogeneous(TO_INFINITY, TO_ZERO),
 }

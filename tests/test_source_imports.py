@@ -9,9 +9,10 @@ module graph has no hidden edges and no cycle deferred into a function.
 ``discrete._lattice_sum`` is the one reduction of spectral sums, so the
 sums built on it loop over nothing themselves.  A finite-part tail means
 one thing wherever it is passed, so only ``finite_part._tail_part`` asks
-whether it is a declared ``Expansion``.  Every name the package exports
-has a caller outside the tests: another library module, its own module
-outside its definition, the bench or a demo.
+whether it is a declared ``Expansion``, and only it fits one; the
+log-determinant core is one quadrature with no tail.  Every name the
+package exports has a caller outside the tests: another library module,
+its own module outside its definition, the bench or a demo.
 """
 
 import ast
@@ -119,6 +120,25 @@ def test_only_tail_part_asks_whether_a_tail_is_declared():
                     and "Expansion" in ast.unparse(node.args[1])):
                 assert id(node) in allowed, (path.name, node.lineno)
 
+
+def calls_by_function(path):
+    """``{function name: [called names]}`` for the top-level functions of
+    ``path``, the calls of their nested functions included."""
+    return {fn.name: [ast.unparse(node.func) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)]
+            for fn in ast.parse(path.read_text()).body
+            if isinstance(fn, ast.FunctionDef)}
+
+
+def test_logdet_core_is_one_quadrature_and_fits_no_tail():
+    calls = calls_by_function(SOURCES[0].parent / "finite_part.py")
+    core = calls["_logdet_regint"]
+    assert core.count("_quad") == 1
+    assert "_tail_part" not in core and "fit_tail" not in core
+    callers = {(path.stem, name) for path in SOURCES
+               for name, called in calls_by_function(path).items()
+               if any(f.split(".")[-1] == "fit_tail" for f in called)}
+    assert callers == {("finite_part", "_tail_part")}
 
 
 def bound_names(fn):
