@@ -13,6 +13,7 @@ from torusdet import (BasisSpec, Expansion, InputError, NumericalError,
                       antiderivative_term, finite_part_tail_inf,
                       finite_part_tail_zero, logdet_via_regint, reg_integral)
 from torusdet import DiscreteTorus, log_det, resolvent_trace
+from torusdet.finite_part import _logdet_regint
 
 LORENTZ_ZERO = BasisSpec(((0.0, 0), (2.0, 0), (4.0, 0), (6.0, 0)))
 LORENTZ_INF = BasisSpec(((-2.0, 0), (-4.0, 0), (-6.0, 0), (-8.0, 0)))
@@ -189,6 +190,21 @@ class TestLogdetRoute:
     def test_single_eigenvalue(self, lam):
         v = logdet_via_regint(lambda z, a: (lam + z * z) ** (-a), 1, 0)
         assert v == pytest.approx(math.log(lam), abs=1e-10)
+
+    @pytest.mark.parametrize("window_end", [16.0, 64.0])
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    def test_declared_tail_anchored_at_window_end(self, lam, window_end):
+        # the tail of z/(lam + z^2) beyond any window is folded onto (0, 1]
+        # by z = 1/x: the core takes no tail and no window, and the value
+        # at every window_end is the default window's float
+        v = _logdet_regint(lambda z: z / (lam + z * z), 1, 0)
+        assert v == pytest.approx(math.log(lam), abs=1e-10)
+
+        def trace(z, a):
+            return (lam + z * z) ** (-a)
+
+        assert (logdet_via_regint(trace, 1, 0, window_end=window_end)
+                == logdet_via_regint(trace, 1, 0))
 
     def test_single_eigenvalue_m2_counts_its_mode(self):
         # the measured mode count gives the harmonic correction H_1 = 1

@@ -297,6 +297,15 @@ class TestRouteEquality:
     def test_m4(self):
         self.check(4, log_det_zeta(4))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_window_floor(self, m):
+        # the route once refused windows below about 14-15.7; windows from
+        # far below that floor to above it now give the default's float
+        default = logdet_zeta_via_regint(m)
+        assert abs(default - log_det_zeta(m)) <= 1e-12
+        for end in (0.5, 1.0, 13.9, 15.7):
+            assert logdet_zeta_via_regint(m, window_end=end) == default
+
 
 class TestPartialProducts:
     def test_m1_cutoff_is_log_factorial(self):
