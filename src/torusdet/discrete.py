@@ -7,9 +7,10 @@ are sums over axes.  That axis formula lives in one kernel,
 ``_axis_eigenvalues``, which every spectral quantity here and in the
 Euler-Maclaurin module evaluates.  Spectral sums are reduced by
 ``_lattice_sum`` over the half-axis table ``_half_axis`` (distinct
-eigenvalues k = 0..n//2 with multiplicity weights): the innermost axis is
-a row, the outer axes index the rows, and blocks of whole rows are
-evaluated at once, so no ``n^m`` eigenvalue array is ever materialized.
+eigenvalues k = 0..n//2 with multiplicity weights, built once per n and
+shared read-only): the innermost axis is a row, the outer axes index the
+rows, and blocks of whole rows are evaluated at once, so no ``n^m``
+eigenvalue array is ever materialized.
 The row partials are combined with one exact fsum, so the value does not
 depend on the block size and is bit-reproducible.  Log-determinants, and
 resolvent traces up to the power ``TRACE_MAX_ALPHA``, multiply the
@@ -99,14 +100,18 @@ def spectrum_1d(n: int) -> np.ndarray:
     return _axis_eigenvalues(n, np.arange(n))
 
 
+@functools.lru_cache(maxsize=1)
 def _half_axis(n: int):
-    """Distinct one-axis eigenvalues over k=0..n-1 with multiplicities."""
+    """Distinct one-axis eigenvalues over k=0..n-1 with multiplicities,
+    shared read-only; one table is kept, as a quadrature sums one torus."""
     half = n // 2
     w = np.full(half + 1, 2.0)
     w[0] = 1.0
     if n % 2 == 0:
         w[half] = 1.0
-    return _axis_eigenvalues(n, np.arange(half + 1)), w
+    s = _axis_eigenvalues(n, np.arange(half + 1))
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
@@ -118,16 +123,19 @@ def _lattice_sum(axes, term_fn, *, skip_zero_mode: bool) -> float:
     whole rows, about ``LATTICE_BLOCK`` elements each, are evaluated at
     once and reduced row by row with numpy's pairwise sum; the row partials
     are combined with one exact ``math.fsum``, so the result does not
-    depend on the block size and is bit-reproducible.  With
-    ``skip_zero_mode`` the first element of row 0 (the all-zero mode) is
-    left out.
+    depend on the block size and is bit-reproducible.  With no outer axis
+    the one row's pairwise sum is the value, with no tables and no fsum.
+    With ``skip_zero_mode`` the first element of row 0 (the all-zero mode)
+    is left out.
     """
     *outer, (s_in, w_in) = axes
+    vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
+    if not outer:
+        return float(np.sum(wts * term_fn(vals)))
     base, wt = np.zeros(1), np.ones(1)
     for s, w in outer:
         base = np.add.outer(base, s).ravel()
         wt = np.multiply.outer(wt, w).ravel()
-    vals, wts = (s_in[1:], w_in[1:]) if skip_zero_mode else (s_in, w_in)
     partials = [float(np.sum((wt[0] * wts) * term_fn(base[0] + vals)))]
     step = max(1, LATTICE_BLOCK // len(s_in))
     for lo in range(1, len(base), step):
@@ -165,6 +173,7 @@ def _extended_trace_sum(n: int, dims: int, z: float, alpha: int) -> float:
     so the k = 0 weight becomes 2.
     """
     s, w = _half_axis(n)
+    w = w.copy()
     w[0] = 2.0
     z2 = z * z
     return _lattice_sum([(s, w)] * dims, lambda v: (v + z2) ** (-float(alpha)),
@@ -289,7 +298,7 @@ def resolvent_trace(t: DiscreteTorus, z: float, alpha: int = 1) -> float:
         return _lattice_sum([_half_axis(t.n)] * t.m,
                             lambda v: (v + z2) ** (-alpha), skip_zero_mode=False)
     if t.m == 1:
-        return float(_inner_axis_traces(t.n, np.full(1, z2), alpha)[0])
+        return float(_inner_axis_traces(t.n, np.float64(z2), alpha))
     return _lattice_sum([_half_axis(t.n)] * (t.m - 1),
                         lambda v: _inner_axis_traces(t.n, v + z2, alpha),
                         skip_zero_mode=False)

@@ -225,14 +225,19 @@ def _logdet_regint(g, m, kernel_dim):
     folds [1, inf) onto (0, 1], and the finite parts of both 1/z terms
     vanish there (log 1 = 0): the finite part over (0, inf) is the
     integral over (0, 1] of ``g(x) - k/x + g(1/x)/x^2 - N/x``.  N is
-    ``z g(z)`` at ``FAR_Z``.
+    ``z g(z)`` at ``FAR_Z``; where it differs at ``FAR_Z / 100``, the
+    trace has no finite mode count and NumericalError says so.
     """
     if m < 1:
         raise InputError("dimension m must be >= 1")
     if kernel_dim < 0:
         raise InputError("kernel dimension must be >= 0")
     kd = float(kernel_dim)
-    modes = FAR_Z * g(FAR_Z)
+    modes, near = (z * g(z) for z in (FAR_Z, FAR_Z / 100))
+    if not math.isclose(modes, near, rel_tol=DEFAULT_QUAD_TOL):
+        raise NumericalError(
+            f"the trace has no finite mode count: z g(z) is {near:.6g} at "
+            f"z = {FAR_Z / 100:g}, {modes:.6g} at {FAR_Z:g}")
 
     def folded(x):
         return g(x) - kd / x + (g(1.0 / x) / x - modes) / x

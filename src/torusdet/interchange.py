@@ -71,12 +71,10 @@ def verify_homogeneity(f: HomogeneousFn) -> float:
     Raises when the declared degree fails; declared expansion data is
     otherwise trusted.
     """
-    rng = np.random.default_rng(7)
+    lo, hi = np.log([0.5, 0.5, 0.25]), np.log([8.0, 8.0, 4.0])
+    sample = np.exp(np.random.default_rng(7).uniform(lo, hi, size=(40, 3)))
     worst = 0.0
-    for _ in range(40):
-        z = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
-        n = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
-        t = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+    for z, n, t in sample.tolist():
         ref = t ** f.degree * f.evaluator(z, n)
         got = f.evaluator(t * z, t * n)
         if ref == 0.0 and got == 0.0:

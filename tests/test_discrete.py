@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import isprime
 
 from torusdet import (DiscreteTorus, InputError, NumericalError,
+                      boundary_inclusive_lattice_sum,
                       eigenvalue_product_integer, log_det, log_det_rescaled,
-                      reduced_laplacian_det_mod, resolvent_trace,
+                      logdet_via_regint, reduced_laplacian_det_mod,
+                      resolvent_trace,
                       spanning_tree_count, spectrum_1d,
                       square_lattice_logdet_density, trace_inclusion_exclusion)
 from torusdet.discrete import (LEAF, MAX_MODULUS, MAX_SORTED, MAX_SUM_LATTICE,
@@ -436,6 +438,104 @@ class TestInclusionExclusion:
             # kernel contributes exactly one zero mode
             assert sorted_spectrum(t)[0] == 0.0
             assert sorted_spectrum(t)[1] > 0.0
+
+
+# float.hex of resolvent traces at GOLDEN_TRACE_Z: the closed-form inner
+# axis (alpha = 1, 2, 8) alone at m = 1 and under 1 to 3 outer axes, and the
+# lattice sum over every axis (alpha = 9), on even and odd n
+GOLDEN_TRACE_Z = (1e-3, 0.37, 1.0, 1e16)
+GOLDEN_TRACES = [
+    (1, 2, 1, ("0x1.e8484ef4e6626p+19", "0x1.24c48a4337214p+3",
+                "0x1.b62b6389bbaa5p+0", "0x1.9f623d5a8a732p-106")),
+    (1, 2, 2, ("0x1.d1a94a200c2cep+39", "0x1.c6126582e1973p+5",
+                "0x1.81a1b8e26dcf2p+0", "0x1.50ffd44f4a73dp-212")),
+    (1, 2, 8, ("0x1.5e531a0a1c868p+159", "0x1.eeb85f9255449p+22",
+                "0x1.10d4e39276b73p+0", "0x1.8062864ac6f40p-850")),
+    (1, 2, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b610c033a24p+25",
+                "0x1.0bfa3417bc461p+0", "0x1.37d99cc506d56p-956")),
+    (1, 9, 1, ("0x1.e84867f9db3d6p+19", "0x1.484f17d9b6cbcp+3",
+                "0x1.7d4324b620dfcp+1", "0x1.d34e8505dbc19p-104")),
+    (1, 9, 2, ("0x1.d1a94a2004db3p+39", "0x1.ba16a96687c70p+5",
+                "0x1.b034eb56a48c9p+0", "0x1.7b1fced933c26p-210")),
+    (1, 9, 8, ("0x1.5e531a0a1c873p+159", "0x1.eeb64bbcc79bep+22",
+                "0x1.025ab05ea036ep+0", "0x1.b06ed7141fd2ep-848")),
+    (1, 9, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b595b12bd26p+25",
+                "0x1.0133364b18438p+0", "0x1.5ed4d05da7b02p-954")),
+    (2, 2, 1, ("0x1.e848c56443273p+19", "0x1.818ff866447fep+3",
+                "0x1.7cdd8fe63f505p+1", "0x1.9f623d5a8a732p-105")),
+    (2, 2, 2, ("0x1.d1a94a201b654p+39", "0x1.ea329e7abd5e8p+5",
+                "0x1.28ad916b0e7aap+1", "0x1.50ffd44f4a73dp-211")),
+    (2, 2, 8, ("0x1.5e531a0a1c868p+159", "0x1.eeba7d61ba22ep+22",
+                "0x1.23e144a4969b6p+0", "0x1.8062864ac6f40p-849")),
+    (2, 2, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b68d0e972e4p+25",
+                "0x1.192dd6c07be5fp+0", "0x1.37d99cc506d56p-955")),
+    (2, 9, 1, ("0x1.e849f6f3fc322p+19", "0x1.629308a0f69b3p+4",
+                "0x1.933ac92daea64p+3", "0x1.06dc2ad34b9cep-100")),
+    (2, 9, 2, ("0x1.d1a94a200de23p+39", "0x1.d889f4494094cp+5",
+                "0x1.cb818d60dd089p+1", "0x1.aa83c8b45a3aap-207")),
+    (2, 9, 8, ("0x1.5e531a0a1c873p+159", "0x1.eeb64f9aa581dp+22",
+                "0x1.04e7ce05797f2p+0", "0x1.e67cb1f6a3cd4p-845")),
+    (2, 9, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b59621476cbp+25",
+                "0x1.02778f18ccd3cp+0", "0x1.8aaf6a695ca62p-951")),
+    (3, 5, 1, ("0x1.e84d227421017p+19", "0x1.6f8ae54936de0p+5",
+                "0x1.dff01dbc422bap+4", "0x1.95a5efea6b348p-100")),
+    (3, 5, 2, ("0x1.d1a94a2026ee1p+39", "0x1.16c64c390f79cp+6",
+                "0x1.1be82a97202fep+3", "0x1.4919d5556eb54p-206")),
+    (3, 5, 8, ("0x1.5e531a0a1c874p+159", "0x1.eeb65e10b8885p+22",
+                "0x1.0b4164a40b0cbp+0", "0x1.77603725064b1p-844")),
+    (3, 5, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b597f8ebfecp+25",
+                "0x1.05c5eeda90b48p+0", "0x1.308a831868ac6p-950")),
+    (4, 4, 1, ("0x1.e8539cc53ba48p+19", "0x1.7abd91a050651p+6",
+                "0x1.0871064cb5568p+6", "0x1.9f623d5a8a732p-99")),
+    (4, 4, 2, ("0x1.d1a94a2057a61p+39", "0x1.6a106a4efe425p+6",
+                "0x1.35daa7bc77ef1p+4", "0x1.50ffd44f4a73dp-205")),
+    (4, 4, 8, ("0x1.5e531a0a1c870p+159", "0x1.eeb67a8f91c9bp+22",
+                "0x1.15e825fc85e6fp+0", "0x1.8062864ac6f40p-843")),
+    (4, 4, 9, ("0x1.4e1878814c9d0p+179", "0x1.c3b59bda0f58dp+25",
+                "0x1.0b49887ef7e3dp+0", "0x1.37d99cc506d56p-949")),
+]
+
+
+class TestGoldenSpectralValues:
+    @pytest.mark.parametrize("m,n,alpha,expected", GOLDEN_TRACES)
+    def test_resolvent_trace(self, m, n, alpha, expected):
+        t = DiscreteTorus(m, n)
+        assert tuple(resolvent_trace(t, z, alpha).hex()
+                     for z in GOLDEN_TRACE_Z) == expected
+
+    @pytest.mark.parametrize("m,n,expected", [(1, 512, "0x1.19dbbeaf95e18p+12"),
+                                              (2, 64, "0x1.73c4f1c079be2p+14")])
+    def test_logdet_via_regint(self, m, n, expected):
+        t = DiscreteTorus(m, n)
+        via = logdet_via_regint(lambda z, a: resolvent_trace(t, z, a), m, 1)
+        assert via.hex() == expected
+
+    @pytest.mark.parametrize("m,n,expected", [(3, 16, "0x1.aca49ba4f3f7cp+12"),
+                                              (4, 9, "0x1.9a15dc3fca366p+13")])
+    def test_log_det_rescaled(self, m, n, expected):
+        assert log_det_rescaled(DiscreteTorus(m, n)).hex() == expected
+
+
+class TestHalfAxisCache:
+    def test_repeat_call_returns_the_same_read_only_arrays(self):
+        s, w = _half_axis(12)
+        again = _half_axis(12)
+        assert again[0] is s and again[1] is w
+        assert not s.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
+    @pytest.mark.parametrize("m,n", [(1, 8), (2, 9), (3, 6)])
+    def test_extended_grid_sums_leave_the_weights_alone(self, m, n):
+        # the extended grid doubles the k = 0 weight on its own copy
+        t = DiscreteTorus(m, n)
+        powers = (m, TRACE_MAX_ALPHA + 1)
+        before = [resolvent_trace(t, 0.7, a) for a in powers]
+        trace_inclusion_exclusion(t, 0.7)
+        boundary_inclusive_lattice_sum(t, 0.7, m)
+        assert _half_axis(n)[1].tolist() == \
+            [1.0] + [2.0] * ((n - 1) // 2) + [1.0] * (n % 2 == 0)
+        assert [resolvent_trace(t, 0.7, a) for a in powers] == before
 
 
 class TestSpanningTrees:

@@ -242,7 +242,7 @@ class TestLogdetRoute:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_trace_without_mode_count_is_numerical_error(self, m):
         # the continuum trace grows like z^(-m) at infinity: no finite N
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="no finite mode count"):
             logdet_via_regint(
                 lambda z, a: td.resolvent_trace_continuum(m, z, a), m, 1)
 
