@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_integer, check_resolvent_parameter)
@@ -95,6 +95,7 @@ def _axis_eigenvalues(n: int, x):
 
 def spectrum_1d(n: int) -> np.ndarray:
     """One-axis eigenvalues ``(n^2/pi^2) sin^2(pi k/n)``, k = 0..n-1."""
+    n = DiscreteTorus(1, n).n     # the torus rule: an integer n >= 2
     if n > MAX_SORTED:
         raise InputError(f"one-axis spectrum capped at {MAX_SORTED} eigenvalues")
     return _axis_eigenvalues(n, np.arange(n))
@@ -657,7 +658,7 @@ def square_lattice_logdet_density(m: int) -> float:
     check_dimension(m)
 
     def f(t):
-        k = special.ive(0, 2.0 * t)
+        k = scipy.special.ive(0, 2.0 * t)
         return (k - k ** m) / t
 
     return (_quad(f, 0.0, 1.0, DENSITY_QUAD_TOL)[0]

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import (InputError, check_dimension, check_integer,
                      check_resolvent_parameter)
@@ -139,7 +139,7 @@ def em_sum_1d(u: Callable[[float, int], float], n: int, M: int) -> EMParts:
     only piecewise polynomial, so it is integrated cell by cell with
     Gauss-Legendre nodes.
     """
-    if n < 1 or M < 1:
+    if check_integer("n", n) < 1 or check_integer("M", M) < 1:
         raise InputError("need n >= 1 and M >= 1")
     integral, _ = _quad(lambda x: u(x, 0), 0.0, float(n), EM_QUAD_TOL)
     deriv = math.fsum(
@@ -157,6 +157,8 @@ def em_sum_1d(u: Callable[[float, int], float], n: int, M: int) -> EMParts:
 
 def em_direct_sum(u: Callable[[float, int], float], n: int) -> float:
     """Endpoint-inclusive reference sum ``sum_{x=0}^{n} u(x)``."""
+    if check_integer("n", n) < 1:
+        raise InputError("need n >= 1")
     return math.fsum(u(float(x), 0) for x in range(n + 1))
 
 
@@ -373,7 +375,7 @@ def _window_integral(q: int, w: float, m: int) -> float:
 
     def f(t):
         return (t ** (m - 1) * math.exp(-w2 * t)
-                * special.ive(0, t / (2.0 * math.pi ** 2)) ** q)
+                * scipy.special.ive(0, t / (2.0 * math.pi ** 2)) ** q)
 
     head, _ = _quad(f, 0.0, 1.0 / w2, EM_QUAD_TOL)
     tail, _ = _quad(lambda s: f(s / w2), 1.0, math.inf, EM_QUAD_TOL)

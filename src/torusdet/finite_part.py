@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+import scipy
 
-from .errors import InputError, NumericalError, TailModelError
+from .errors import InputError, NumericalError, TailModelError, check_integer
 from .expansion import (TO_INFINITY, TO_ZERO, BasisSpec, Expansion, Samples,
                         fit_expansion)
 
@@ -50,7 +50,7 @@ def antiderivative_term(alpha: float, k: int, x: float) -> float:
     """
     if x <= 0:
         raise InputError("antiderivative argument must be positive")
-    if k < 0:
+    if check_integer("log power k", k) < 0:
         raise InputError("log power must be non-negative")
     lx = math.log(x)
     if alpha == -1.0:
@@ -102,14 +102,16 @@ class RegIntResult:
 def _quad(f, a, b, tol):
     """The package's one adaptive quadrature, ``tol`` absolute and relative.
 
-    An IntegrationWarning or a non-finite value raises NumericalError.
+    ``scipy.integrate`` is looked up here, at the call, so it loads on the
+    first quadrature and not at ``import torusdet``.  An IntegrationWarning
+    or a non-finite value raises NumericalError.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
-                                      limit=400)
-        except integrate.IntegrationWarning as exc:
+            val, err = scipy.integrate.quad(f, a, b, epsabs=tol,
+                                            epsrel=tol, limit=400)
+        except scipy.integrate.IntegrationWarning as exc:
             raise NumericalError(f"quadrature on [{a}, {b}] failed: {exc}") from exc
     if not math.isfinite(val):
         raise NumericalError(f"quadrature on [{a}, {b}] returned {val}")

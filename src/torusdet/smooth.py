@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import (InputError, NumericalError, check_dimension,
                      check_resolvent_parameter)
@@ -96,8 +96,8 @@ def resolvent_trace_continuum(m: int, z: float, alpha: int) -> float:
             f"alpha = {alpha} gives a divergent trace for m = {m}; "
             f"need alpha >= {_min_alpha(m)}")
     check_resolvent_parameter(z, alpha)   # the k = 0 term z^(-2 alpha)
-    whole = (_lead(m, alpha) * z ** (m - 2 * alpha)
-             * float(special.gammainc(alpha - m / 2.0, EWALD_SPLIT * z * z)))
+    whole = (_lead(m, alpha) * z ** (m - 2 * alpha) * float(
+        scipy.special.gammainc(alpha - m / 2.0, EWALD_SPLIT * z * z)))
     return whole + _shell_series(m, z, alpha)
 
 
@@ -106,7 +106,7 @@ def _shell_series(m: int, z: float, alpha: int) -> float:
     norms, counts = _fixed_shells(m, TRACE_SHELLS)
     x = norms + z * z
     return math.fsum((counts * x ** -float(alpha)
-                      * special.gammaincc(alpha, EWALD_SPLIT * x)).tolist())
+                      * scipy.special.gammaincc(alpha, EWALD_SPLIT * x)).tolist())
 
 
 # -- zeta function and determinant ------------------------------------------
@@ -119,8 +119,8 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """
     steps = max(0, math.ceil(-a))
     base = a + steps
-    g = (special.exp1(x) if base == 0 else
-         special.gammaincc(base, x) * special.gamma(base))
+    g = (scipy.special.exp1(x) if base == 0 else
+         scipy.special.gammaincc(base, x) * scipy.special.gamma(base))
     for j in range(steps - 1, -1, -1):
         g = (g - x ** (a + j) * np.exp(-x)) / (a + j)
     return g
@@ -160,7 +160,8 @@ def zeta_continued(m: int, s: float) -> float:
         raise InputError(f"s = m/2 = {s} is the pole of the zeta function")
     value = math.nan     # beyond it the series overflows and its recurrence
     if abs(s) < GAMMA_OVERFLOW:     # would take about |s| steps
-        value = (-1.0 + s * _h_analytic(m, s)) * float(special.rgamma(s + 1.0))
+        value = ((-1.0 + s * _h_analytic(m, s))
+                 * float(scipy.special.rgamma(s + 1.0)))
     if not math.isfinite(value):
         raise NumericalError(f"zeta at s = {s} leaves the float range")
     return value
@@ -193,7 +194,7 @@ def logdet_zeta_via_regint(m: int, *, window_end: float = 64.0) -> float:
     def g(z):   # z^(2m-1) times the trace less lead z^(-m)
         return z ** (2 * m - 1) * (
             _shell_series(m, z, m) - lead * z ** -m
-            * float(special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
+            * float(scipy.special.gammaincc(m / 2.0, EWALD_SPLIT * z * z)))
 
     return finite_part._logdet_regint(g, m, 1)
 

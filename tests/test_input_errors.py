@@ -8,10 +8,12 @@ from torusdet import (TO_INFINITY, TO_ZERO, BasisSpec, DiscreteTorus,
                       Expansion, ExpTerm, HomogeneousFn, InputError, Samples,
                       antiderivative_term, bernoulli_number, convergence_check,
                       corner_term_cancellation, eigenvalue_product_integer,
-                      em_decompose, em_sum_1d, log_det, log_det_series,
-                      log_det_zeta, logdet_via_regint, poly_evaluator,
-                      remainder_uniformity_scan, resolvent_trace,
-                      scaled_bulk_term, spanning_tree_count)
+                      em_decompose, em_direct_sum, em_sum_1d,
+                      finite_part_tail_inf, finite_part_tail_zero, log_det,
+                      log_det_series, log_det_zeta, logdet_via_regint,
+                      poly_evaluator, remainder_uniformity_scan,
+                      resolvent_trace, scaled_bulk_term, spanning_tree_count,
+                      spectrum_1d)
 
 
 def _trace(z, alpha):
@@ -50,6 +52,13 @@ BAD_CALLS = {
     "bernoulli_2.5": lambda: bernoulli_number(2.5),
     "bulk_term_q_1.5": lambda: scaled_bulk_term(2, 1.5, 1.0, 8.0),
     "em_sum_1d_n_0": lambda: em_sum_1d(poly_evaluator([1.0]), 0, 1),
+    "em_sum_1d_n_8.5": lambda: em_sum_1d(poly_evaluator([1.0]), 8.5, 2),
+    "em_sum_1d_M_2.5": lambda: em_sum_1d(poly_evaluator([1.0]), 8, 2.5),
+    "em_direct_sum_n_8.5": lambda: em_direct_sum(poly_evaluator([1.0]), 8.5),
+    "em_direct_sum_n_0": lambda: em_direct_sum(poly_evaluator([1.0]), 0),
+    "spectrum_1d_n_2.5": lambda: spectrum_1d(2.5),
+    "spectrum_1d_n_0": lambda: spectrum_1d(0),
+    "spectrum_1d_n_-3": lambda: spectrum_1d(-3),
     "corner_cancellation_m_0": lambda: corner_term_cancellation(0),
     "corner_cancellation_m_2.5": lambda: corner_term_cancellation(2.5),
     "expansion_direction": lambda: Expansion("sideways", ()),
@@ -59,6 +68,9 @@ BAD_CALLS = {
     "samples_not_increasing": lambda: Samples([2.0, 1.0], [1.0, 1.0]),
     "antiderivative_x_0": lambda: antiderivative_term(1.0, 0, 0.0),
     "antiderivative_k_negative": lambda: antiderivative_term(1.0, -1, 1.0),
+    "antiderivative_k_0.5": lambda: antiderivative_term(1.0, 0.5, 2.0),
+    "tail_inf_k_0.5": lambda: finite_part_tail_inf(1.0, 0.5, 2.0),
+    "tail_zero_k_0.5": lambda: finite_part_tail_zero(1.0, 0.5, 2.0),
     "regint_m_0": lambda: logdet_via_regint(_trace, 0, 1),
     "regint_kernel_negative": lambda: logdet_via_regint(_trace, 1, -1),
     "homogeneous_z_to_zero": lambda: _homogeneous(TO_ZERO, TO_INFINITY),

@@ -6,6 +6,9 @@ checked quadrature path, so only ``finite_part.py`` imports
 ``scipy.integrate``; reports are the command line's job, so only ``cli.py``
 imports ``json``.  Every import sits at the top of its module, so the
 module graph has no hidden edges and no cycle deferred into a function.
+Modules reach scipy's submodules as attributes of ``import scipy``
+(``scipy.special.ive``), never bound to a module-level name, so ``import
+torusdet`` loads numpy only and each submodule loads on its first call.
 ``discrete._lattice_sum`` is the one reduction of spectral sums, so the
 sums built on it loop over nothing themselves.  A finite-part tail means
 one thing wherever it is passed, so only ``finite_part._tail_part`` asks
@@ -16,6 +19,9 @@ its own module outside its definition, the bench or a demo.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -65,6 +71,40 @@ def test_no_import_inside_a_function():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
                                for node in ast.walk(fn)), (path.name, fn.name)
+
+
+LOADS_SCIPY_ON_FIRST_USE = """
+import sys
+
+def loaded():
+    print(*(name in sys.modules for name in ("scipy.special", "scipy.integrate")))
+
+import torusdet as td, torusdet.cli
+loaded()
+t = td.DiscreteTorus(2, 4)
+td.spanning_tree_count(t)
+td.reduced_laplacian_det_mod(t, 101)
+td.eigenvalue_product_integer(t)
+td.log_det(t)
+td.resolvent_trace(t, 1.0, 2)
+td.em_decompose(t, 1.0)
+loaded()
+td.log_det_zeta(2)
+loaded()
+td.logdet_via_regint(lambda z, a: td.resolvent_trace(t, z, a), 2, 1)
+loaded()
+"""
+
+
+def test_scipy_submodules_load_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", LOADS_SCIPY_ON_FIRST_USE],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    # (scipy.special, scipy.integrate) after import, the exact and discrete
+    # calls, the zeta determinant and the first quadrature
+    assert out.stdout.splitlines() == ["False False", "False False",
+                                       "True False", "True True"]
 
 
 def package_imports(path):
