@@ -3,10 +3,11 @@
 The one-axis summation formula has four pieces (integral, boundary
 derivatives, endpoint average, periodic-Bernoulli remainder); applied
 per axis it writes the boundary-inclusive lattice sum as 4^m operator
-patterns.  Boundary-derivative patterns vanish exactly by the sine
-structure of the eigenvalue function, endpoint-average patterns pin
-coordinates and reduce dimension, and the fully pinned contributions
-cancel across inclusion-exclusion levels.
+patterns, each one t-integral of closed-form axis factors.
+Boundary-derivative patterns vanish exactly by the periodicity of the
+eigenvalue function, endpoint-average patterns pin coordinates and
+reduce dimension, and the fully pinned contributions cancel across
+inclusion-exclusion levels.
 """
 
 from torusdet import DiscreteTorus, boundary_inclusive_lattice_sum, \
@@ -29,6 +30,17 @@ for pattern in sorted(vals):
     note = "  <- vanishes exactly" if 2 in pattern and vals[pattern] == 0 else ""
     print(f"  pattern {tag}: {vals[pattern]:+.10f}{note}")
 print(f"  total {total:.12f} vs direct lattice sum {direct:.12f}")
+
+print()
+print("m=3 at n=8, z=0.1, summed by operator class:")
+t = DiscreteTorus(3, 8)
+vals, total = em_decompose(t, 0.1)
+direct = boundary_inclusive_lattice_sum(t, 0.1, 3)
+bulk = vals[(1, 1, 1)]
+remainder = sum(v for k, v in vals.items() if 3 in k)
+print(f"  bulk (all integral) {bulk:.10e}, remainder (any axis 3) "
+      f"{remainder:.10e}")
+print(f"  total {total:.12e} vs direct lattice sum {direct:.12e}")
 
 print()
 print("Fully pinned contributions cancel across levels:")

@@ -19,10 +19,9 @@ from .discrete import (DiscreteTorus, eigenvalue_product_integer, log_det,
                        log_det_rescaled, log_det_series, reduced_laplacian_det_mod,
                        resolvent_trace, spanning_tree_count, spectrum_1d,
                        square_lattice_logdet_density, trace_inclusion_exclusion)
-from .euler_maclaurin import (EMParts, bernoulli_number,
-                              boundary_inclusive_lattice_sum,
-                              corner_term_cancellation, default_truncation,
-                              em_decompose, em_direct_sum, em_sum_1d,
+from .euler_maclaurin import (EMParts, bernoulli_number, em_decompose,
+                              boundary_inclusive_lattice_sum, em_sum_1d,
+                              corner_term_cancellation, em_direct_sum,
                               homogeneous_components, poly_evaluator,
                               remainder_uniformity_scan, scaled_bulk_term)
 from .smooth import (ConvergenceReport, convergence_check, eigenproduct_reglimit,

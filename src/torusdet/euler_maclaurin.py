@@ -1,30 +1,31 @@
 """Euler-Maclaurin decomposition of lattice resolvent sums.
 
-The one-axis summation formula splits ``sum_{x=0}^{n} u(x)`` into four
-pieces: the integral over [0, n], the endpoint average, a Bernoulli-number
-boundary-derivative correction, and a periodic-Bernoulli remainder
-integral.  Applying it axis by axis to ``(omega(n, x) + z^2)^(-alpha)`` on
-the m-torus writes the boundary-inclusive lattice sum as a sum over
-operator patterns in {integral, boundary, remainder, average} per axis.
+The one-axis summation formula splits ``sum_{x=0}^{n} u(x)`` into the
+integral over [0, n], a Bernoulli-number boundary-derivative correction,
+the endpoint average and a periodic-Bernoulli remainder.  Applied axis by
+axis to ``(omega(n, x) + z^2)^(-alpha)`` on the m-torus, it writes the
+boundary-inclusive lattice sum as 4^m operator patterns.
 
-Derivatives of ``f^(-alpha)`` with ``f = omega + z^2`` are generated by an
-exact recursion on coefficient functionals: ``d^k f^(-alpha) =
-sum_l H_{k,l} f^(-alpha-l-1)`` with ``H_{1,0} = -alpha f'`` and
-``H_{k,l} = d H_{k-1,l} - (alpha + l) f' H_{k-1,l-1}``.  The functionals
-are kept symbolically as integer-coefficient polynomials in the jets of
-``f'`` and evaluated with exact trigonometric derivatives, so no numerical
-differentiation enters the main path.
+With ``A^(-alpha) = Gamma(alpha)^(-1) int t^(alpha-1) e^(-t A) dt`` the
+summand factorises over the axes, and each operator acts on the n-periodic
+heat kernel ``e^(-t omega(n, x))``.  Pattern beta is one t-integral
+``Gamma(alpha)^(-1) int t^(alpha-1) e^(-t z^2) prod_i A_{beta_i}(t) dt``
+with ``x = t n^2 / 2 pi^2`` and the axis factors: integral
+``nK = n ive(0, x)``; boundary derivatives 0, exactly, by periodicity;
+endpoint average 1; remainder ``R = S - nK``, the heat trace S less the
+other three, which by Poisson summation (the winding split of Chinta,
+Jorgenson and Karlsson, Nagoya Math. J. 198, 2010) is
+``2n sum_{j>=1} ive(jn, x)``, positive.  No truncation order enters.
 
-Odd-order axis derivatives carry a factor ``sin(2 pi x / n)`` and vanish at
-the lattice endpoints, so every pattern containing the boundary piece is an
-exact zero of its evaluated factors (angles are reduced modulo the period)
-and builds no grid; a coefficient monomial with an identically zero jet is
-skipped before any array arithmetic.  Axis grids are folded to their nodes
-below n/2 (the integrands are even under x -> n - x), each axis factor is
-evaluated once per decomposition, and derivatives stream one ladder of
-powers of 1/f through blocks of rows of the first axis, about
-``discrete.LATTICE_BLOCK`` elements each, so the working set stays in cache
-and the pattern values do not depend on the block size.
+R is the sum of ``WINDINGS`` windings while ``x < n^2/4`` (the next one is
+below ``e^-280`` of the first) and ``S - nK`` above, where R is at least
+0.17 S; above n = 20000 the switch is at ``IVE_SERIES_FROM``, where R may
+sink below the rounding of S.  scipy's ``ive`` at order n errs by up to
+8e-15 relative at n = 64 and 5e-13 at n = 5000.  The t-integrals, and the
+unit-window integrals of the homogeneous components, share one trapezoid
+rule in ``log t``, exponentially convergent since the integrands are
+analytic in the strip ``|Im log t| < pi/2`` and decay double
+exponentially (Trefethen and Weideman, SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -39,21 +40,19 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .errors import (InputError, check_dimension, check_integer,
-                     check_resolvent_parameter)
-from .discrete import (LATTICE_BLOCK, DiscreteTorus, _axis_eigenvalues,
-                       _extended_trace_sum, resolvent_trace)
+from .errors import (InputError, NumericalError, check_dimension,
+                     check_integer, check_resolvent_parameter)
+from .discrete import (DiscreteTorus, _axis_eigenvalues, _check_sum_size,
+                       _extended_trace_sum, _half_axis, resolvent_trace)
 from .finite_part import _quad
 
 BERNOULLI_CAP = 250
 GL_ORDER_1D = 24          # Gauss-Legendre nodes per cell, one-axis formula
-GL_ORDER_PATTERNS = 32    # the same for the operator-pattern decomposition
 EM_QUAD_TOL = 1e-12       # adaptive quadratures, absolute and relative
-# Largest truncation order of the decomposition.  At n = 8, z = 1 the error
-# grows past it (4e-10 at M = 7 and 1e-7 at M = 8 for m = 2), and the cost
-# nearly doubles with each order.
-EM_MAX_ORDER = 6
-EM_MAX_GRID = 1 << 22     # unfolded nodes (32 n)^m of one pattern grid
+LOG_T_STEP = 0.125        # trapezoid step in u = log t
+LOG_T_TAIL = 1e-17        # bound on each truncated tail, relative to the value
+WINDINGS = 11             # winding terms of the remainder factor
+IVE_SERIES_FROM = 1e8     # ive(0, x) from its asymptotic series above this x
 
 
 # -- Bernoulli numbers and polynomials ---------------------------------------
@@ -162,201 +161,104 @@ def em_direct_sum(u: Callable[[float, int], float], n: int) -> float:
     return math.fsum(u(float(x), 0) for x in range(n + 1))
 
 
-# -- derivative coefficient functionals ---------------------------------------
+# -- operator patterns as t-integrals -----------------------------------------
 
-@lru_cache(maxsize=None)
-def _h_monomials(k: int, ell: int, alpha: int):
-    """H_{k,ell} as integer-coefficient monomials in the jets of f'.
-
-    A monomial key is a sorted tuple of derivative orders: ``(0, 0, 1)``
-    stands for ``g * g * g'`` with ``g = df/dx``.  Built by the recursion
-    ``H_{k,l} = d H_{k-1,l} - (alpha + l) g H_{k-1,l-1}``.
-    """
-    if ell < 0 or ell >= k:
-        return ()
-    if k == 1:
-        return (((0,), -alpha),)
-    acc: dict = {}
-    for mono, coef in _h_monomials(k - 1, ell, alpha):
-        for pos in range(len(mono)):
-            lifted = list(mono)
-            lifted[pos] += 1
-            key = tuple(sorted(lifted))
-            acc[key] = acc.get(key, 0) + coef
-    for mono, coef in _h_monomials(k - 1, ell - 1, alpha):
-        key = tuple(sorted(mono + (0,)))
-        acc[key] = acc.get(key, 0) - (alpha + ell) * coef
-    return tuple(sorted((k2, v) for k2, v in acc.items() if v != 0))
-
-
-def _jet_matrix(n: int, xs: np.ndarray, max_order: int) -> np.ndarray:
-    """Derivatives of ``g(x) = (n/pi) sin(2 pi x / n)`` up to max_order.
-
-    Angles are reduced modulo the period first, so jets of even order are
-    exactly 0.0 at x = 0 and x = n.
-    """
-    u = (np.asarray(xs, dtype=float) / n) % 1.0
-    theta = 2.0 * math.pi * u
-    s, c = np.sin(theta), np.cos(theta)
-    quarter = (s, c, -s, -c)
-    rows = [(n / math.pi) * (2.0 * math.pi / n) ** i * quarter[i % 4]
-            for i in range(max_order + 1)]
-    return np.vstack(rows)
-
-
-def _h_eval(k: int, ell: int, alpha: int, jets: np.ndarray,
-            dead=frozenset()) -> np.ndarray:
-    """``H_{k,ell}`` on the nodes of ``jets``, skipping every monomial with a
-    jet order in ``dead``, whose rows are 0.0 at every node: such terms are
-    signed zeros and leave the sum, started at +0.0, unchanged."""
-    return sum((math.prod((jets[o] for o in mono), start=float(coef))
-                for mono, coef in _h_monomials(k, ell, alpha)
-                if dead.isdisjoint(mono)),
-               np.zeros(jets.shape[1]))
-
-
-# -- multi-axis operator decomposition ----------------------------------------
-
-def default_truncation(m: int) -> int:
-    return math.ceil((3 * m + 1) / 2)
-
-
-def _axis_factor(memo: dict, n: int, axis, ell: int, a: int):
-    """Memoized ``H_{o,l}^{(a)}`` on ``axis = (key, coords, o)``.
-
-    None when the evaluated vector is exactly 0.0 at every node.
-    """
-    key, xs, o = axis
-    if (key, o, ell, a) not in memo:
-        if (key, o) not in memo:
-            jets = _jet_matrix(n, xs, o - 1)
-            dead = np.flatnonzero(~jets.any(axis=1)).tolist()
-            memo[key, o] = jets, set(dead)
-        h = _h_eval(o, ell, a, *memo[key, o])
-        memo[key, o, ell, a] = h if h.any() else None
-    return memo[key, o, ell, a]
-
-
-def _mixed_deriv_grid(n, z, alpha, axes, memo):
-    """Mixed derivative of ``(omega + z^2)^(-alpha)`` on a grid of atoms.
-
-    Starting from ``F^(-alpha)``, each active axis ``(key, coords, o)``,
-    last first (the operators commute), expands every term ``c F^(-a)``
-    into the terms ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o, dropping those
-    whose factor is exactly 0.0 at every node.  Such zeros are all or
-    nothing per atom (odd orders vanish at x = 0 and x = n, never at a cell
-    node), so kept terms start at the same power; with none kept the zero
-    grid returns before F is formed.  The grid is filled in blocks of rows
-    of the first axis, about ``LATTICE_BLOCK`` elements each: per block F
-    is summed over the broadcast axes in axis order, and the sum walks the
-    terms sorted by exponent, raising one power grid by ``R = 1/F`` and
-    adding each ``prod(c) F^(-a)`` pointwise.  Every element sees the same
-    operations in the same order whatever the block size.
-    """
-    m, terms = len(axes), [((), alpha)]
-    for j, axis in reversed([(j, ax) for j, ax in enumerate(axes) if ax[2]]):
-        terms = [(c + (h.reshape((-1,) + (1,) * (m - 1 - j)),), a + ell + 1)
-                 for c, a in terms for ell in range(axis[2])
-                 if (h := _axis_factor(memo, n, axis, ell, a)) is not None]
-    out = np.zeros([len(xs) for _, xs, _ in axes])
-    if not terms:
-        return out
-    grids = [_axis_eigenvalues(n, xs).reshape((-1,) + (1,) * (m - 1 - j))
-             for j, (_, xs, _) in enumerate(axes)]
-    terms.sort(key=lambda term: term[1])
-    step = max(1, LATTICE_BLOCK // math.prod(out.shape[1:]))
-    for lo in range(0, len(out), step):
-        rows = slice(lo, lo + step)
-        # only the first axis's grid and factors have m dimensions
-        F = sum(grids[1:], grids[0][rows]) + z * z
-        power, R = terms[0][1], 1.0 / F
-        P = F ** -float(power)
-        for c, a in terms:
-            for power in range(power + 1, a + 1):
-                P *= R
-            out[rows] += math.prod(h[rows] if h.ndim == m else h
-                                   for h in c) * P
+def _ive0(x: np.ndarray) -> np.ndarray:
+    """``ive(0, x)``, above ``IVE_SERIES_FROM`` from its asymptotic series
+    (next term below 1e-25 there): scipy returns nan from about x = 2e9."""
+    out = scipy.special.ive(0, np.minimum(x, IVE_SERIES_FROM))
+    big = x > IVE_SERIES_FROM
+    r = 1.0 / x[big]
+    out[big] = (1.0 + 0.125 * r * (1.0 + 0.5625 * r)) * np.sqrt(
+        r / (2.0 * math.pi))
     return out
 
 
-def _axis_atoms(n: int, M: int) -> dict:
-    """The four summation-formula operators of one axis as evaluable atoms.
+def _log_t_rule(z: float, alpha: int, log_c: float, log_k: float,
+                x_scale: float):
+    """Nodes t, weights and a power of two ``alpha e`` of the trapezoid rule
+    with step ``LOG_T_STEP`` in ``log t`` for ``Gamma(alpha)^(-1) int
+    t^(alpha-1) e^(-t z^2) g(t) dt``, g evaluated at ``x = x_scale t``.
 
-    Maps each label to atoms ``((key, coords, derivative order), weights,
-    coefficient)``, keyed by label and position: the integral (1) and the
-    remainder (3) run over the Gauss-Legendre cell nodes, the remainder
-    with the periodic Bernoulli weight; the boundary derivatives (2), one
-    atom per order, and the endpoint average (4) run over the two nodes
-    x = 0 and x = n, with weights (-1, 1) and (1/2, 1/2).  Grid atoms keep
-    the 16 n nodes below n/2, doubly weighted: the integrands are even
-    under x -> n - x.
+    ``t = 2^e e^v`` with v on the step lattice and ``2^e`` within a factor 2
+    of ``z^-2``; the weight, one exponential of ``log(step) + alpha v - z^2
+    t - log Gamma(alpha)``, leaves out ``2^(alpha e)`` for the caller's
+    ``ldexp``, so it stays near 1 at the peak and nothing overflows.  A
+    largest t or x past the float range raises NumericalError.  For
+    ``|g| <= G`` and a value of at least ``G c^(-alpha)`` and ``G z^(-2
+    alpha) / k`` (k up to 1e283), each dropped tail is at most
+    ``LOG_T_TAIL`` of the value: below ``t_lo`` it is ``(t_lo c)^alpha /
+    alpha!`` of it, above ``t_hi`` ``k Q(alpha, t_hi z^2)``.
     """
-    xs, ws = (v[:len(v) // 2] for v in _gl_nodes(n, GL_ORDER_PATTERNS))
-    bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
-    ends = np.array([0.0, float(n)])
-    ops = {1: [(xs, 2 * ws, 0, 1.0)],
-           2: [(ends, np.array([-1.0, 1.0]), 2 * k - 1,
-                float(bernoulli_number(2 * k)) / math.factorial(2 * k))
-               for k in range(1, M + 1)],
-           3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
-           4: [(ends, np.array([0.5, 0.5]), 0, 1.0)]}
-    return {b: [(((b, i), x, o), w, c) for i, (x, w, o, c) in enumerate(atoms)]
-            for b, atoms in ops.items()}
+    half = round(-math.log2(z))
+    shift = 2 * half * math.log(2.0)
+    lo = (math.log(LOG_T_TAIL) + math.lgamma(alpha + 1)) / alpha - log_c
+    tail = math.exp(max(math.log(LOG_T_TAIL) - log_k, math.log(1e-300)))
+    hi = math.log(scipy.special.gammainccinv(alpha, tail)) - 2 * math.log(z)
+    if hi + max(0.0, math.log(x_scale)) > 709.0:
+        raise NumericalError(f"t-range at z = {z} exceeds the float range")
+    v = LOG_T_STEP * np.arange(math.floor((lo - shift) / LOG_T_STEP),
+                               math.ceil((hi - shift) / LOG_T_STEP) + 1)
+    ev = np.exp(v)
+    log_w = math.log(LOG_T_STEP) - math.lgamma(alpha) + alpha * v
+    weights = np.exp(log_w - math.ldexp(z, half) ** 2 * ev)  # z^2 t <= 2 ev
+    return np.ldexp(ev, 2 * half), weights, 2 * half * alpha
+
+
+def _axis_factors(n: int, t: np.ndarray):
+    """nK and R of one axis at the ascending nodes t.  S comes from the
+    half-axis table, cut where ``e^(-t s)`` is 0.0 at its first node; a
+    difference ``S - nK`` that rounds below 0 is taken as 0."""
+    x = t * (n * n / (2.0 * math.pi ** 2))
+    nk = n * _ive0(x)
+    cut = int(np.searchsorted(x, min(n * n / 4.0, IVE_SERIES_FROM)))
+    orders = n * np.arange(1, WINDINGS + 1)[:, None]
+    r = [2.0 * n * scipy.special.ive(orders, x[:cut]).sum(axis=0)]
+    if cut < len(t):
+        s, w = _half_axis(n)
+        k = int(np.searchsorted(s, 746.0 / t[cut], side="right"))  # e^-746 = 0
+        heat = w[0] + np.exp(np.outer(-t[cut:], s[1:k])) @ w[1:k]  # s[0] = 0
+        r.append(np.maximum(heat - nk[cut:], 0.0))
+    return nk, np.concatenate(r)
 
 
 def boundary_inclusive_lattice_sum(t: DiscreteTorus, z: float,
                                    alpha: int) -> float:
-    """Direct reference sum over the extended grid {0..n}^m."""
+    """Direct reference sum over the extended grid {0..n}^m: ``(n//2 +
+    1)^m`` terms of the half-axis tables, under the lattice-sum cap."""
     check_resolvent_parameter(z, alpha, t.m * math.log(2.0))  # zero-mode weight
+    _check_sum_size((t.n // 2 + 1) ** t.m)
     return _extended_trace_sum(t.n, t.m, z, alpha)
 
 
-def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
-                 M: int | None = None):
-    """All 4^m operator-pattern values and their total.
+def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None):
+    """All 4^m operator-pattern values, keyed by their per-axis labels (1
+    integral, 2 boundary derivatives, 3 remainder, 4 endpoint average) in
+    lexicographic order, and their total.
 
-    The total equals ``boundary_inclusive_lattice_sum(t, z, alpha)`` up to
-    quadrature tolerance.  Patterns are keyed by their per-axis labels;
-    the reduction runs in lexicographic pattern order.  Axis grids are
-    folded by x -> n - x; boundary patterns are exact zeros of their
-    evaluated factors and build no grid, the others stream one ladder.
-
-    The 32-node cell rule cannot resolve the peak of width z at x = 0, so
-    the error grows as z falls, whatever n is: at the default M the total
-    meets 1e-8 relative for z >= 0.2 at m = 1 and for z >= 0.4 at m = 2
-    (at z = 0.1 the relative error is 1.6e-6 at m = 1 and 2e9 at m = 2).
-    A single pattern may be less accurate than the total: the (3, 3)
-    remainder cancels about 1e8-fold between its terms, and its relative
-    error stays below 5e-8 at z = 0.4 and 5e-9 at z = 0.5.
+    Boundary patterns are 0.0 and the others nonnegative t-integrals.  With
+    ``|prod A| <= n^m`` against a total of at least ``(n+1)^m (m n^2/pi^2 +
+    z^2)^(-alpha)`` (every term) and ``2^m z^(-2 alpha)`` (the corners),
+    each truncated tail is at most ``LOG_T_TAIL`` of the total, which meets
+    ``boundary_inclusive_lattice_sum`` to a few units of rounding.  The
+    half-axis table of S is under the lattice-sum cap.
     """
-    if t.m > 2 or (GL_ORDER_PATTERNS * t.n) ** t.m > EM_MAX_GRID:
-        raise InputError(
-            f"decomposition implemented for m <= 2 and pattern grids of "
-            f"(32 n)^m <= {EM_MAX_GRID} nodes, got m = {t.m}, n = {t.n}")
     alpha = t.m if alpha is None else check_integer("alpha", alpha)
     if alpha < 1:
         raise InputError("resolvent power alpha must be >= 1")
-    floor = default_truncation(t.m)
-    M = floor if M is None else check_integer("M", M)
-    if not floor <= M <= EM_MAX_ORDER:
-        raise InputError(
-            f"truncation order must be in {floor}..{EM_MAX_ORDER} for "
-            f"m = {t.m}, got {M}")
-    # a derivative of order 2M+1 per axis raises the resolvent power by as much
-    check_resolvent_parameter(z, alpha + t.m * (2 * M + 1))
-    atoms = _axis_atoms(t.n, M)
-    memo, values = {}, {}   # the memo lives for this call only
-    for betas in itertools.product(atoms, repeat=t.m):
-        pieces = []
-        for combo in itertools.product(*(atoms[b] for b in betas)):
-            axes, weights, coeffs = zip(*combo)
-            val = weights[0] @ _mixed_deriv_grid(t.n, z, alpha, axes, memo)
-            for w in weights[1:]:
-                val = val @ w
-            pieces.append(math.prod(coeffs) * float(val))
-        values[betas] = math.fsum(pieces)
-    total = math.fsum(values[k] for k in sorted(values))
-    return values, total
+    check_resolvent_parameter(z, alpha, t.m * math.log(2.0))  # the corners
+    _check_sum_size(t.n // 2 + 1)
+    nodes, prods, scale = _log_t_rule(
+        z, alpha, 2 * math.log(math.hypot(math.sqrt(t.m) * t.n / math.pi, z)),
+        t.m * math.log(t.n / 2.0), t.n ** 2 / (2 * math.pi ** 2))
+    nk, r = _axis_factors(t.n, nodes)
+    factors = np.stack([nk, r, np.ones_like(nk)])      # labels 1, 3, 4
+    for _ in range(t.m):   # rows in the lexicographic order of the labels
+        prods = (prods[..., None, :] * factors).reshape(-1, len(nodes))
+    sums = iter(np.ldexp(prods.sum(axis=1), scale).tolist())
+    values = {betas: 0.0 if 2 in betas else next(sums)
+              for betas in itertools.product((1, 2, 3, 4), repeat=t.m)}
+    return values, math.fsum(values.values())
 
 
 # -- homogeneous components and checks ----------------------------------------
@@ -364,22 +266,21 @@ def em_decompose(t: DiscreteTorus, z: float, alpha: int | None = None,
 def _window_integral(q: int, w: float, m: int) -> float:
     """``int over [0,1]^q of (pi^-2 sum sin^2(pi y_i) + w^2)^(-m)``.
 
-    With ``A^(-m) = Gamma(m)^(-1) int t^(m-1) e^(-t A) dt`` the axes
-    separate: each averages ``e^(-t sin^2(pi y)/pi^2)`` to the one-axis
-    lattice heat trace ``ive(0, t / 2 pi^2)``, leaving one integral in t
-    for every q, split at ``t = 1/w^2``; beyond it t is scaled by w^2.
+    The axes separate under the t-integral: each averages ``e^(-t
+    sin^2(pi y)/pi^2)`` to ``ive(0, t / 2 pi^2) <= 1``.  The value is at
+    least ``c^(-m)``, ``c = q/pi^2 + w^2``, and for ``w <= 1`` at least
+    ``(q+1)^(-m) w^(q-2m)`` (the cube ``[0, w]^q``): the rule's
+    ``k = (q+1)^m max(1, w^-q)``.
     """
+    check_resolvent_parameter(w, m)   # the integrand's largest value
     if q == 0:
         return w ** (-2.0 * m)
-    w2 = w * w
-
-    def f(t):
-        return (t ** (m - 1) * math.exp(-w2 * t)
-                * scipy.special.ive(0, t / (2.0 * math.pi ** 2)) ** q)
-
-    head, _ = _quad(f, 0.0, 1.0 / w2, EM_QUAD_TOL)
-    tail, _ = _quad(lambda s: f(s / w2), 1.0, math.inf, EM_QUAD_TOL)
-    return (head + tail / w2) / math.gamma(m)
+    t, weights, scale = _log_t_rule(
+        w, m, 2 * math.log(math.hypot(math.sqrt(q) / math.pi, w)),
+        m * math.log(q + 1.0) + q * max(0.0, -math.log(w)),
+        1 / (2 * math.pi ** 2))
+    heat = _ive0(t / (2.0 * math.pi ** 2)) ** q
+    return math.ldexp(float(weights @ heat), scale)
 
 
 def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
@@ -387,9 +288,7 @@ def scaled_bulk_term(m: int, q: int, z: float, n: float) -> float:
 
     ``n**(q - 2m)`` times the unit-window integral at argument ``z/n``; this
     is the value of a pattern with q integral axes and the rest endpoint
-    averages, per inclusion-exclusion level.  The quadratures meet their
-    tolerance for ``1/1024 <= z/n <= 1000`` and raise NumericalError from
-    about ``z/n = 1/2048`` down.
+    averages, per inclusion-exclusion level.
     """
     check_dimension(m)
     check_integer("q", q)

@@ -166,7 +166,7 @@ def test_ac9_euler_maclaurin_exactness():
         poly_ok = poly_ok and parts.remainder == 0.0 and (
             abs(parts.total - direct) <= 1e-12 * max(1.0, abs(direct)))
     worst = 0.0
-    cases = [(1, 8), (1, 32), (2, 8), (2, 32)]
+    cases = [(1, 8), (1, 32), (2, 8), (2, 32), (3, 8), (4, 8)]
     for (m, n) in cases:
         for z in (0.5, 1.0, 2.0):
             t = DiscreteTorus(m, n)

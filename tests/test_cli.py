@@ -18,7 +18,6 @@ import torusdet
 from torusdet.cli import build_parser, main, parse_grid
 from torusdet.discrete import MAX_SORTED, MAX_SUM_LATTICE, MAX_TREE_VERTICES
 from torusdet.errors import InputError
-from torusdet.euler_maclaurin import EM_MAX_GRID, GL_ORDER_PATTERNS
 
 
 class TestParsers:
@@ -125,6 +124,27 @@ class TestCommands:
 
     def test_em_check(self):
         assert main(["em-check", "--m", "1", "--n", "8", "--z", "1.0"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "2", "--n", "8", "--z", "0.1"],    # below the old z floor
+        ["--m", "4", "--n", "8", "--z", "1e-3"],
+        ["--m", "2", "--n", "1024"],               # past the old grid cap
+        ["--m", "1", "--n", "131073"],
+    ])
+    def test_em_check_domain(self, argv, tmp_path):
+        out = tmp_path / "em.json"
+        assert main(["em-check"] + argv + ["--json-out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        m = int(argv[1])
+        assert len(rep["patterns"]) == 4 ** m
+        assert rep["bulk"] == rep["patterns"]["1" * m]
+        assert rep["remainder"] == pytest.approx(math.fsum(
+            v for k, v in rep["patterns"].items() if "3" in k), rel=1e-15)
+        assert rep["value"] == pytest.approx(rep["reference"], rel=1e-13)
+
+    def test_em_check_has_no_truncation_order(self, capsys):
+        assert main(["em-check", "--M", "4"]) == 2
+        assert "unrecognized arguments: --M" in capsys.readouterr().err
 
     def test_zeta_det(self, tmp_path):
         out = tmp_path / "z.json"
@@ -259,10 +279,10 @@ class TestExitCodes:
         ["eigenproduct", "--m", "2", "--grid", "1e5:1e5:x2"],
         ["eigenproduct", "--m", "1", "--grid", "1e300:1e300:x2"],
         ["spectrum", "--n", str(10 ** 12)],
-        ["em-check", "--M", "1000"],
-        ["em-check", "--m", "2", "--n", "1024"],
-        ["em-check", "--m", "2", "--n", "65"],
-        ["em-check", "--m", "1", "--n", "131073"],
+        ["em-check", "--m", "4", "--n", "256"],
+        ["em-check", "--m", "3", "--n", "1024"],
+        ["em-check", "--m", "2", "--n", "16384"],
+        ["em-check", "--m", "1", "--n", str(2 ** 26)],
         ["converge", "--m", "3", "--alpha", "3", "--n-grid", "8:8192:x2"],
         ["converge", "--m", "4", "--alpha", "4", "--n-grid", "8:512:x2"],
         ["converge", "--m", "3", "--alpha", "9", "--n-grid", "8:256:x2"],
@@ -502,15 +522,14 @@ class TestExitContract:
     def test_zeta_det(self, m, tol_exponent):
         self.check(["zeta-det", "--m", str(m), "--tol", _z_text(tol_exponent)])
 
+    # the direct sum reduces (n//2 + 1)^m terms: n^m > 2^m times its cap
+    # is refused
     @settings(deadline=None, max_examples=15)
-    @given(mn=_dims_and_sizes(
-               16, lambda m: EM_MAX_GRID // GL_ORDER_PATTERNS ** m),
-           exponent=st.floats(-300.0, 300.0),
-           order=st.one_of(st.none(), st.integers(-2, 1000)))
-    def test_em_check(self, mn, exponent, order):
-        argv = ["em-check", "--m", str(mn[0]), "--n", str(mn[1]),
-                "--z", _z_text(exponent)]
-        self.check(argv + ([] if order is None else ["--M", str(order)]))
+    @given(mn=_dims_and_sizes(256, lambda m: 2 ** m * MAX_SUM_LATTICE),
+           exponent=st.floats(-300.0, 300.0))
+    def test_em_check(self, mn, exponent):
+        self.check(["em-check", "--m", str(mn[0]), "--n", str(mn[1]),
+                    "--z", _z_text(exponent)])
 
     # up to 256 vertices: (m, n) = (4, 4), the slowest, takes about 0.5 s
     @settings(deadline=None, max_examples=30)

@@ -326,8 +326,7 @@ class TestResolventTrace:
                  lambda z: boundary_inclusive_lattice_sum(t, z, alpha)]
         if alpha == m:
             calls.append(lambda z: trace_inclusion_exclusion(t, z))
-        if m <= 2:
-            calls.append(lambda z: em_decompose(t, z, alpha)[1])
+        calls.append(lambda z: em_decompose(t, z, alpha)[1])
         outcomes = set()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for call in calls:

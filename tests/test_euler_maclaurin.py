@@ -1,28 +1,238 @@
 """Tests for the summation-formula machinery and its lattice decomposition."""
 
+import functools
 import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from torusdet import (DiscreteTorus, InputError, bernoulli_number,
-                      boundary_inclusive_lattice_sum, corner_term_cancellation,
-                      default_truncation, em_decompose, em_direct_sum,
+from torusdet import (DiscreteTorus, InputError, NumericalError,
+                      bernoulli_number, boundary_inclusive_lattice_sum,
+                      corner_term_cancellation, em_decompose, em_direct_sum,
                       em_sum_1d, homogeneous_components, poly_evaluator,
                       remainder_uniformity_scan, resolvent_trace,
                       scaled_bulk_term)
-from torusdet.discrete import _axis_eigenvalues
-import torusdet.euler_maclaurin as em
-from torusdet.euler_maclaurin import (EM_MAX_ORDER, GL_ORDER_PATTERNS,
-                                      _axis_atoms, _bernoulli_poly_coeffs,
-                                      _gl_nodes, _h_eval, _h_monomials,
-                                      _jet_matrix, _mixed_deriv_grid,
+from torusdet.discrete import LATTICE_BLOCK, MAX_SUM_LATTICE, _axis_eigenvalues
+from torusdet.errors import check_integer, check_resolvent_parameter
+from torusdet.euler_maclaurin import (_bernoulli_poly_coeffs, _gl_nodes,
                                       _window_integral)
+
+# -- reference: the derivative-grid decomposition ------------------------------
+#
+# The route ``em_decompose`` replaced, kept as an independent reference on
+# its valid domain, m <= 2 and z >= 0.4 (z >= 0.2 at m = 1).  Derivatives
+# of ``f^(-alpha)`` with ``f = omega + z^2`` come from an exact recursion
+# on coefficient functionals: ``d^k f^(-alpha) = sum_l H_{k,l}
+# f^(-alpha-l-1)`` with ``H_{1,0} = -alpha f'`` and ``H_{k,l} = d H_{k-1,l}
+# - (alpha + l) f' H_{k-1,l-1}``, kept as integer-coefficient polynomials
+# in the jets of f' and evaluated with exact trigonometric derivatives.
+# Odd-order axis derivatives vanish at the lattice endpoints, so every
+# boundary pattern is an exact zero of its evaluated factors and builds no
+# grid; axis grids are folded to their nodes below n/2, and derivatives
+# stream one ladder of powers of 1/f through blocks of rows of the first
+# axis, about ``LATTICE_BLOCK`` elements each.
+
+GL_ORDER_PATTERNS = 32    # Gauss-Legendre nodes per cell of a pattern grid
+# Largest truncation order.  At n = 8, z = 1 the error grows past it (4e-10
+# at M = 7 and 1e-7 at M = 8 for m = 2), and the cost nearly doubles with
+# each order.
+EM_MAX_ORDER = 6
+EM_MAX_GRID = 1 << 22     # unfolded nodes (32 n)^m of one pattern grid
+
+
+@functools.lru_cache(maxsize=None)
+def _h_monomials(k, ell, alpha):
+    """H_{k,ell} as integer-coefficient monomials in the jets of f'.
+
+    A monomial key is a sorted tuple of derivative orders: ``(0, 0, 1)``
+    stands for ``g * g * g'`` with ``g = df/dx``.  Built by the recursion
+    ``H_{k,l} = d H_{k-1,l} - (alpha + l) g H_{k-1,l-1}``.
+    """
+    if ell < 0 or ell >= k:
+        return ()
+    if k == 1:
+        return (((0,), -alpha),)
+    acc: dict = {}
+    for mono, coef in _h_monomials(k - 1, ell, alpha):
+        for pos in range(len(mono)):
+            lifted = list(mono)
+            lifted[pos] += 1
+            key = tuple(sorted(lifted))
+            acc[key] = acc.get(key, 0) + coef
+    for mono, coef in _h_monomials(k - 1, ell - 1, alpha):
+        key = tuple(sorted(mono + (0,)))
+        acc[key] = acc.get(key, 0) - (alpha + ell) * coef
+    return tuple(sorted((k2, v) for k2, v in acc.items() if v != 0))
+
+
+def _jet_matrix(n, xs, max_order):
+    """Derivatives of ``g(x) = (n/pi) sin(2 pi x / n)`` up to max_order.
+
+    Angles are reduced modulo the period first, so jets of even order are
+    exactly 0.0 at x = 0 and x = n.
+    """
+    u = (np.asarray(xs, dtype=float) / n) % 1.0
+    theta = 2.0 * math.pi * u
+    s, c = np.sin(theta), np.cos(theta)
+    quarter = (s, c, -s, -c)
+    rows = [(n / math.pi) * (2.0 * math.pi / n) ** i * quarter[i % 4]
+            for i in range(max_order + 1)]
+    return np.vstack(rows)
+
+
+def _h_eval(k, ell, alpha, jets, dead=frozenset()):
+    """``H_{k,ell}`` on the nodes of ``jets``, skipping every monomial with a
+    jet order in ``dead``, whose rows are 0.0 at every node: such terms are
+    signed zeros and leave the sum, started at +0.0, unchanged."""
+    return sum((math.prod((jets[o] for o in mono), start=float(coef))
+                for mono, coef in _h_monomials(k, ell, alpha)
+                if dead.isdisjoint(mono)),
+               np.zeros(jets.shape[1]))
+
+
+# -- multi-axis operator decomposition ----------------------------------------
+
+def default_truncation(m):
+    return math.ceil((3 * m + 1) / 2)
+
+
+def _axis_factor(memo, n, axis, ell, a):
+    """Memoized ``H_{o,l}^{(a)}`` on ``axis = (key, coords, o)``.
+
+    None when the evaluated vector is exactly 0.0 at every node.
+    """
+    key, xs, o = axis
+    if (key, o, ell, a) not in memo:
+        if (key, o) not in memo:
+            jets = _jet_matrix(n, xs, o - 1)
+            dead = np.flatnonzero(~jets.any(axis=1)).tolist()
+            memo[key, o] = jets, set(dead)
+        h = _h_eval(o, ell, a, *memo[key, o])
+        memo[key, o, ell, a] = h if h.any() else None
+    return memo[key, o, ell, a]
+
+
+def _mixed_deriv_grid(n, z, alpha, axes, memo):
+    """Mixed derivative of ``(omega + z^2)^(-alpha)`` on a grid of atoms.
+
+    Starting from ``F^(-alpha)``, each active axis ``(key, coords, o)``,
+    last first (the operators commute), expands every term ``c F^(-a)``
+    into the terms ``c H_{o,l}^{(a)} F^(-a-l-1)``, l < o, dropping those
+    whose factor is exactly 0.0 at every node.  Such zeros are all or
+    nothing per atom (odd orders vanish at x = 0 and x = n, never at a cell
+    node), so kept terms start at the same power; with none kept the zero
+    grid returns before F is formed.  The grid is filled in blocks of rows
+    of the first axis, about ``LATTICE_BLOCK`` elements each: per block F
+    is summed over the broadcast axes in axis order, and the sum walks the
+    terms sorted by exponent, raising one power grid by ``R = 1/F`` and
+    adding each ``prod(c) F^(-a)`` pointwise.  Every element sees the same
+    operations in the same order whatever the block size.
+    """
+    m, terms = len(axes), [((), alpha)]
+    for j, axis in reversed([(j, ax) for j, ax in enumerate(axes) if ax[2]]):
+        terms = [(c + (h.reshape((-1,) + (1,) * (m - 1 - j)),), a + ell + 1)
+                 for c, a in terms for ell in range(axis[2])
+                 if (h := _axis_factor(memo, n, axis, ell, a)) is not None]
+    out = np.zeros([len(xs) for _, xs, _ in axes])
+    if not terms:
+        return out
+    grids = [_axis_eigenvalues(n, xs).reshape((-1,) + (1,) * (m - 1 - j))
+             for j, (_, xs, _) in enumerate(axes)]
+    terms.sort(key=lambda term: term[1])
+    step = max(1, LATTICE_BLOCK // math.prod(out.shape[1:]))
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        # only the first axis's grid and factors have m dimensions
+        F = sum(grids[1:], grids[0][rows]) + z * z
+        power, R = terms[0][1], 1.0 / F
+        P = F ** -float(power)
+        for c, a in terms:
+            for power in range(power + 1, a + 1):
+                P *= R
+            out[rows] += math.prod(h[rows] if h.ndim == m else h
+                                   for h in c) * P
+    return out
+
+
+def _axis_atoms(n, M):
+    """The four summation-formula operators of one axis as evaluable atoms.
+
+    Maps each label to atoms ``((key, coords, derivative order), weights,
+    coefficient)``, keyed by label and position: the integral (1) and the
+    remainder (3) run over the Gauss-Legendre cell nodes, the remainder
+    with the periodic Bernoulli weight; the boundary derivatives (2), one
+    atom per order, and the endpoint average (4) run over the two nodes
+    x = 0 and x = n, with weights (-1, 1) and (1/2, 1/2).  Grid atoms keep
+    the 16 n nodes below n/2, doubly weighted: the integrands are even
+    under x -> n - x.
+    """
+    xs, ws = (v[:len(v) // 2] for v in _gl_nodes(n, GL_ORDER_PATTERNS))
+    bw = np.polyval(_bernoulli_poly_coeffs(2 * M + 1), xs % 1.0)
+    ends = np.array([0.0, float(n)])
+    ops = {1: [(xs, 2 * ws, 0, 1.0)],
+           2: [(ends, np.array([-1.0, 1.0]), 2 * k - 1,
+                float(bernoulli_number(2 * k)) / math.factorial(2 * k))
+               for k in range(1, M + 1)],
+           3: [(xs, 2 * ws * bw, 2 * M + 1, 1.0 / math.factorial(2 * M + 1))],
+           4: [(ends, np.array([0.5, 0.5]), 0, 1.0)]}
+    return {b: [(((b, i), x, o), w, c) for i, (x, w, o, c) in enumerate(atoms)]
+            for b, atoms in ops.items()}
+
+
+def grid_em_decompose(t, z, alpha=None, M=None):
+    """All 4^m operator-pattern values and their total, on derivative grids.
+
+    Each pattern applies the summation formula truncated at order M to the
+    m-variable summand: boundary derivatives of order 2k-1 at x = 0 and
+    x = n, and the remainder of order 2M+1 on Gauss-Legendre cell nodes.
+    Patterns are keyed by their per-axis labels; the reduction runs in
+    lexicographic pattern order.  Axis grids are
+    folded by x -> n - x; boundary patterns are exact zeros of their
+    evaluated factors and build no grid, the others stream one ladder.
+
+    The 32-node cell rule cannot resolve the peak of width z at x = 0, so
+    the error grows as z falls, whatever n is: at the default M the total
+    meets 1e-8 relative for z >= 0.2 at m = 1 and for z >= 0.4 at m = 2
+    (at z = 0.1 the relative error is 1.6e-6 at m = 1 and 2e9 at m = 2).
+    A single pattern may be less accurate than the total: the (3, 3)
+    remainder cancels about 1e8-fold between its terms, and its relative
+    error stays below 5e-8 at z = 0.4 and 5e-9 at z = 0.5.
+    """
+    if t.m > 2 or (GL_ORDER_PATTERNS * t.n) ** t.m > EM_MAX_GRID:
+        raise InputError(
+            f"decomposition implemented for m <= 2 and pattern grids of "
+            f"(32 n)^m <= {EM_MAX_GRID} nodes, got m = {t.m}, n = {t.n}")
+    alpha = t.m if alpha is None else check_integer("alpha", alpha)
+    if alpha < 1:
+        raise InputError("resolvent power alpha must be >= 1")
+    floor = default_truncation(t.m)
+    M = floor if M is None else check_integer("M", M)
+    if not floor <= M <= EM_MAX_ORDER:
+        raise InputError(
+            f"truncation order must be in {floor}..{EM_MAX_ORDER} for "
+            f"m = {t.m}, got {M}")
+    # a derivative of order 2M+1 per axis raises the resolvent power by as much
+    check_resolvent_parameter(z, alpha + t.m * (2 * M + 1))
+    atoms = _axis_atoms(t.n, M)
+    memo, values = {}, {}   # the memo lives for this call only
+    for betas in itertools.product(atoms, repeat=t.m):
+        pieces = []
+        for combo in itertools.product(*(atoms[b] for b in betas)):
+            axes, weights, coeffs = zip(*combo)
+            val = weights[0] @ _mixed_deriv_grid(t.n, z, alpha, axes, memo)
+            for w in weights[1:]:
+                val = val @ w
+            pieces.append(math.prod(coeffs) * float(val))
+        values[betas] = math.fsum(pieces)
+    total = math.fsum(values[k] for k in sorted(values))
+    return values, total
+
 
 BOUND_SCAN_SIZES = (8, 16, 32, 64, 128, 256)
 
@@ -168,9 +378,10 @@ class TestDerivativeCoefficients:
 class TestDecomposition:
     def test_m1_matches_direct(self):
         t = DiscreteTorus(1, 8)
-        vals, total = em_decompose(t, 1.0, alpha=1, M=3)
+        vals, total = em_decompose(t, 1.0, alpha=1)
         direct = boundary_inclusive_lattice_sum(t, 1.0, 1)
         assert total == pytest.approx(direct, abs=1e-8)
+        assert total == pytest.approx(direct, rel=1e-13)
 
     def test_boundary_patterns_exact_zero(self):
         t = DiscreteTorus(2, 4)
@@ -181,7 +392,7 @@ class TestDecomposition:
 
     def test_all_average_pattern_is_kernel_power(self):
         t1 = DiscreteTorus(1, 8)
-        vals1, _ = em_decompose(t1, 0.5, alpha=1, M=2)
+        vals1, _ = em_decompose(t1, 0.5, alpha=1)
         assert vals1[(4,)] == pytest.approx(4.0, rel=1e-15)  # z^-2
         t2 = DiscreteTorus(2, 4)
         vals2, _ = em_decompose(t2, 2.0)
@@ -191,7 +402,7 @@ class TestDecomposition:
         # the all-integral pattern is the scaled unit-window integral and is
         # jointly homogeneous: h(t z, t n) = t^(m - 2 alpha) h(z, n)
         t = DiscreteTorus(1, 8)
-        vals, _ = em_decompose(t, 1.0, alpha=1, M=2)
+        vals, _ = em_decompose(t, 1.0, alpha=1)
         bulk = scaled_bulk_term(1, 1, 1.0, 8.0)
         assert vals[(1,)] == pytest.approx(bulk, rel=1e-12)
         bulk2 = scaled_bulk_term(1, 1, 2.0, 16.0)
@@ -203,10 +414,34 @@ class TestDecomposition:
             _, total = em_decompose(t, z)
             direct = boundary_inclusive_lattice_sum(t, z, 2)
             assert total == pytest.approx(direct, abs=1e-8)
+            assert total == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("m,n,z", [
+        (3, 8, 1.0), (4, 8, 1.0), (2, 8, 0.1), (2, 32, 0.05), (2, 32, 1e-3),
+        (1, 8, 1e-3), (3, 4, 1e-3), (4, 4, 1e-3), (2, 8, 1e6)])
+    def test_total_matches_direct_beyond_the_grid_domain(self, m, n, z):
+        # no m <= 2 and no z floor: every case whose corners fit the floats
+        _, total = em_decompose(DiscreteTorus(m, n), z)
+        direct = boundary_inclusive_lattice_sum(DiscreteTorus(m, n), z, m)
+        assert total == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_pattern_is_a_nonnegative_integral(self, m):
+        # the axis factors nK, R and 1 are positive, so every pattern
+        # without a boundary label is a positive integral
+        for z in (1e-2, 1.0, 10.0):
+            vals, _ = em_decompose(DiscreteTorus(m, 4), z)
+            assert all(v >= 0.0 for v in vals.values())
+            assert all(v > 0.0 for k, v in vals.items() if 2 not in k)
+            assert vals[(4,) * m] == pytest.approx(z ** (-2 * m), rel=1e-15)
+
+    def test_no_truncation_order(self):
+        with pytest.raises(TypeError):
+            em_decompose(DiscreteTorus(1, 8), 1.0, M=4)
 
     def test_operator_commutation(self):
-        # the mixed derivatives expand the last axis first, so a mirrored
-        # pattern applies the two axes' operators in the opposite order
+        # a mirrored pattern applies the two axes' operators in the
+        # opposite order
         t = DiscreteTorus(2, 4)
         vals, _ = em_decompose(t, 1.0)
         for a, b in itertools.product((1, 2, 3, 4), repeat=2):
@@ -225,6 +460,8 @@ class TestDecomposition:
         nested, _ = integrate.quad(inner, 0, 4, epsabs=1e-11)
         assert vals[(1, 1)] == pytest.approx(nested, abs=1e-9)
 
+    # the truncation order of the grid reference
+
     def test_default_truncation(self):
         assert default_truncation(1) == 2
         assert default_truncation(2) == 4
@@ -232,8 +469,8 @@ class TestDecomposition:
     def test_truncation_configurable_upward_only(self):
         t = DiscreteTorus(1, 4)
         with pytest.raises(InputError):
-            em_decompose(t, 1.0, M=1)
-        _, total = em_decompose(t, 1.0, M=4)
+            grid_em_decompose(t, 1.0, M=1)
+        _, total = grid_em_decompose(t, 1.0, M=4)
         direct = boundary_inclusive_lattice_sum(t, 1.0, 1)
         assert total == pytest.approx(direct, abs=1e-9)
 
@@ -242,8 +479,8 @@ class TestDecomposition:
         # the summation formula is asymptotic: past the cap the error grows
         t = DiscreteTorus(m, 4)
         with pytest.raises(InputError):
-            em_decompose(t, 1.0, M=EM_MAX_ORDER + 1)
-        _, total = em_decompose(t, 1.0, M=EM_MAX_ORDER)
+            grid_em_decompose(t, 1.0, M=EM_MAX_ORDER + 1)
+        _, total = grid_em_decompose(t, 1.0, M=EM_MAX_ORDER)
         direct = boundary_inclusive_lattice_sum(t, 1.0, m)
         assert total == pytest.approx(direct, rel=1e-12)
 
@@ -308,7 +545,7 @@ class TestFoldedGrids:
     def test_totals_match_the_per_term_unfolded_sum(self, n):
         t = DiscreteTorus(2, n)
         for z in (0.5, 1.0, 2.0):
-            _, total = em_decompose(t, z)
+            _, total = grid_em_decompose(t, z)
             ref = per_term_em_total(2, n, z, default_truncation(2))
             assert total == pytest.approx(ref, rel=1e-10)
 
@@ -317,9 +554,12 @@ class TestFoldedGrids:
         for n in (7, 8, 9, 16, 32):
             t = DiscreteTorus(m, n)
             for z in zs:
-                vals, total = em_decompose(t, z)
                 direct = boundary_inclusive_lattice_sum(t, z, m)
+                vals, total = grid_em_decompose(t, z)
                 assert total == pytest.approx(direct, rel=1e-8)
+                assert all(v == 0.0 for k, v in vals.items() if 2 in k)
+                vals, total = em_decompose(t, z)
+                assert total == pytest.approx(direct, rel=1e-13)
                 assert all(v == 0.0 for k, v in vals.items() if 2 in k)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -352,8 +592,39 @@ class TestFoldedGrids:
                                   for l2 in range(o) if 0 <= k - l2 < o)
             P = P * R
         ref = w @ grid @ w / L(math.factorial(o)) ** 2
-        vals, _ = em_decompose(DiscreteTorus(2, n), z)
+        vals, _ = grid_em_decompose(DiscreteTorus(2, n), z)
         assert abs(vals[(3, 3)] / ref - 1) < bound
+
+
+class TestAgainstGridReference:
+    """The t-integral patterns against the derivative-grid reference on its
+    domain, within the reference's stated accuracy: 1e-8 of the total for
+    every pattern, and for the (3, 3) remainder 5e-8 of itself at z = 0.4
+    and 5e-9 at z = 0.5.  Measured: at most 2.9e-9 of the total, and
+    3.9e-8 and 2.5e-9 for (3, 3)."""
+
+    @pytest.mark.parametrize("m,n", [(1, 7), (1, 8), (1, 32), (2, 7), (2, 8),
+                                     (2, 16), (2, 32)])
+    def test_patterns_agree(self, m, n):
+        for z in ((0.2,) if m == 1 else ()) + (0.4, 0.5, 1.0, 2.0):
+            t = DiscreteTorus(m, n)
+            vals, total = em_decompose(t, z)
+            ref, ref_total = grid_em_decompose(t, z)
+            assert list(vals) == list(ref)
+            assert total == pytest.approx(ref_total, rel=1e-8)
+            for k, v in vals.items():
+                assert v == pytest.approx(ref[k], rel=0.0, abs=1e-8 * total)
+            if m == 2:
+                bound = 5e-8 if z < 0.5 else 5e-9
+                assert vals[3, 3] == pytest.approx(ref[3, 3], rel=bound)
+
+    def test_reference_fails_below_its_domain(self):
+        # the derivative grids cannot resolve the peak of width z; the
+        # t-integrals can
+        t = DiscreteTorus(2, 8)
+        direct = boundary_inclusive_lattice_sum(t, 0.1, 2)
+        assert abs(grid_em_decompose(t, 0.1)[1] / direct - 1) > 1.0
+        assert em_decompose(t, 0.1)[1] == pytest.approx(direct, rel=1e-13)
 
 
 def unpruned_mixed_deriv_grid(n, z, alpha, coords, orders):
@@ -400,6 +671,8 @@ def hexes(decomposition):
 
 
 class TestPrunedEvaluation:
+    """The grid reference's zero-term pruning, blocks and memo."""
+
     @pytest.mark.parametrize("n", [2, 7, 8, 64])
     def test_odd_orders_vanish_exactly_at_the_endpoints(self, n):
         # the pruning drops a term only where its factor evaluates to 0.0;
@@ -435,7 +708,7 @@ class TestPrunedEvaluation:
         t = DiscreteTorus(m, n)
         for z in (0.4, 1.0):
             for M in [default_truncation(m)] + ([6] if n <= 8 else []):
-                assert hexes(em_decompose(t, z, M=M)) == hexes(
+                assert hexes(grid_em_decompose(t, z, M=M)) == hexes(
                     unpruned_em_decompose(t, z, M))
 
     @pytest.mark.parametrize("block", [1, 1 << 30])
@@ -443,43 +716,45 @@ class TestPrunedEvaluation:
                                                        block):
         # one row of the first axis per block, and the whole grid in one
         cases = [(1, 8, 0.4), (2, 7, 0.4), (2, 12, 1.0)]
-        blocked = {c: hexes(em_decompose(DiscreteTorus(c[0], c[1]), c[2]))
+        blocked = {c: hexes(grid_em_decompose(DiscreteTorus(c[0], c[1]), c[2]))
                    for c in cases}
-        monkeypatch.setattr(em, "LATTICE_BLOCK", block)
+        monkeypatch.setitem(globals(), "LATTICE_BLOCK", block)
         for m, n, z in cases:
-            assert hexes(em_decompose(DiscreteTorus(m, n), z)) == \
+            assert hexes(grid_em_decompose(DiscreteTorus(m, n), z)) == \
                 blocked[m, n, z]
 
     def test_peak_memory_of_the_bench_size(self):
-        # row blocks keep one full grid, the output, plus cache-sized
-        # temporaries: about 3.2 MiB traced, against 10.6 MiB for whole grids
+        # the t-integrals keep 3^m products over a few hundred nodes: about
+        # 70 KiB traced, against 3.2 MiB for the blocked grid reference
+        em_decompose(DiscreteTorus(2, 32), 1.0)   # loads scipy.special
         tracemalloc.start()
         try:
             em_decompose(DiscreteTorus(2, 32), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
+        assert peak <= 2 ** 18
 
     def test_interleaved_calls_match_separate_calls(self):
+        # (m, n, alpha): the half-axis table is cached for one n at a time
         cases = [(2, 4, 4), (1, 8, 6), (2, 8, 6), (2, 4, 6), (1, 8, 2)]
-        alone = {c: hexes(em_decompose(DiscreteTorus(c[0], c[1]), 0.5, M=c[2]))
+        alone = {c: hexes(em_decompose(DiscreteTorus(c[0], c[1]), 0.5, c[2]))
                  for c in cases}
         for c in cases[::-1] + cases:
             assert hexes(em_decompose(DiscreteTorus(c[0], c[1]), 0.5,
-                                      M=c[2])) == alone[c]
+                                      c[2])) == alone[c]
 
     def test_no_grid_for_vanishing_combos(self, monkeypatch):
         # 7 atoms per axis at M = 4, 4 of them boundary derivatives: only
         # the 3 x 3 combos without one build a grid, two axes each
         calls = []
 
-        def counted(n, x):
+        def counted(n, x, eigenvalues=_axis_eigenvalues):
             calls.append(len(x))
-            return _axis_eigenvalues(n, x)
+            return eigenvalues(n, x)
 
-        monkeypatch.setattr(em, "_axis_eigenvalues", counted)
-        vals, _ = em_decompose(DiscreteTorus(2, 4), 1.0)
+        monkeypatch.setitem(globals(), "_axis_eigenvalues", counted)
+        vals, _ = grid_em_decompose(DiscreteTorus(2, 4), 1.0)
         assert len(calls) == 2 * 9
         assert all(v == 0.0 for k, v in vals.items() if 2 in k)
 
@@ -498,8 +773,27 @@ class TestInputChecks:
 
     def test_numpy_integer_orders_pass(self):
         t = DiscreteTorus(1, 8)
-        assert hexes(em_decompose(t, 1.0, alpha=np.int64(2), M=np.int32(3))) \
-            == hexes(em_decompose(t, 1.0, alpha=2, M=3))
+        assert hexes(em_decompose(t, 1.0, alpha=np.int64(2))) \
+            == hexes(em_decompose(t, 1.0, alpha=2))
+        assert hexes(grid_em_decompose(t, 1.0, alpha=np.int64(2),
+                                       M=np.int32(3))) \
+            == hexes(grid_em_decompose(t, 1.0, alpha=2, M=3))
+
+    def test_direct_sum_is_capped(self):
+        # (4, 4096) would reduce 2049^4 terms, tens of GiB of row blocks
+        t = DiscreteTorus(4, 4096)
+        assert (t.n // 2 + 1) ** t.m > MAX_SUM_LATTICE
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="iteration cap"):
+                boundary_inclusive_lattice_sum(t, 1.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+        # the decomposition reads one half-axis table, far under the cap
+        _, total = em_decompose(t, 1.0)
+        assert math.isfinite(total)
 
 
 class TestHomogeneousStructure:
@@ -591,9 +885,50 @@ def tensor_window_integral(q, w, m, nodes):
     return float(np.sum(weight * total ** -float(m)))
 
 
+def mellin_window_integral(q, w, m):
+    """``_window_integral`` as its t-integral in 20-digit arithmetic, split
+    around the scale 1/w^2."""
+    with mpmath.workdps(20):
+        w2, c = mpmath.mpf(w) ** 2, 2 * mpmath.pi ** 2
+
+        def f(t):
+            return (t ** (m - 1) * mpmath.exp(-w2 * t)
+                    * (mpmath.besseli(0, t / c) * mpmath.exp(-t / c)) ** q)
+
+        cuts = sorted({0, mpmath.mpf(1) / 100, 1, 100, 1 / w2 / 100, 1 / w2,
+                       10 / w2, 100 / w2, mpmath.inf})
+        return float(mpmath.quad(f, cuts) / mpmath.gamma(m))
+
+
 class TestWindowIntegral:
     """The unit-window integrals behind the homogeneous components, one
-    Bessel heat-trace quadrature for every number of axes q."""
+    Bessel heat-trace t-integral for every number of axes q."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_against_20_digit_mellin(self, m):
+        # q = m, the all-integral block; measured: at most 5.4e-16; the adaptive quadratures this rule
+        # replaced were off by up to 1.7e-13 at w = 0.003 and by 5e-6 at
+        # w = 1000
+        for w in (1 / 1024, 0.003, 0.5, 1000.0):
+            ref = mellin_window_integral(m, w, m)
+            assert _window_integral(m, w, m) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_small_window_meets_its_continuum_limit(self, m):
+        # w^m W_m -> pi^(m/2) Gamma(m/2) / Gamma(m) as w -> 0, with a
+        # relative correction of order w^2
+        lead = math.pi ** (m / 2) * math.gamma(m / 2) / math.gamma(m)
+        for w in (1e-9, 1e-12):
+            assert w ** m * _window_integral(m, w, m) == pytest.approx(
+                lead, rel=1e-15)
+
+    def test_no_floor_below_z_over_n_of_1_over_2048(self):
+        # the adaptive quadratures raised NumericalError from here down
+        for z, n in ((1.0, 4096.0), (1e-3, 1e6)):
+            v = scaled_bulk_term(2, 2, z, n)
+            assert v == pytest.approx(math.pi / z ** 2, rel=1e-5)
+        with pytest.raises(NumericalError, match="float range"):
+            scaled_bulk_term(4, 4, 1e-60, 1e30)
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -251,9 +251,8 @@ class TestQuadratureChecks:
     @pytest.mark.parametrize("call", [
         lambda: td.logdet_zeta_via_regint(1),
         lambda: td.em_sum_1d(td.poly_evaluator([1.0, 2.0]), 4, 2),
-        lambda: td.scaled_bulk_term(2, 2, 1.0, 8.0),
         lambda: td.square_lattice_logdet_density(2),
-    ], ids=["zeta route", "em_sum_1d", "bulk term", "bulk density"])
+    ], ids=["zeta route", "em_sum_1d", "bulk density"])
     def test_integration_warning_is_numerical_error(self, call, monkeypatch):
         # every quadrature goes through one checked call
         def troubled_quad(*args, **kwargs):

@@ -6,7 +6,8 @@ import pytest
 
 from torusdet import (TO_INFINITY, TO_ZERO, BasisSpec, DiscreteTorus,
                       Expansion, ExpTerm, HomogeneousFn, InputError, Samples,
-                      antiderivative_term, bernoulli_number, convergence_check,
+                      antiderivative_term, bernoulli_number,
+                      boundary_inclusive_lattice_sum, convergence_check,
                       corner_term_cancellation, eigenvalue_product_integer,
                       em_decompose, em_direct_sum, em_sum_1d,
                       finite_part_tail_inf, finite_part_tail_zero, log_det,
@@ -38,7 +39,9 @@ BAD_CALLS = {
     "torus_m_2.5": lambda: DiscreteTorus(2.5, 8),
     "zeta_m_2.5": lambda: log_det_zeta(2.5),
     "em_alpha_1.5": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, alpha=1.5),
-    "em_M_6.9": lambda: em_decompose(DiscreteTorus(1, 8), 1.0, M=6.9),
+    "em_n_over_cap": lambda: em_decompose(DiscreteTorus(1, 2 ** 26), 1.0),
+    "em_direct_sum_over_cap": lambda: boundary_inclusive_lattice_sum(
+        DiscreteTorus(4, 4096), 1.0, 4),
     "converge_empty_grid": lambda: convergence_check(1, [], 1.0, 1),
     "converge_n_8.5": lambda: convergence_check(1, [8.5, 16.2, 32.9], 1.0, 1),
     "log_det_series_n_8.5": lambda: log_det_series(1, [8.5, 16.9]),

@@ -87,9 +87,9 @@ td.reduced_laplacian_det_mod(t, 101)
 td.eigenvalue_product_integer(t)
 td.log_det(t)
 td.resolvent_trace(t, 1.0, 2)
-td.em_decompose(t, 1.0)
 loaded()
 td.log_det_zeta(2)
+td.em_decompose(t, 1.0)
 loaded()
 td.logdet_via_regint(lambda z, a: td.resolvent_trace(t, z, a), 2, 1)
 loaded()
@@ -102,7 +102,8 @@ def test_scipy_submodules_load_on_first_use():
                          env=env, capture_output=True, text=True, check=True,
                          timeout=120)
     # (scipy.special, scipy.integrate) after import, the exact and discrete
-    # calls, the zeta determinant and the first quadrature
+    # calls, the zeta determinant and the decomposition, and the first
+    # quadrature
     assert out.stdout.splitlines() == ["False False", "False False",
                                        "True False", "True True"]
 
